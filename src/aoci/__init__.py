@@ -12,7 +12,7 @@ Module map
 ----------
 specfun     scalar special functions and the series/quadrature engines
 channel     transdermal path gain and pointing-error geometry
-optics      collimation, fiber coupling (two routes), fiber losses
+optics      collimation, fiber coupling (closed form, oracle, kernel), fiber losses
 photometry  end-to-end flux chain and the three averaging routes
 kpi         hearing / false-hearing / damage probabilities, exposure limits
 stochastics seeded splittable random variates

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+from scipy import special
 
 from aoci import optics
 from aoci.photometry import (
@@ -39,7 +40,7 @@ from aoci.photometry import (
     response_window_gain,
 )
 from aoci.specfun import regularized_gamma_q
-from aoci.stochastics import RngStream, sample_poisson
+from aoci.stochastics import RngStream, sample_poisson, sample_rayleigh
 
 if TYPE_CHECKING:
     from aoci.config import LinkConfig
@@ -121,8 +122,7 @@ def _exceedance(
         count = min(KPI_BLOCK_SIZE, n - produced)
         r_stream = RngStream(seed, 2 * block)
         noise_stream = RngStream(seed, 2 * block + 1)
-        u = r_stream.uniforms(count)
-        r = sigma * np.sqrt(-2.0 * np.log(u))
+        r = sample_rayleigh(r_stream, sigma, count)
         signal_counts = received_flux_batch(r, cfg) * gain
         if signal_shot_noise:
             # Extension beyond the additive model: the whole count is Poisson
@@ -174,8 +174,9 @@ def p_damage(
 def p_false_hearing(neural: NeuralParams) -> FalseHearing:
     """Probability of excitation by background alone, both readings.
 
-    literal: ``Pr(N >= y_th) = 1 - Q(y_th, B)`` for integer y_th >= 1 (1 when
-    y_th = 0). cdf_closed_form: ``Q(y_th + 1, B)``, the Poisson CDF
+    literal: ``Pr(N >= y_th) = P(y_th, B)`` for integer y_th >= 1 (1 when
+    y_th = 0), the lower regularized gamma, free of the cancellation in
+    ``1 - Q(y_th, B)``. cdf_closed_form: ``Q(y_th + 1, B)``, the Poisson CDF
     ``Pr(N <= y_th)``.
     """
     y_th = neural.y_th
@@ -188,7 +189,7 @@ def p_false_hearing(neural: NeuralParams) -> FalseHearing:
     if y_th == 0:
         literal = 1.0
     else:
-        literal = 1.0 - regularized_gamma_q(float(y_th), b)
+        literal = float(special.gammainc(float(y_th), b))
     return FalseHearing(literal=literal, cdf_closed_form=closed_form)
 
 

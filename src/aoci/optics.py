@@ -1,14 +1,18 @@
 """Collimation, fiber-coupling efficiency, and fiber propagation losses.
 
 The coupling efficiency of the focused beam into the single-mode fiber is
-available through two independent routes that must agree:
+available through three routes that must agree:
 
 * ``coupling_eta_closed`` -- closed form built on the Humbert Psi2 series,
   with the focused field's Airy scale entering through the dimensionless
   coupling argument ``a = 3.83^2 D^2 w0^2 / (1.22^2 lambda^2 F^2)``;
 * ``coupling_eta_integral`` -- direct adaptive quadrature of the Bessel x
   Gaussian x modified-Bessel overlap integrand the closed form was derived
-  from, which serves as the oracle for the closed form.
+  from, which serves as the oracle for the closed form and the kernel;
+* ``coupling_eta_batch`` / ``coupling_eta_at`` -- a cached piecewise
+  Chebyshev interpolant of that integral in ``s = r / w0``, one per coupling
+  argument, valid at every displacement; it serves Monte Carlo, exceedance
+  and the flux quadrature.
 
 The literal constants 3.83 and 1.22 are kept exactly as written (not the
 higher-precision Bessel root 3.8317...), because the closed form is defined
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate
 from scipy import special as _special
 
 from aoci.specfun import (
@@ -40,6 +45,7 @@ __all__ = [
     "coupling_eta_closed",
     "coupling_eta_integral",
     "coupling_eta_batch",
+    "coupling_eta_at",
     "peak_coupling",
     "fiber_efficiency",
 ]
@@ -144,16 +150,14 @@ def coupling_eta_closed(
     return amplitude * amplitude
 
 
-def _overlap_amplitude_integrand(cp: CouplingParams, r: float, rho):
+def _overlap_amplitude_integrand(c: float, w0: float, r, rho):
     """Integrand of the field-overlap amplitude, grouped to avoid overflow.
 
-    ``J1(c rho) exp(-(rho - r)^2 / w0^2) [e^-z I0(z)]`` with
-    ``z = 2 rho r / w0^2`` and ``c = 2 * 3.83 D / (1.22 lambda F)``; the
-    growing I0 factor is absorbed into the Gaussian exponent so every factor
-    stays bounded for any r.
+    ``J1(c rho) exp(-(rho - r)^2 / w0^2) [e^-z I0(z)]`` with ``z = 2 rho r / w0^2``
+    and ``c = 2 * 3.83 D / (1.22 lambda F) = 2 sqrt(a) / w0``; the growing I0
+    factor is absorbed into the Gaussian exponent so every factor stays bounded.
     """
-    c = 2.0 * 3.83 * cp.lens_diameter / (1.22 * cp.lam * cp.focal_length)
-    w0sq = cp.omega0 * cp.omega0
+    w0sq = w0 * w0
     rho = np.asarray(rho, dtype=np.float64)
     return (
         _special.j1(c * rho)
@@ -178,11 +182,12 @@ def coupling_eta_integral(
     # The integrand is a Gaussian of width ~w0 centered at rho = r; make the
     # cutoff cover the center plus the tail, and mark the center so the
     # subdivision cannot step over a narrow bump far from the origin.
+    c = 2.0 * 3.83 * cp.lens_diameter / (1.22 * cp.lam * cp.focal_length)
     decay_scale = cp.omega0 + r / ctl.tail_cutoff_sigmas
     breakpoints = (max(r - 3.0 * cp.omega0, 0.0), r, r + 3.0 * cp.omega0)
     try:
         amplitude, _ = integrate_semi_infinite(
-            lambda rho: float(_overlap_amplitude_integrand(cp, r, rho)),
+            lambda rho: float(_overlap_amplitude_integrand(c, cp.omega0, r, rho)),
             decay_scale,
             ctl,
             breakpoints=breakpoints,
@@ -200,44 +205,85 @@ def coupling_eta_integral(
     return (8.0 / (cp.omega0 * cp.omega0)) * amplitude * amplitude
 
 
-@lru_cache(maxsize=32)
-def _gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _clenshaw(coeffs, x):
+    """``sum_j c_j T_j(x)`` by Clenshaw's recurrence, on floats or arrays.
+
+    ``coeffs`` yields c_n, ..., c_0, highest degree first.
+    """
+    x2 = 2.0 * x
+    b1 = b2 = 0.0
+    for cj in coeffs:
+        b1, b2 = cj + x2 * b1 - b2, b1
+    return b1 - x * b2
 
 
-def coupling_eta_batch(cp: CouplingParams, r, nodes: int = 0) -> np.ndarray:
+class _CouplingKernel:
+    """Piecewise Chebyshev interpolant of eta(s), s = r / w0, for one coupling argument a.
+
+    In units of w0 the overlap integral depends on a alone (c = 2 sqrt(a)), so
+    one table serves every configuration with that a, whichever built it.
+    Panel k covers s in [2k, 2k + 2]; it is built on demand from Gauss-Legendre
+    quadrature over [max(0, s - 8), s + 8] at its first-kind Chebyshev points.
+    eta is analytic in s: degree 20 + 4 floor(sqrt(a)), capped at 32, reaches roundoff.
+    """
+
+    def __init__(self, a: float):
+        self.c = 2.0 * math.sqrt(a)
+        self.degree = min(20 + 4 * int(math.sqrt(a)), 32)
+        self.xi, self.wi = np.polynomial.legendre.leggauss(64 + 24 * int(math.sqrt(a)))
+        self.table = np.empty((0, self.degree + 1))  # row k: the coefficients of panel k
+
+    def _eta(self, s: np.ndarray) -> np.ndarray:
+        s = s[:, None]
+        lo = np.maximum(s - 8.0, 0.0)
+        half = 0.5 * (s + 8.0 - lo)
+        values = _overlap_amplitude_integrand(self.c, 1.0, s, lo + half * (1.0 + self.xi))
+        amplitude = half[:, 0] * (values @ self.wi)
+        return 8.0 * amplitude * amplitude
+
+    def cover(self, s_max: float) -> np.ndarray:
+        """Build the panels up to the one holding s_max; return the table.
+
+        The table is read once and replaced whole, so a concurrent caller
+        sees a shorter or longer table, never a wrong row.
+        """
+        table = self.table
+        panels = [
+            chebinterpolate(lambda x: self._eta(2.0 * k + 1.0 + x), self.degree)
+            for k in range(len(table), int(0.5 * s_max) + 1)
+        ]
+        if panels:
+            table = np.vstack([table, panels])
+            self.table = table
+        return table
+
+
+_coupling_kernel = lru_cache(maxsize=8)(_CouplingKernel)  # one kernel per coupling argument
+
+
+def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
     """Vectorized coupling efficiency over an array of misalignments.
 
-    Fixed-order Gauss-Legendre evaluation of the same overlap integral as
-    ``coupling_eta_integral``, on ``[max(0, r - 8 w0), r + 8 w0]`` per
-    sample. The order scales with sqrt(a) so the Airy oscillation under the
-    Gaussian window stays resolved. Used where the per-call adaptive route
-    would be too slow (Monte Carlo, flux quadrature, sweeps); agreement with
-    the adaptive route is pinned by tests.
+    Evaluates the cached Chebyshev kernel of the overlap integral, which
+    matches ``coupling_eta_integral`` to roundoff at every displacement.
     """
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if np.any(r < 0.0):
-        raise ValueError("radial misalignments must be >= 0")
-    if nodes <= 0:
-        nodes = 64 + 24 * int(math.sqrt(cp.coupling_argument))
-    xi, wi = _gauss_legendre_nodes(nodes)
+    if not np.all((r >= 0.0) & (r < math.inf)):
+        raise ValueError("radial misalignments must be finite and >= 0")
+    s = r / cp.omega0
+    table = _coupling_kernel(cp.coupling_argument).cover(float(s.max(initial=0.0)))
+    k = (0.5 * s).astype(np.intp)
+    return _clenshaw((column.take(k) for column in table.T[::-1]), s - 2.0 * k - 1.0)
 
-    w0 = cp.omega0
-    lo = np.maximum(r - 8.0 * w0, 0.0)
-    hi = r + 8.0 * w0
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # (samples, nodes) grid of integration abscissae
-    rho = mid[:, None] + half[:, None] * xi[None, :]
-    c = 2.0 * 3.83 * cp.lens_diameter / (1.22 * cp.lam * cp.focal_length)
-    w0sq = w0 * w0
-    values = (
-        _special.j1(c * rho)
-        * np.exp(-((rho - r[:, None]) ** 2) / w0sq)
-        * _special.i0e(2.0 * rho * r[:, None] / w0sq)
-    )
-    amplitude = half * (values @ wi)
-    return (8.0 / w0sq) * amplitude * amplitude
+
+def coupling_eta_at(cp: CouplingParams, r: float) -> float:
+    """``coupling_eta_batch`` at one misalignment, on plain floats."""
+    if not (0.0 <= r < math.inf):
+        raise ValueError(f"radial misalignment must be finite and >= 0, got {r}")
+    s = r / cp.omega0
+    table = _coupling_kernel(cp.coupling_argument).cover(s)
+    k = int(0.5 * s)
+    return _clenshaw(table[k, ::-1].tolist(), s - 2.0 * k - 1.0)
 
 
 def peak_coupling() -> tuple[float, float]:

@@ -37,7 +37,7 @@ from aoci.specfun import (
     _f4_eval,
     integrate_semi_infinite,
 )
-from aoci.stochastics import RngStream
+from aoci.stochastics import RngStream, sample_rayleigh
 
 if TYPE_CHECKING:
     from aoci.config import LinkConfig
@@ -214,16 +214,16 @@ def received_flux_at(r: float, cfg: "LinkConfig", eta_method: str = "auto") -> f
     return _deterministic_prefactor(cfg, state) * eta * h_p
 
 
-def received_flux_batch(r: np.ndarray, cfg: "LinkConfig", nodes: int = 0) -> np.ndarray:
+def received_flux_batch(r: np.ndarray, cfg: "LinkConfig") -> np.ndarray:
     """Vectorized ``Phi(r)`` over an array of displacements.
 
-    Uses the fixed-order overlap integral for the coupling efficiency, which
-    is valid for every displacement (the series route is not). ``nodes``
-    overrides the quadrature order (0 = automatic).
+    Takes the coupling efficiency from the cached Chebyshev kernel of the
+    overlap integral (``optics.coupling_eta_batch``), which is valid for
+    every displacement (the series route is not).
     """
     state = derive_state(cfg)
     r = np.asarray(r, dtype=np.float64)
-    eta = optics.coupling_eta_batch(cfg.coupling, r, nodes=nodes)
+    eta = optics.coupling_eta_batch(cfg.coupling, r)
     h_p = state.a0 * np.exp(-2.0 * (r / state.w_eq) ** 2)
     return _deterministic_prefactor(cfg, state) * eta * h_p
 
@@ -295,7 +295,7 @@ def mean_flux_quadrature(cfg: "LinkConfig", ctl: QuadControl | None = None) -> F
     core_scale = 1.0 / math.sqrt(_exposure_rate(cfg, state))
 
     def integrand(r: float) -> float:
-        eta = float(optics.coupling_eta_batch(cfg.coupling, r)[0])
+        eta = optics.coupling_eta_at(cfg.coupling, r)
         h_p = state.a0 * math.exp(-2.0 * (r / state.w_eq) ** 2)
         return eta * h_p * channel.rayleigh_pdf(sigma, r)
 
@@ -312,37 +312,39 @@ def mean_flux_quadrature(cfg: "LinkConfig", ctl: QuadControl | None = None) -> F
     )
 
 
-def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int, nodes: int = 0) -> FluxEstimate:
+def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
     """Average flux by seeded Monte Carlo over Rayleigh displacements.
 
     Samples are generated in fixed blocks of 2^16, one derived stream per
     block, so the estimate is identical no matter how many workers evaluate
-    the blocks. err_bound is one standard error of the mean. ``nodes``
-    tunes the per-sample coupling quadrature order (0 = automatic); useful
-    where statistical error dwarfs the quadrature error anyway.
+    the blocks. err_bound is one standard error of the mean, from per-block
+    centred sums of squares merged by Chan, Golub and LeVeque's update.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
     sigma = cfg.beam.sigma_s
 
     total = 0.0
-    total_sq = 0.0
+    running_mean = 0.0
+    sum_sq_dev = 0.0
     produced = 0
     block = 0
     while produced < n:
         count = min(MC_BLOCK_SIZE, n - produced)
-        stream = RngStream(seed, block)
-        u = stream.uniforms(count)
-        r = sigma * np.sqrt(-2.0 * np.log(u))
-        phi = received_flux_batch(r, cfg, nodes=nodes)
+        r = sample_rayleigh(RngStream(seed, block), sigma, count)
+        phi = received_flux_batch(r, cfg)
         total += float(np.sum(phi))
-        total_sq += float(np.sum(phi * phi))
-        produced += count
+        block_mean = float(np.mean(phi))
+        delta = block_mean - running_mean
+        merged = produced + count
+        running_mean += delta * count / merged
+        sum_sq_dev += float(np.sum((phi - block_mean) ** 2))
+        sum_sq_dev += delta * delta * produced * count / merged
+        produced = merged
         block += 1
 
     mean = total / n
-    variance = max(total_sq / n - mean * mean, 0.0)
-    stderr = math.sqrt(variance / n)
+    stderr = math.sqrt(sum_sq_dev / n / n)
     return FluxEstimate(
         value=max(mean, 0.0),
         method="monte_carlo",

@@ -18,13 +18,14 @@ common library exposes them:
   ``sum_{m,k,n,l} (1)_{m+n} (1)_{k+l} (1)_{n+l} x1^m x2^k y1^n y2^l
   / ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)``
 
-Both evaluators use compensated summation, a truncation rule that stops
-only after three consecutive constant-total-order shells contribute below
-tolerance (term magnitude is not monotone per index when arguments
-alternate in sign), and a cancellation guard that raises
-``PrecisionLossError`` instead of returning silently wrong digits.
-Factorial/Pochhammer magnitudes are always handled in log space with the
-sign tracked separately, so no intermediate overflows occur.
+``humbert_psi2`` sums only the parameter cases the coupling closed form
+needs, by term recurrences that do not cancel. ``f4_general`` uses
+compensated summation, a truncation rule that stops only after three
+consecutive constant-total-order shells contribute below tolerance (term
+magnitude is not monotone per index when arguments alternate in sign), and
+a cancellation guard that raises ``PrecisionLossError`` instead of
+returning silently wrong digits; its binomial weights are handled in log
+space, so no intermediate overflows occur.
 """
 
 from __future__ import annotations
@@ -189,23 +190,6 @@ def regularized_gamma_q(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _signed_log_pow(base: float, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log|base**n| and sign(base)**n for integer exponents n >= 0.
-
-    base == 0 maps to log 0 = -inf for n > 0 and log 1 = 0 for n == 0.
-    """
-    n = np.asarray(exponent, dtype=np.float64)
-    if base == 0.0:
-        logs = np.where(n == 0, 0.0, -np.inf)
-        return logs, np.ones_like(n)
-    logs = n * math.log(abs(base))
-    if base > 0.0:
-        signs = np.ones_like(n)
-    else:
-        signs = np.where(np.asarray(exponent) % 2 == 0, 1.0, -1.0)
-    return logs, signs
-
-
 def _check_converged(
     shell_history: list[float], accumulated: float, ctl: SeriesControl
 ) -> bool:
@@ -230,19 +214,22 @@ def humbert_psi2(
 ) -> float:
     """Humbert double hypergeometric series Psi2(1; b1, b2; x, y).
 
-    ``sum_{m,n>=0} (1)_{m+n} x^m y^n / ((b1)_m (b2)_n m! n!)``, summed along
-    anti-diagonals of constant m+n. The series is entire in both arguments,
-    but for strongly negative x the terms alternate and cancel; when the
-    cancellation exceeds what double precision can absorb a
-    ``PrecisionLossError`` is raised.
+    ``sum_{m,n>=0} (1)_{m+n} x^m y^n / ((b1)_m (b2)_n m! n!)``. The series is
+    entire, but summed directly its terms cancel for strongly negative x, so
+    only the cases the coupling closed form needs are summed, each without
+    cancellation: one argument zero (a 1F1 series, Kummer-transformed for
+    negative arguments) and (b1, b2) = (2, 1) (``sum_n 1F1(n+1; 2; x) y^n /
+    n!`` with the inner functions in closed form).
 
     Raises
     ------
+    ValueError
+        For any other (b1, b2) with both arguments nonzero.
     SeriesConvergenceError
-        If the shells have not decayed below tolerance once either index
-        reaches ``ctl.max_terms_per_index``.
+        If the terms have not decayed below tolerance within
+        ``ctl.max_terms_per_index``.
     PrecisionLossError
-        If ``sum|term| / |sum term|`` exceeds 1e12.
+        If the terms overflow the double range.
     """
     value, _ = _psi2_eval(b1, b2, x, y, ctl or SeriesControl())
     return value
@@ -392,97 +379,12 @@ def _psi2_eval(
         return _psi2_single_series(b1, x, ctl, f"x={x}, y=0")
     if x == 0.0:
         return _psi2_single_series(b2, y, ctl, f"x=0, y={y}")
-    if b1 == 2.0 and b2 == 1.0:
-        return _psi2_21(x, y, ctl)
-
-    # Generic parameters: anti-diagonal walk with log-space terms. Accurate
-    # to ~1e-11 in the mildly cancelling regimes; the cancellation guards
-    # refuse regimes where double precision cannot deliver digits. The
-    # stably computable single-argument boundary values give the order of
-    # magnitude the result should have, against which the roundoff floor of
-    # the alternating sum is checked (without this an alternating sum whose
-    # shells swing far above the result can plateau on pure roundoff and
-    # pass a ratio test self-consistently).
-    def boundary_scale(b: float, z: float) -> float:
-        try:
-            value, _ = _psi2_single_series(b, z, ctl, f"z={z} boundary")
-        except SeriesConvergenceError as exc:
-            value = exc.value  # partial sum still carries the magnitude
-        return abs(value) if math.isfinite(value) else 0.0
-
-    magnitude_scale = max(boundary_scale(b1, x) * boundary_scale(b2, y), 1.0e-300)
-
-    cap = ctl.max_terms_per_index
-    lg_b1 = math.lgamma(b1)
-    lg_b2 = math.lgamma(b2)
-
-    total = 0.0
-    comp = 0.0  # Neumaier compensation
-    abs_total = 0.0
-    shells: list[float] = []
-
-    for t in range(2 * cap + 1):
-        m_lo = max(0, t - cap)
-        m_hi = min(t, cap)
-        m = np.arange(m_lo, m_hi + 1)
-        n = t - m
-
-        log_x, sign_x = _signed_log_pow(x, m)
-        log_y, sign_y = _signed_log_pow(y, n)
-        log_terms = (
-            _special.gammaln(1.0 + t)
-            + log_x
-            + log_y
-            - (_special.gammaln(b1 + m) - lg_b1)
-            - (_special.gammaln(b2 + n) - lg_b2)
-            - _special.gammaln(m + 1.0)
-            - _special.gammaln(n + 1.0)
+    if not (b1 == 2.0 and b2 == 1.0):
+        raise ValueError(
+            "humbert_psi2 sums (b1, b2) = (2, 1), or any (b1, b2) with one "
+            f"argument zero; got ({b1}, {b2}) at x={x}, y={y}"
         )
-        if float(np.max(log_terms)) > _LOG_MAX_DOUBLE - 20.0:
-            raise PrecisionLossError(
-                f"humbert_psi2: terms overflow the double range "
-                f"(b1={b1}, b2={b2}, x={x}, y={y})",
-                value=total + comp,
-            )
-        terms = sign_x * sign_y * np.exp(log_terms)
-
-        shell = math.fsum(terms.tolist())
-        abs_total += float(np.sum(np.abs(terms)))
-        if 1.0e-16 * abs_total > 1.0e-2 * magnitude_scale:
-            raise PrecisionLossError(
-                "humbert_psi2: the roundoff floor of the alternating sum "
-                f"exceeds the expected result magnitude (b1={b1}, b2={b2}, "
-                f"x={x}, y={y})",
-                value=total + comp,
-            )
-        # Neumaier compensated accumulation of the shell contribution.
-        s = total + shell
-        if abs(total) >= abs(shell):
-            comp += (total - s) + shell
-        else:
-            comp += (shell - s) + total
-        total = s
-
-        shells.append(abs(shell))
-        if _check_converged(shells, total + comp, ctl):
-            result = total + comp
-            if abs_total > _CANCELLATION_LIMIT * max(abs(result), 1.0e-300):
-                raise PrecisionLossError(
-                    "humbert_psi2: cancellation exceeds double precision "
-                    f"(sum|term|/|sum| ~ {abs_total / max(abs(result), 1e-300):.2e})",
-                    value=result,
-                    err_est=abs_total * 1.0e-16,
-                )
-            err = _tail_estimate(shells) + 1.0e-16 * abs_total
-            return result, err
-
-    best = total + comp
-    raise SeriesConvergenceError(
-        f"humbert_psi2 did not converge within max_terms_per_index={cap} "
-        f"(b1={b1}, b2={b2}, x={x}, y={y})",
-        value=best,
-        err_est=shells[-1] if shells else math.inf,
-    )
+    return _psi2_21(x, y, ctl)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,7 @@ def sample_rayleigh(stream: RngStream, sigma_s: float, n: int | None = None):
     """Rayleigh radial displacements ``r = sigma_s sqrt(-2 ln u)``, u ~ U(0, 1].
 
     Scalar when ``n`` is None, else an array of the stream's first n samples.
-    All samples are strictly positive (u = 1 maps to r = 0 with probability
-    zero in continuous law and is excluded by the half-open interval on the
-    other side; u never equals 0).
+    Every sample is finite and >= 0: u never equals 0, and u = 1 gives r = 0.
     """
     if not (sigma_s > 0.0):
         raise ValueError(f"sigma_s must be > 0, got {sigma_s}")

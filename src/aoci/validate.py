@@ -165,7 +165,7 @@ def check_flux_three_way(quick: bool) -> CheckResult:
             series_converged += 1
         except NumericalError:
             pass
-        mc = photometry.mean_flux_mc(cfg, n=mc_n, seed=1000 + i, nodes=48)
+        mc = photometry.mean_flux_mc(cfg, n=mc_n, seed=1000 + i)
         if mc.err_bound > 0.0:
             worst_mc_dev = max(worst_mc_dev, abs(mc.value - quad.value) / mc.err_bound)
     passed = worst_rel <= 1e-6 and worst_mc_dev <= 3.0
@@ -231,7 +231,8 @@ def check_poisson_identities(quick: bool) -> CheckResult:
             partial = math.fsum(terms)
             worst = max(worst, abs(regularized_gamma_q(k + 1.0, b) - partial))
             if k >= 1:
-                survival = 1.0 - regularized_gamma_q(float(k), b)
+                neural = photometry.NeuralParams(f0=b, tau=1.0, y_th=float(k), d_th=math.inf)
+                survival = kpi.p_false_hearing(neural).literal
                 worst = max(worst, abs(survival + regularized_gamma_q(float(k), b) - 1.0))
     return CheckResult(
         name="Poisson tail identities",

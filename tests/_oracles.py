@@ -40,6 +40,21 @@ def bessel_i0_series(x) -> mp.mpf:
     return acc
 
 
+def gamma_p_reference(s, x) -> mp.mpf:
+    """Regularized lower incomplete gamma P(s, x) by its ascending series.
+
+    ``P(s, x) = x^s e^-x / Gamma(s + 1) * sum_n x^n / ((s + 1) ... (s + n))``;
+    every term is positive, so the far lower tail keeps full precision.
+    """
+    s, x = mp.mpf(s), mp.mpf(x)
+    term = mp.mpf(1)
+    total = term
+    for n in range(1, SERIES_CAP):
+        term *= x / (s + n)
+        total += term
+    return total * mp.exp(-x + s * mp.log(x) - mp.loggamma(s + 1))
+
+
 def gamma_q_reference(s, x) -> mp.mpf:
     """Regularized upper incomplete gamma via series / continued fraction.
 

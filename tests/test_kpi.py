@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import _oracles as oracles
 from aoci.kpi import (
     _exceedance,
     kpi_report,
@@ -106,6 +107,14 @@ class TestFalseHearing:
             fh = p_false_hearing(neural)
             cdf_below = regularized_gamma_q(y_th, neural.mean_background)
             assert fh.literal + cdf_below == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("y_th, approx_value", [(20.0, 3.2834e-16), (30.0, 1.6949e-28)])
+    def test_far_tail_keeps_relative_precision(self, y_th, approx_value):
+        # At B = 1.5 these tails lie at or below the roundoff of 1 - Q(y_th, B).
+        neural = NeuralParams(f0=10.0, tau=0.15, y_th=y_th, d_th=1e6)
+        expected = float(oracles.gamma_p_reference(y_th, neural.mean_background))
+        assert expected == pytest.approx(approx_value, rel=1e-4)
+        assert p_false_hearing(neural).literal == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_no_background(self):
         neural = NeuralParams(f0=0.0, tau=0.15, y_th=2.0, d_th=10.0)

@@ -1,15 +1,21 @@
-"""Optics layer: collimation, the two coupling routes, fiber losses."""
+"""Optics layer: collimation, the coupling routes and kernel, fiber losses."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from aoci import optics
+from aoci.figures import POWER_GRID_FIG8_MW, load_preset
+from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 from aoci.optics import (
     CouplingParams,
     FiberLoss,
     MemParams,
     collimation_gain,
+    coupling_eta_at,
     coupling_eta_batch,
     coupling_eta_closed,
     coupling_eta_integral,
@@ -127,14 +133,100 @@ class TestCouplingIntegralOracle:
         assert coupling_eta_integral(cp, 0.0) == pytest.approx(eta_star, rel=1e-9)
 
     def test_batch_evaluator_agrees_with_adaptive(self):
+        # Out to r = 200 w0, the reach of the figure-5 flux quadrature
+        # (10 sigma_s at sigma_s = 2 mm, w0 = 0.1 mm).
         for a in [0.05, 1.2564, 5.0, 25.0]:
             cp = cp_for(a)
-            rs = np.linspace(0.0, 40.0 * cp.omega0, 25)
+            rs = np.concatenate([np.linspace(0.0, 40.0, 25), np.linspace(48.0, 200.0, 20)])
+            rs = rs * cp.omega0
             batch = coupling_eta_batch(cp, rs)
             scale = batch.max()
             for i, r in enumerate(rs):
                 adaptive = coupling_eta_integral(cp, float(r))
                 assert batch[i] == pytest.approx(adaptive, rel=1e-8, abs=1e-9 * scale)
+
+
+class TestCouplingKernel:
+    """The cached Chebyshev kernel behind coupling_eta_batch / coupling_eta_at."""
+
+    KERNEL_ARGS = [0.05, 1.2566, 5.0, 25.0]
+
+    @pytest.mark.parametrize("a", KERNEL_ARGS)
+    def test_same_argument_any_mode_radius_is_bitwise_equal(self, a):
+        # Doubling w0 and F together leaves a unchanged bit for bit; the table depends
+        # on a alone, not on which configuration built it or in what order.
+        small = cp_for(a)
+        large = CouplingParams(
+            lens_diameter=small.lens_diameter,
+            focal_length=2.0 * small.focal_length,
+            omega0=2.0 * small.omega0,
+            lam=small.lam,
+        )
+        assert large.coupling_argument == small.coupling_argument
+        s = np.linspace(0.0, 90.0, 1801)
+        optics._coupling_kernel.cache_clear()
+        eta_small = coupling_eta_batch(small, s * small.omega0)
+        optics._coupling_kernel.cache_clear()
+        coupling_eta_batch(large, s[:10] * large.omega0)  # grow the table in two steps
+        eta_large = coupling_eta_batch(large, s * large.omega0)
+        assert np.array_equal(eta_small, eta_large)
+
+    @pytest.mark.parametrize("a", KERNEL_ARGS)
+    def test_scalar_and_array_paths_agree(self, a):
+        cp = cp_for(a)
+        rs = np.linspace(0.0, 90.0, 901) * cp.omega0
+        array = coupling_eta_batch(cp, rs)
+        scalar = np.array([coupling_eta_at(cp, float(r)) for r in rs])
+        assert np.max(np.abs(scalar - array)) <= 1e-15
+
+    def test_power_sweep_builds_one_table(self):
+        cfg = load_preset("default")
+        spec = SweepSpec(
+            axis1=SweepAxis("source.power_mw", POWER_GRID_FIG8_MW),
+            axis2=None,
+            metric="p_hearing",
+            mc_n=10_000,
+        )
+        assert len(spec.axis1.values) == 17
+        optics._coupling_kernel.cache_clear()
+        result = run_sweep(cfg, spec)
+        assert len(result.rows) == 17
+        assert optics._coupling_kernel.cache_info().misses == 1
+
+    def test_concurrent_growth_gives_the_sequential_values(self):
+        cp = cp_for(1.2566)
+        reaches = [4.0 * (i + 1) for i in range(8)]  # each thread grows the table further
+        optics._coupling_kernel.cache_clear()
+        expected = [coupling_eta_batch(cp, np.linspace(0.0, r, 301) * cp.omega0) for r in reaches]
+        results = [None] * len(reaches)
+        barrier = threading.Barrier(len(reaches), timeout=60.0)
+
+        def work(i):
+            barrier.wait()
+            results[i] = coupling_eta_batch(cp, np.linspace(0.0, reaches[i], 301) * cp.omega0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # a racy growth shows only on some interleavings
+                optics._coupling_kernel.cache_clear()
+                threads = [threading.Thread(target=work, args=(i,)) for i in range(len(reaches))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                    assert not t.is_alive()
+                for got, want in zip(results, expected):
+                    assert np.array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_rejects_negative_misalignment(self):
+        cp = cp_for(1.2566)
+        with pytest.raises(ValueError):
+            coupling_eta_batch(cp, np.array([0.0, -1e-6]))
+        with pytest.raises(ValueError):
+            coupling_eta_at(cp, -1e-6)
 
 
 class TestFiberEfficiency:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from aoci.figures import load_preset
 from aoci.photometry import (
     FluxEstimate,
     NeuralParams,
@@ -21,6 +22,7 @@ from aoci.photometry import (
     response_window_gain,
 )
 from aoci.specfun import SeriesConvergenceError
+from aoci.stochastics import RngStream, sample_rayleigh
 
 
 class TestReceivedFlux:
@@ -89,6 +91,16 @@ class TestMeanFluxRoutes:
         wide = mean_flux_mc(baseline_cfg, n=25_000, seed=7)
         # doubling n cuts the standard error by ~1/sqrt(2)
         assert wide.err_bound / a.err_bound == pytest.approx(math.sqrt(2.0), rel=0.2)
+
+    def test_mc_stderr_survives_tiny_spread(self):
+        # At sigma_s = 1e-7 mm the flux varies by ~1e-12 of its mean; a
+        # sum-of-squares variance cancels to zero there, a centred one does not.
+        cfg = load_preset("default").with_value("beam.sigma_s_mm", 1e-7)
+        fm = mean_flux_mc(cfg, n=1000, seed=1)
+        phi = received_flux_batch(sample_rayleigh(RngStream(1, 0), cfg.beam.sigma_s, 1000), cfg)
+        two_pass = math.sqrt(np.sum((phi - np.mean(phi)) ** 2) / 1000) / math.sqrt(1000)
+        assert fm.err_bound > 0.0
+        assert fm.err_bound == pytest.approx(two_pass, rel=1e-6)
 
     def test_degenerate_pointing_limit(self, baseline_cfg):
         cfg = baseline_cfg.with_value("beam.sigma_s_mm", 1e-4)  # 0.1 um

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from aoci.specfun import (
-    PrecisionLossError,
     QuadControl,
     SeriesControl,
     SeriesConvergenceError,
@@ -214,11 +213,13 @@ class TestHumbertPsi2:
         b = humbert_psi2(2.0, 1.0, -1.7, 0.4)
         assert a == b
 
-    def test_precision_loss_raised_on_generic_path(self):
-        # Generic (b1, b2) parameters use the direct alternating double sum,
-        # whose condition number explodes for strongly negative x.
-        with pytest.raises(PrecisionLossError):
+    def test_generic_parameters_refused(self):
+        # Only (b1, b2) = (2, 1), or one argument zero, is summed.
+        with pytest.raises(ValueError):
             humbert_psi2(3.0, 2.0, -300.0, 0.5)
+        assert humbert_psi2(3.0, 2.0, 0.0, 0.5) == pytest.approx(
+            float(oracles.psi2_bruteforce(3.0, 2.0, 0.0, 0.5, terms=60)), rel=1e-12
+        )
 
     def test_non_convergence_raised(self):
         ctl = SeriesControl(max_terms_per_index=8)
