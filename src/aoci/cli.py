@@ -1,21 +1,21 @@
 """Command-line interface: evaluate, sweep, reproduce figures, validate.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration error,
-3 numerical failure under --strict. All output is deterministic for fixed
-inputs and seed; no timestamps are embedded anywhere.
+3 the requested average-flux route failed numerically (``eval`` runs exactly
+the route it is given and never substitutes another). All output is
+deterministic for fixed inputs and seed; no timestamps are embedded anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
 from aoci import kpi, photometry
 from aoci.config import ConfigError, LinkConfig
-from aoci.figures import FIGURE_NUMBERS, load_preset, run_figure
+from aoci.figures import FIGURE_NUMBERS, run_figure
 from aoci.specfun import NumericalError
 from aoci.sweep import SweepSpec, run_sweep, write_csv
 from aoci.validate import run_validation
@@ -38,19 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True, help="link configuration JSON")
     p_eval.add_argument(
         "--method",
-        default="auto",
-        choices=["auto", "series", "quadrature", "mc"],
-        help="average-flux evaluation route (default: auto)",
+        default="quadrature",
+        choices=["quadrature", "series", "mc"],
+        help="average-flux evaluation route (default: quadrature)",
     )
     p_eval.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
     p_eval.add_argument("--seed", type=int, default=1234, help="Monte Carlo seed")
     p_eval.add_argument("--out", default=None, help="directory for eval.csv")
-    p_eval.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail (exit 3) instead of falling back when the requested method "
-        "does not converge",
-    )
 
     p_sweep = sub.add_parser("sweep", help="evaluate a metric over a parameter grid")
     p_sweep.add_argument("--config", required=True, help="link configuration JSON")
@@ -96,27 +90,16 @@ def _cmd_eval(args) -> int:
 
     try:
         flux = photometry.mean_flux(cfg, method=args.method, n=args.samples, seed=args.seed)
-        fell_back = args.method == "series" and flux.method != "series"
     except NumericalError as exc:
-        if args.strict:
-            print(
-                f"numerical failure in method {args.method!r}: {exc}\n"
-                "fallback: rerun with --method quadrature",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERICAL
-        flux = photometry.mean_flux_quadrature(cfg)
-        fell_back = True
-    if args.method == "series" and args.strict and flux.method != "series":
         print(
-            "series route did not converge for this configuration; "
+            f"numerical failure in method {args.method!r}: {exc}\n"
             "fallback: rerun with --method quadrature",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
 
     print("average photon flux:")
-    print(f"  method    = {flux.method}" + ("  (fell back from series)" if fell_back else ""))
+    print(f"  method    = {flux.method}")
     print(f"  value     = {flux.value:.6e} photons/s")
     print(f"  err bound = {flux.err_bound:.3e}")
     if flux.method == "monte_carlo":

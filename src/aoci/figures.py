@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from aoci import kpi, photometry, svgplot
+from aoci import photometry, svgplot
 from aoci.config import LinkConfig
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 
@@ -110,7 +110,6 @@ def _figure3(cfg: LinkConfig, out_dir: Path, mc_n: int, seed: int):
         axis1=SweepAxis("skin.delta_mm", DELTA_GRID_MM),
         axis2=SweepAxis("beam.theta_deg", THETA_GRID_DEG),
         metric="mean_flux",
-        method="auto",
     )
     result = run_sweep(cfg, spec)
     write_csv(result, out_dir / "fig3.csv")
@@ -139,7 +138,6 @@ def _figure4(cfg: LinkConfig, out_dir: Path, mc_n: int, seed: int):
         axis1=SweepAxis("skin.delta_mm", DELTA_GRID_MM),
         axis2=SweepAxis("source.power_mw", POWER_GRID_MW),
         metric="mean_flux",
-        method="auto",
     )
     result = run_sweep(cfg, spec)
     write_csv(result, out_dir / "fig4.csv")
@@ -168,7 +166,6 @@ def _figure5(cfg: LinkConfig, out_dir: Path, mc_n: int, seed: int):
         axis1=SweepAxis("beam.sigma_s_mm", SIGMA_GRID_MM),
         axis2=SweepAxis("skin.delta_mm", DELTA_CURVES_MM),
         metric="mean_flux",
-        method="auto",
     )
     result = run_sweep(cfg, spec)
     write_csv(result, out_dir / "fig5.csv")
@@ -203,7 +200,6 @@ def _figure6(cfg: LinkConfig, out_dir: Path, mc_n: int, seed: int):
         axis1=SweepAxis("source.power_mw", POWER_GRID_FIG6_MW),
         axis2=SweepAxis("beam.sigma_s_mm", SIGMA_CURVES_MM),
         metric="mean_flux",
-        method="auto",
     )
     result = run_sweep(cfg, spec)
     write_csv(result, out_dir / "fig6.csv")

@@ -127,13 +127,7 @@ def _exceedance(
         if signal_shot_noise:
             # Extension beyond the additive model: the whole count is Poisson
             # with the signal folded into the mean.
-            totals = np.array(
-                [
-                    sample_poisson(RngStream(seed, (2 * block + 1) * (1 << 20) + i), m)
-                    for i, m in enumerate(signal_counts + b_mean)
-                ],
-                dtype=np.float64,
-            )
+            totals = sample_poisson(noise_stream, signal_counts + b_mean, count)
         else:
             totals = signal_counts + sample_poisson(noise_stream, b_mean, count)
         hits += int(np.count_nonzero(totals >= threshold))
@@ -214,6 +208,17 @@ def _fiber_output_power(cfg: "LinkConfig") -> float:
     return cfg.source.power_tx * state.h_l * state.a0 * state.g_c * eta0 * state.k
 
 
+def _irradiances(cfg: "LinkConfig") -> tuple[float, float, bool, bool]:
+    """Skin and neuron irradiance [W/m^2] and whether each is within its limit.
+
+    Skin: transmit power over the emission spot ``pi w_spot^2``; neuron: peak
+    fiber output power over the mode-field disc ``pi w0^2``.
+    """
+    skin_irr = cfg.source.power_tx / (math.pi * cfg.skin_spot_radius**2)
+    neuron_irr = _fiber_output_power(cfg) / (math.pi * cfg.coupling.omega0**2)
+    return skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron
+
+
 def safety_check(
     cfg: "LinkConfig",
     hearing_target: float = 0.9,
@@ -222,29 +227,22 @@ def safety_check(
 ) -> tuple[float, float, bool, bool, tuple[float, float] | None]:
     """Irradiances, exposure verdicts, and the usable transmit-power range.
 
-    skin irradiance: transmit power over the emission spot ``pi w_spot^2``;
-    neuron irradiance: peak fiber output power over the mode-field disc
-    ``pi w0^2``. Both are linear in transmit power, so the exposure-limited
-    maximum power is closed-form. The dynamic range is the power interval
-    where hearing probability meets the target while both exposure verdicts
-    hold; it is found by bisection on the common-random-number estimator
-    (monotone in power per seed) and is None when empty.
+    The irradiances and verdicts are those of ``_irradiances``. The dynamic
+    range is the power interval where hearing probability meets the target
+    while both exposure verdicts hold; it is found by bisection on the
+    common-random-number estimator (monotone in power per seed) and is None
+    when empty.
     """
+    skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok = _irradiances(cfg)
+
+    # Both irradiances are linear in transmit power, so the exposure-limited
+    # maximum power is their limit over their value per watt.
     x = cfg.source.power_tx
-    skin_area = math.pi * cfg.skin_spot_radius**2
-    neuron_area = math.pi * cfg.coupling.omega0**2
-    skin_irr = x / skin_area
-    fiber_power = _fiber_output_power(cfg)
-    neuron_irr = fiber_power / neuron_area
-
-    mpe_skin_ok = skin_irr <= cfg.mpe_skin
-    mpe_neuron_ok = neuron_irr <= cfg.mpe_neuron
-
-    # Exposure-limited maximum transmit power (irradiance is linear in x).
-    x_max_skin = cfg.mpe_skin * skin_area
-    chain = fiber_power / x if x > 0.0 else _fiber_output_power(cfg.with_value("source.power_mw", 1.0)) * 1e3
-    x_max_neuron = cfg.mpe_neuron * neuron_area / chain
-    x_max = min(x_max_skin, x_max_neuron)
+    if x > 0.0:
+        per_watt = (skin_irr / x, neuron_irr / x)
+    else:
+        per_watt = _irradiances(cfg.with_value("source.power_mw", 1e3))[:2]
+    x_max = min(cfg.mpe_skin / per_watt[0], cfg.mpe_neuron / per_watt[1])
 
     def hearing_at(power_w: float) -> float:
         test_cfg = cfg.with_value("source.power_mw", power_w * 1e3)
@@ -280,7 +278,7 @@ def kpi_report(
         hearing_target=hearing_target,
         n=max(n // 2, 10_000),
         seed=seed,
-    ) if with_dynamic_range else (*_irradiances_only(cfg), None)
+    ) if with_dynamic_range else (*_irradiances(cfg), None)
     return KpiReport(
         p_hearing=p_hearing(cfg, n=n, seed=seed, signal_shot_noise=signal_shot_noise),
         p_false_hearing=p_false_hearing(cfg.neural),
@@ -291,10 +289,3 @@ def kpi_report(
         mpe_neuron_ok=neuron_ok,
         dynamic_range_w=dyn,
     )
-
-
-def _irradiances_only(cfg: "LinkConfig") -> tuple[float, float, bool, bool]:
-    x = cfg.source.power_tx
-    skin_irr = x / (math.pi * cfg.skin_spot_radius**2)
-    neuron_irr = _fiber_output_power(cfg) / (math.pi * cfg.coupling.omega0**2)
-    return skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron

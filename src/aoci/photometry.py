@@ -6,13 +6,16 @@ r is ``y4 = k eta(r) G_c h_l h_p(r) x``, converted to photon flux by
 the average flux over the Rayleigh-distributed displacement, computable by
 three mutually validating routes:
 
-* ``mean_flux_series``     -- closed form via the quadruple hypergeometric
-                              series (fast, fails loudly outside its
-                              convergence envelope);
 * ``mean_flux_quadrature`` -- adaptive quadrature of the flux-weighted
-                              Rayleigh integrand (robust; the reference
-                              method for acceptance checks);
+                              Rayleigh integrand (valid in every regime;
+                              the default route);
+* ``mean_flux_series``     -- closed form via the quadruple hypergeometric
+                              series (fails loudly outside its
+                              convergence envelope);
 * ``mean_flux_mc``         -- seeded Monte Carlo over displacement samples.
+
+``mean_flux`` runs exactly the route it is asked for: a route that cannot
+deliver raises its ``NumericalError`` instead of handing over to another.
 
 Counts vs rates: flux lives in photons/second; threshold logic elsewhere
 multiplies by the response-window integration factor ``tau (e-1)/e`` to get
@@ -31,7 +34,6 @@ import numpy as np
 
 from aoci import channel, optics
 from aoci.specfun import (
-    NumericalError,
     QuadControl,
     SeriesControl,
     _f4_eval,
@@ -188,30 +190,13 @@ def _deterministic_prefactor(cfg: "LinkConfig", state: ChannelState) -> float:
     )
 
 
-def received_flux_at(r: float, cfg: "LinkConfig", eta_method: str = "auto") -> float:
+def received_flux_at(r: float, cfg: "LinkConfig") -> float:
     """Instantaneous photon flux [1/s] at pointing displacement r.
 
-    ``Phi(r) = k eta(r) G_c h_l h_p(r) (lambda / h c) x``. The coupling
-    efficiency defaults to the closed form with automatic fallback to the
-    overlap integral where the series route does not converge
-    (eta_method in {"auto", "closed", "integral"}).
+    ``Phi(r) = k eta(r) G_c h_l h_p(r) (lambda / h c) x``, evaluated by
+    ``received_flux_batch`` on the one displacement.
     """
-    if r < 0.0:
-        raise ValueError(f"displacement must be >= 0, got {r}")
-    state = derive_state(cfg)
-    if eta_method == "closed":
-        eta = optics.coupling_eta_closed(cfg.coupling, r, cfg.series_ctl)
-    elif eta_method == "integral":
-        eta = optics.coupling_eta_integral(cfg.coupling, r, cfg.quad_ctl)
-    elif eta_method == "auto":
-        try:
-            eta = optics.coupling_eta_closed(cfg.coupling, r, cfg.series_ctl)
-        except NumericalError:
-            eta = optics.coupling_eta_integral(cfg.coupling, r, cfg.quad_ctl)
-    else:
-        raise ValueError(f"unknown eta_method {eta_method!r}")
-    h_p = channel.pointing_gain(cfg.beam, cfg.skin.delta, r)
-    return _deterministic_prefactor(cfg, state) * eta * h_p
+    return float(received_flux_batch(np.array([r], dtype=np.float64), cfg)[0])
 
 
 def received_flux_batch(r: np.ndarray, cfg: "LinkConfig") -> np.ndarray:
@@ -249,8 +234,8 @@ def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> Flu
     with ``S`` the combined Gaussian decay rate and ``Y = (1/w0^2)/S < 1/2``.
     Near ``2Y -> 1`` (displacement spread far wider than the fiber mode) the
     series needs more terms than the index cap allows and a
-    ``SeriesConvergenceError`` escapes; ``mean_flux_quadrature`` is the
-    advertised fallback.
+    ``SeriesConvergenceError`` escapes; ``mean_flux_quadrature`` covers that
+    regime.
     """
     ctl = ctl or cfg.series_ctl
     state = derive_state(cfg)
@@ -283,7 +268,7 @@ def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> Flu
 def mean_flux_quadrature(cfg: "LinkConfig", ctl: QuadControl | None = None) -> FluxEstimate:
     """Average flux by adaptive quadrature of ``Phi(r) f_r(r)`` over (0, inf).
 
-    The reference route: valid for every parameter regime. The integrand
+    The default route: valid for every parameter regime. The integrand
     combines the narrow coupling response (scale ~w0) with the Rayleigh
     envelope (scale sigma_s); both scales are passed to the quadrature as
     breakpoints so neither can be stepped over.
@@ -356,15 +341,14 @@ def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
 
 def mean_flux(
     cfg: "LinkConfig",
-    method: str = "auto",
+    method: str = "quadrature",
     n: int = 1_000_000,
     seed: int = 1234,
 ) -> FluxEstimate:
-    """Average flux by the requested route; ``auto`` tries the series first.
+    """Average flux by the requested route: quadrature, series or mc (monte_carlo).
 
-    With ``auto`` the fast closed form is attempted and any numerical
-    failure falls back to quadrature; the returned method tag records which
-    route actually produced the value.
+    The route either returns its estimate or raises its ``NumericalError``;
+    no route falls back to another.
     """
     if method == "series":
         return mean_flux_series(cfg)
@@ -372,11 +356,6 @@ def mean_flux(
         return mean_flux_quadrature(cfg)
     if method in ("mc", "monte_carlo"):
         return mean_flux_mc(cfg, n=n, seed=seed)
-    if method == "auto":
-        try:
-            return mean_flux_series(cfg)
-        except NumericalError:
-            return mean_flux_quadrature(cfg)
     raise ValueError(f"unknown method {method!r}")
 
 

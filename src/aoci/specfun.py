@@ -19,13 +19,13 @@ common library exposes them:
   / ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)``
 
 ``humbert_psi2`` sums only the parameter cases the coupling closed form
-needs, by term recurrences that do not cancel. ``f4_general`` uses
-compensated summation, a truncation rule that stops only after three
-consecutive constant-total-order shells contribute below tolerance (term
-magnitude is not monotone per index when arguments alternate in sign), and
-a cancellation guard that raises ``PrecisionLossError`` instead of
-returning silently wrong digits; its binomial weights are handled in log
-space, so no intermediate overflows occur.
+needs, by term recurrences that do not cancel. ``f4_general`` sums
+constant-total-order shells with compensated summation and stops on a
+rigorous bound of the remaining tail (its inner functions are bounded by 1
+on its domain), with a cancellation guard that raises
+``PrecisionLossError`` instead of returning silently wrong digits; its
+binomial weights are handled in log space, so no intermediate overflows
+occur.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class NumericalError(Exception):
     """Base class for numerical evaluation failures.
 
     Carries the best available estimate so callers can decide whether a
-    degraded value is still usable (e.g. to fall back to another method).
+    degraded value is still usable (e.g. a roundoff-limited quadrature).
     """
 
     def __init__(self, message: str, value: float = math.nan, err_est: float = math.inf):
@@ -188,16 +188,6 @@ def regularized_gamma_q(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Humbert Psi2 double series
 # ---------------------------------------------------------------------------
-
-
-def _check_converged(
-    shell_history: list[float], accumulated: float, ctl: SeriesControl
-) -> bool:
-    """Three consecutive anti-diagonal shells below the running tolerance."""
-    if len(shell_history) < 3:
-        return False
-    tol = max(ctl.rel_tol * abs(accumulated), ctl.abs_tol)
-    return all(c <= tol for c in shell_history[-3:])
 
 
 def _tail_estimate(shell_history: list[float]) -> float:
@@ -292,11 +282,12 @@ def _g_table(x: float, n_max: int) -> list[float]:
     """Values ``g_n(x) = 1F1(n+1; 2; x)`` for n = 0..n_max, in closed form.
 
     ``g_n(x) = e^x L_{n-1}^{(1)}(-x) / n`` for n >= 1 (generalized Laguerre),
-    evaluated by the stable three-term recurrence; ``g_0 = (e^x - 1)/x``.
+    evaluated by the stable three-term recurrence; ``g_0 = expm1(x)/x``, which
+    keeps full precision for tiny |x|.
     This avoids the e^|x|-conditioned cancellation of the defining series at
     negative x, where g_n oscillates with slowly decaying amplitude.
     """
-    g0 = 1.0 if x == 0.0 else (math.exp(x) - 1.0) / x
+    g0 = 1.0 if x == 0.0 else math.expm1(x) / x
     values = [g0]
     if n_max == 0:
         return values
@@ -428,12 +419,11 @@ def f4_general(
     """Quadruple hypergeometric series with the (1)/(2) Pochhammer pattern.
 
     ``sum (1)_{m+n} (1)_{k+l} (1)_{n+l} x1^m x2^k y1^n y2^l /
-    ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)`` for ``0 <= y1, y2 < 1``.
-    Symmetric under the simultaneous swap (x1, y1) <-> (x2, y2). Converges
-    iff y1 + y2 < 1; near that boundary the outer shells decay slowly and
-    the evaluation may exhaust the index cap, which raises
-    ``SeriesConvergenceError`` (callers are expected to fall back to a
-    quadrature route in that regime).
+    ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)`` for ``x1, x2 <= 0``, ``y1, y2 >= 0``
+    and ``y1 + y2 < 1``, the domain of its truncation bound. Symmetric under
+    the simultaneous swap (x1, y1) <-> (x2, y2). Near ``y1 + y2 = 1`` the
+    bound needs more shells than the index cap allows, which raises
+    ``SeriesConvergenceError``.
     """
     value, _ = _f4_eval(x1, x2, y1, y2, ctl or SeriesControl())
     return value
@@ -442,16 +432,25 @@ def f4_general(
 def _f4_eval(
     x1: float, x2: float, y1: float, y2: float, ctl: SeriesControl
 ) -> tuple[float, float]:
-    """Evaluate the quadruple series returning ``(value, error_estimate)``."""
-    for name, y in (("y1", y1), ("y2", y2)):
-        if not (0.0 <= y < 1.0):
-            raise ValueError(f"f4_general requires {name} in [0, 1), got {y}")
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError(f"f4_general requires finite x arguments, got ({x1}, {x2})")
+    """Evaluate the quadruple series returning ``(value, error_bound)``.
+
+    For x <= 0 every inner function lies in [-1, 1]: 0 < g_0 <= 1, and
+    |g_n(x)| <= e^(x/2) for n >= 1 (DLMF 18.14.8 with alpha = 1). Shell t
+    carries binomial weights summing to (y1 + y2)^t, so everything past shell
+    T sums to at most (y1 + y2)^(T+1) / (1 - y1 - y2) in magnitude. Summing
+    stops at the first complete shell where that bound is within
+    ``max(rel_tol |sum|, abs_tol)``; the bound plus a roundoff term is the
+    returned error.
+    """
+    if not (-math.inf < x1 <= 0.0 and -math.inf < x2 <= 0.0):
+        raise ValueError(f"f4_general requires finite x1, x2 <= 0, got ({x1}, {x2})")
+    if not (y1 >= 0.0 and y2 >= 0.0 and y1 + y2 < 1.0):
+        raise ValueError(f"f4_general requires y1, y2 >= 0 and y1 + y2 < 1, got ({y1}, {y2})")
 
     cap = ctl.max_terms_per_index
     g1 = _GTable(x1)
     g2 = _GTable(x2)
+    y = y1 + y2
 
     # When y == 0 the corresponding index is pinned to 0 below, so the log is
     # never multiplied by a nonzero power; 0.0 avoids 0 * -inf.
@@ -461,61 +460,48 @@ def _f4_eval(
     total = 0.0
     comp = 0.0
     abs_total = 0.0
-    shells: list[float] = []
-
-    for t in range(2 * cap + 1):
-        if y1 == 0.0 and y2 == 0.0 and t > 0:
-            shell_terms = [0.0]
-        else:
-            n_lo, n_hi = max(0, t - cap), min(t, cap)
-            if y1 == 0.0:
-                n_hi = 0
-            if y2 == 0.0:
-                n_lo = t
-            if n_lo > n_hi:
-                shell_terms = [0.0]
+    for t in range(cap + 1):
+        n_lo = 0 if y2 > 0.0 else t
+        n_hi = t if y1 > 0.0 else 0
+        if n_lo <= n_hi:
+            n = np.arange(n_lo, n_hi + 1)
+            l = t - n
+            gv1 = np.asarray(g1.upto(n_hi))[n]
+            gv2 = np.asarray(g2.upto(int(l.max())))[l]
+            log_w = (
+                _special.gammaln(t + 1.0)
+                - _special.gammaln(n + 1.0)
+                - _special.gammaln(l + 1.0)
+                + n * log_y1
+                + l * log_y2
+            )
+            shell_terms = (np.exp(log_w) * gv1 * gv2).tolist()
+            shell = math.fsum(shell_terms)
+            abs_total += math.fsum(abs(v) for v in shell_terms)
+            s = total + shell
+            if abs(total) >= abs(shell):
+                comp += (total - s) + shell
             else:
-                n = np.arange(n_lo, n_hi + 1)
-                l = t - n
-                gv1 = np.asarray(g1.upto(n_hi))[n]
-                gv2 = np.asarray(g2.upto(int(l.max())))[l]
-                log_w = (
-                    _special.gammaln(t + 1.0)
-                    - _special.gammaln(n + 1.0)
-                    - _special.gammaln(l + 1.0)
-                    + n * log_y1
-                    + l * log_y2
-                )
-                shell_terms = (np.exp(log_w) * gv1 * gv2).tolist()
+                comp += (shell - s) + total
+            total = s
 
-        shell = math.fsum(shell_terms)
-        abs_total += math.fsum(abs(v) for v in shell_terms)
-        s = total + shell
-        if abs(total) >= abs(shell):
-            comp += (total - s) + shell
-        else:
-            comp += (shell - s) + total
-        total = s
-
-        shells.append(abs(shell))
-        if _check_converged(shells, total + comp, ctl):
-            result = total + comp
+        tail = y ** (t + 1) / (1.0 - y)
+        result = total + comp
+        if tail <= max(ctl.rel_tol * abs(result), ctl.abs_tol):
             if abs_total > _CANCELLATION_LIMIT * max(abs(result), 1.0e-300):
                 raise PrecisionLossError(
                     "f4_general: cancellation exceeds double precision",
                     value=result,
                     err_est=abs_total * 1.0e-16,
                 )
-            err = _tail_estimate(shells) + 1.0e-16 * abs_total
-            return result, err
+            return result, tail + 1.0e-16 * abs_total
 
-    best = total + comp
     raise SeriesConvergenceError(
         f"f4_general did not converge within max_terms_per_index={cap} "
         f"(x1={x1}, x2={x2}, y1={y1}, y2={y2}); "
         "use the quadrature route for this argument regime",
-        value=best,
-        err_est=shells[-1] if shells else math.inf,
+        value=total + comp,
+        err_est=y ** (cap + 1) / (1.0 - y),
     )
 
 

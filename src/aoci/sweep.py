@@ -30,7 +30,7 @@ from aoci.specfun import NumericalError
 __all__ = ["SweepAxis", "SweepSpec", "SweepResult", "run_sweep", "write_csv"]
 
 METRICS = ("mean_flux", "p_hearing", "p_false_hearing", "p_damage", "link_budget")
-METHODS = ("auto", "series", "quadrature", "mc")
+METHODS = ("quadrature", "series", "mc")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class SweepSpec:
     axis1: SweepAxis
     axis2: SweepAxis | None
     metric: str
-    method: str = "auto"
+    method: str = "quadrature"
     mc_n: int = 100_000
     mc_seed: int = 1234
 
@@ -93,7 +93,7 @@ class SweepSpec:
             axis1=axis("axis1", required=True),
             axis2=axis("axis2", required=False),
             metric=str(doc.get("metric", "mean_flux")),
-            method=str(doc.get("method", "auto")),
+            method=str(doc.get("method", "quadrature")),
             mc_n=int(mc.get("n", 100_000)),
             mc_seed=int(mc.get("seed", 1234)),
         )

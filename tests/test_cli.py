@@ -39,24 +39,21 @@ class TestEval:
         assert code == 0
         assert "monte_carlo" in out and "seed = 7" in out
 
-    def test_series_strict_exits_3_on_hard_config(self, baseline_doc, tmp_path, capsys):
+    def test_default_method_is_quadrature(self, config_path, capsys):
+        code = main(["eval", "--config", config_path, "--samples", "10000"])
+        assert code == 0
+        assert "method    = quadrature" in capsys.readouterr().out
+
+    def test_series_exits_3_on_hard_config(self, baseline_doc, tmp_path, capsys):
         baseline_doc["beam"]["sigma_s_mm"] = 30.0  # defeats the series route
         path = tmp_path / "hard.json"
         path.write_text(json.dumps(baseline_doc))
         code = main(["eval", "--config", str(path), "--method", "series",
-                     "--strict", "--samples", "10000"])
-        assert code == 3
-        assert "fallback" in capsys.readouterr().err
-
-    def test_series_nonstrict_falls_back_with_note(self, baseline_doc, tmp_path, capsys):
-        baseline_doc["beam"]["sigma_s_mm"] = 30.0
-        path = tmp_path / "hard.json"
-        path.write_text(json.dumps(baseline_doc))
-        code = main(["eval", "--config", str(path), "--method", "series",
                      "--samples", "10000"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fell back" in out and "quadrature" in out
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "rerun with --method quadrature" in captured.err
+        assert "average photon flux" not in captured.out
 
     def test_bad_config_exits_2(self, baseline_doc, tmp_path, capsys):
         baseline_doc["beam"]["sigma_s_mm"] = -1.0

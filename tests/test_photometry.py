@@ -54,15 +54,13 @@ class TestReceivedFlux:
         vals = [received_flux_at(float(r), baseline_cfg) for r in rs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    def test_auto_falls_back_beyond_series_range(self, baseline_cfg):
-        # r = 50 w0 exceeds the series convergence envelope; auto must fall
-        # back to the overlap integral instead of failing.
-        r = 50.0 * baseline_cfg.coupling.omega0
-        with pytest.raises(SeriesConvergenceError):
-            received_flux_at(r, baseline_cfg, eta_method="closed")
-        auto = received_flux_at(r, baseline_cfg)
-        integral = received_flux_at(r, baseline_cfg, eta_method="integral")
-        assert auto == integral
+    def test_scalar_is_batch_bitwise(self, baseline_cfg):
+        # One code path for Phi(r), out to r = 50 w0 where the closed-form
+        # coupling series no longer converges.
+        w0 = baseline_cfg.coupling.omega0
+        for r in (0.0, 0.3 * w0, 2.0 * w0, 50.0 * w0):
+            batch = received_flux_batch(np.array([r]), baseline_cfg)[0]
+            assert received_flux_at(r, baseline_cfg) == batch
 
     def test_batch_matches_scalar(self, baseline_cfg):
         rs = np.linspace(0.0, 5.0 * baseline_cfg.coupling.omega0, 7)
@@ -146,13 +144,31 @@ class TestMeanFluxRoutes:
         slope = math.log(vals[1] / vals[0]) / math.log(sigmas[1] / sigmas[0])
         assert slope == pytest.approx(-2.0, abs=0.1)
 
-    def test_auto_method_tags(self, baseline_cfg):
-        assert mean_flux(baseline_cfg, method="auto").method == "series"
+    def test_default_method_is_quadrature(self, baseline_cfg):
+        assert mean_flux(baseline_cfg).method == "quadrature"
+        assert mean_flux(baseline_cfg, method="series").method == "series"
+        assert mean_flux(baseline_cfg, method="mc", n=2000, seed=3).method == "monte_carlo"
+
+    def test_named_route_raises_instead_of_falling_back(self, baseline_cfg):
         # sigma_s far beyond the mode-field radius defeats the series route
         hard = baseline_cfg.with_value("beam.sigma_s_mm", 30.0)
-        est = mean_flux(hard, method="auto")
-        assert est.method == "quadrature"
-        assert mean_flux(baseline_cfg, method="mc", n=2000, seed=3).method == "monte_carlo"
+        with pytest.raises(SeriesConvergenceError):
+            mean_flux(hard, method="series")
+        assert mean_flux(hard).method == "quadrature"
+
+    @pytest.mark.parametrize("sigma_mm", [0.1, 0.5499, 0.6613, 0.7953])
+    def test_series_near_boundary_within_its_bound(self, sigma_mm):
+        # Near its convergence boundary the F4 series must either refuse or
+        # land within its own error bound of quadrature.
+        cfg = load_preset("fig5").with_value("skin.delta_mm", 4.0)
+        cfg = cfg.with_value("beam.sigma_s_mm", sigma_mm)
+        quad = mean_flux_quadrature(cfg)
+        try:
+            series = mean_flux_series(cfg)
+        except SeriesConvergenceError:
+            return
+        assert series.value == pytest.approx(quad.value, rel=1e-6)
+        assert abs(series.value - quad.value) <= series.err_bound + 1e-9 * quad.value
 
     def test_unknown_method_rejected(self, baseline_cfg):
         with pytest.raises(ValueError):

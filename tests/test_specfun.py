@@ -18,6 +18,7 @@ from aoci.specfun import (
     QuadControl,
     SeriesControl,
     SeriesConvergenceError,
+    _f4_eval,
     bessel_i0,
     bessel_j1,
     erf,
@@ -281,10 +282,31 @@ class TestF4General:
         assert a == pytest.approx(b, rel=1e-11)
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            f4_general(0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            f4_general(0.0, 0.0, -0.1, 0.0)
+        cases = [
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, -0.1, 0.0),
+            # the truncation bound needs x1, x2 <= 0 and y1 + y2 < 1
+            (0.1, -1.0, 0.2, 0.2),
+            (-1.0, 0.5, 0.2, 0.2),
+            (-math.inf, 0.0, 0.2, 0.2),
+            (math.nan, 0.0, 0.2, 0.2),
+            (-1.0, -1.0, 0.5, 0.5),
+            (-1.0, -1.0, 0.7, 0.6),
+        ]
+        for args in cases:
+            with pytest.raises(ValueError):
+                f4_general(*args)
+
+    def test_tiny_argument(self):
+        # g_0(x) = (e^x - 1)/x computed naively is 0 for |x| below ~1e-16
+        assert f4_general(-1e-310, 0.0, 0.0, 0.25) == pytest.approx(1.0 / 0.75, rel=1e-9)
+        assert f4_general(-1e-20, -1e-20, 0.2, 0.3) == pytest.approx(2.0, rel=1e-9)
+
+    def test_error_bound_covers_oracle(self):
+        # the frozen oracle of test_bruteforce_oracle_frozen
+        value, err = _f4_eval(-0.3, -0.3, 0.2, 0.2, SeriesControl())
+        assert 0.0 < err < 1e-9
+        assert abs(value - 1.1346448714393208) <= err
 
     def test_non_convergence_near_boundary(self):
         ctl = SeriesControl(max_terms_per_index=32)

@@ -93,11 +93,12 @@ class TestPoisson:
         assert abs(counts.mean() - 100.0) < 3.0 * stderr
 
     def test_branch_boundary_consistency(self):
-        # Laws on both sides of the inversion/rejection switch are the same;
-        # compare tail mass around the mean against the analytic value.
+        # Laws on both sides of numpy's switch from multiplication to
+        # transformed rejection (mean 10) are the same; compare tail mass
+        # around the mean against the analytic value.
         from scipy.stats import poisson as scipy_poisson
 
-        for mean in [29.5, 30.5]:
+        for mean in [9.5, 10.5, 29.5, 30.5]:
             counts = sample_poisson(RngStream(31, 0), mean, n=400_000)
             for q in [0.25, 0.5, 0.75]:
                 k = int(scipy_poisson.ppf(q, mean))
@@ -110,8 +111,18 @@ class TestPoisson:
         b = sample_poisson(RngStream(3, 2), 55.5, n=5000)
         assert np.array_equal(a, b)
 
+    def test_array_of_means(self):
+        means = np.array([0.0, 1.5, 40.0, 2.0e14])
+        counts = sample_poisson(RngStream(4, 1), np.tile(means, 50_000), n=4 * 50_000)
+        counts = counts.reshape(-1, 4)
+        assert np.all(counts[:, 0] == 0)
+        stderr = np.sqrt(means / counts.shape[0])
+        assert np.all(np.abs(counts.mean(axis=0) - means) <= 4.0 * stderr)
+
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError):
             sample_poisson(RngStream(0, 0), -1.0)
         with pytest.raises(ValueError):
             sample_poisson(RngStream(0, 0), math.inf)
+        with pytest.raises(ValueError):
+            sample_poisson(RngStream(0, 0), np.array([1.0, math.nan]), n=2)

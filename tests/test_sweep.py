@@ -40,6 +40,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec.from_dict(spec_doc(metric="snr"))
 
+    def test_rejects_auto_method(self):
+        with pytest.raises(ConfigError):
+            SweepSpec.from_dict(spec_doc(method="auto"))
+
+    def test_default_method_is_quadrature(self):
+        doc = spec_doc()
+        del doc["method"]
+        assert SweepSpec.from_dict(doc).method == "quadrature"
+
     def test_rejects_unknown_field(self):
         with pytest.raises(ConfigError):
             SweepSpec.from_dict(spec_doc(extra=1))
