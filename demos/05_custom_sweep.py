@@ -9,7 +9,7 @@ sweep run twice produces byte-identical output.
 from pathlib import Path
 
 from aoci import svgplot
-from aoci.figures import load_preset
+from aoci.figures import curve, grid_values, load_preset
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep, write_csv
 
 cfg = load_preset("default").with_value("beam.sigma_s_mm", 0.05)
@@ -26,15 +26,8 @@ out = Path("demos/output")
 write_csv(result, out / "custom_sweep.csv")
 print(f"wrote {out / 'custom_sweep.csv'} ({len(result.rows)} rows)")
 
-series = []
-for delta in spec.axis2.values:
-    xs, ys = [], []
-    for row in result.rows:
-        record = dict(zip(result.columns, row))
-        if record["axis2_value"] == delta and not record["error"]:
-            xs.append(float(record["axis1_value"]))
-            ys.append(float(record["value"]))
-    series.append((f"delta = {delta:g} mm", xs, ys))
+values = grid_values(result)
+series = [(f"delta = {delta:g} mm", *curve(values, delta)) for delta in spec.axis2.values]
 svgplot.line_plot(
     out / "custom_sweep.svg",
     series,

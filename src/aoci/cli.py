@@ -13,9 +13,9 @@ import csv
 import sys
 from pathlib import Path
 
-from aoci import kpi, photometry
+from aoci import kpi, photometry, svgplot
 from aoci.config import ConfigError, LinkConfig
-from aoci.figures import FIGURE_NUMBERS, run_figure
+from aoci.figures import FIGURE_NUMBERS, curve, grid_values, run_figure, sweep_heatmap
 from aoci.specfun import NumericalError
 from aoci.sweep import SweepSpec, run_sweep, write_csv
 from aoci.validate import run_validation
@@ -177,30 +177,18 @@ def _cmd_sweep(args) -> int:
         print(f"note: {failures} grid points recorded errors (see the error column)")
 
     if args.svg:
-        from aoci import svgplot
-
         svg_path = out / "sweep.svg"
         provenance = f"config {cfg.config_hash()} seed {spec.mc_seed}"
         if spec.axis2 is None:
-            xs, ys = [], []
-            for row in result.rows:
-                record = dict(zip(result.columns, row))
-                if not record["error"] and record["value"] != "":
-                    xs.append(float(record["axis1_value"]))
-                    ys.append(float(record["value"]))
+            xs, ys = curve(grid_values(result))
             svgplot.line_plot(
                 svg_path, [(spec.metric, xs, ys)], spec.axis1.path, spec.metric,
                 title=f"{spec.metric} vs {spec.axis1.path}",
                 provenance=provenance,
             )
         else:
-            from aoci.figures import _heatmap_from_result
-
-            _heatmap_from_result(
-                result, svg_path, spec.axis1.path, spec.axis2.path,
-                f"{spec.metric}", log_values=spec.metric in ("mean_flux", "link_budget"),
-                provenance=provenance,
-            )
+            sweep_heatmap(result, svg_path, spec.axis1.path, spec.axis2.path, spec.metric,
+                          provenance)
         print(f"wrote {svg_path}")
     return EXIT_OK
 

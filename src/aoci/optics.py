@@ -146,7 +146,7 @@ def coupling_eta_closed(
     prefactor = 3.83 * math.sqrt(2.0) * cp.lens_diameter * cp.omega0 / (
         1.22 * cp.lam * cp.focal_length
     )
-    amplitude = prefactor * math.exp(-y) * humbert_psi2(2.0, 1.0, -a, y, ctl)
+    amplitude = prefactor * math.exp(-y) * humbert_psi2(-a, y, ctl)
     return amplitude * amplitude
 
 

@@ -4,22 +4,21 @@ Everything in this module is pure and deterministic: identical inputs
 (including control settings) give bit-identical outputs, so results are
 reproducible and safe to evaluate concurrently.
 
-The classical functions (``erf``, ``bessel_j1``, ``bessel_i0``,
-``regularized_gamma_q``) are thin, contract-checked wrappers over
-scipy/cephes; their accuracy is pinned by independent brute-force series
-oracles in the test suite.
+``regularized_gamma_q`` is a thin, contract-checked wrapper over
+scipy/cephes; its accuracy is pinned by an independent series oracle in the
+test suite.
 
 Two confluent hypergeometric sums are implemented explicitly because no
 common library exposes them:
 
 * ``humbert_psi2`` -- the double series
-  ``Psi2(1; b1, b2; x, y) = sum_{m,n} (1)_{m+n} x^m y^n / ((b1)_m (b2)_n m! n!)``
+  ``Psi2(1; 2, 1; x, y) = sum_{m,n} (1)_{m+n} x^m y^n / ((2)_m (1)_n m! n!)``
 * ``f4_general`` -- the quadruple series
   ``sum_{m,k,n,l} (1)_{m+n} (1)_{k+l} (1)_{n+l} x1^m x2^k y1^n y2^l
   / ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)``
 
-``humbert_psi2`` sums only the parameter cases the coupling closed form
-needs, by term recurrences that do not cancel. ``f4_general`` sums
+``humbert_psi2`` sums only the (b1, b2) = (2, 1) case the coupling closed
+form needs, by a term recurrence that does not cancel. ``f4_general`` sums
 constant-total-order shells with compensated summation and stops on a
 rigorous bound of the remaining tail (its inner functions are bounded by 1
 on its domain), with a cancellation guard that raises
@@ -44,9 +43,6 @@ __all__ = [
     "SeriesConvergenceError",
     "PrecisionLossError",
     "QuadratureExhaustedError",
-    "erf",
-    "bessel_j1",
-    "bessel_i0",
     "regularized_gamma_q",
     "humbert_psi2",
     "f4_general",
@@ -56,8 +52,6 @@ __all__ = [
 # Ratio of sum(|term|) to |sum(term)| above which a result has lost too
 # many digits to trust at double precision.
 _CANCELLATION_LIMIT = 1.0e12
-
-_LOG_MAX_DOUBLE = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -142,37 +136,6 @@ class QuadratureExhaustedError(NumericalError):
 # ---------------------------------------------------------------------------
 
 
-def erf(x: float) -> float:
-    """Error function; total, odd, |erf| <= 1."""
-    return math.erf(x)
-
-
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind, order 1."""
-    return float(_special.j1(x))
-
-
-def bessel_i0(x: float, scaled: bool = False) -> float:
-    """Modified Bessel function of the first kind, order 0.
-
-    With ``scaled=True`` returns ``exp(-x) * I0(x)``, which stays bounded for
-    all x >= 0. The unscaled value overflows the double range near x ~ 713;
-    that case raises ``OverflowError`` rather than returning ``inf``.
-    """
-    if x < 0.0:
-        raise ValueError(f"bessel_i0 requires x >= 0, got {x}")
-    if scaled:
-        return float(_special.i0e(x))
-    if x <= 700.0:
-        return float(_special.i0(x))
-    log_value = x + math.log(float(_special.i0e(x)))
-    if log_value >= _LOG_MAX_DOUBLE:
-        raise OverflowError(
-            f"bessel_i0({x}) exceeds the double range; call with scaled=True"
-        )
-    return math.exp(log_value)
-
-
 def regularized_gamma_q(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s).
 
@@ -190,92 +153,30 @@ def regularized_gamma_q(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tail_estimate(shell_history: list[float]) -> float:
-    """Geometric extrapolation of the remaining tail from the last shells."""
-    tail = shell_history[-1]
-    if len(shell_history) >= 2 and shell_history[-2] > 0.0:
-        ratio = min(shell_history[-1] / shell_history[-2], 0.99)
-        tail = shell_history[-1] * ratio / (1.0 - ratio)
-    return tail
+def humbert_psi2(x: float, y: float, ctl: SeriesControl | None = None) -> float:
+    """Humbert double hypergeometric series Psi2(1; 2, 1; x, y), x <= 0, y >= 0.
 
-
-def humbert_psi2(
-    b1: float, b2: float, x: float, y: float, ctl: SeriesControl | None = None
-) -> float:
-    """Humbert double hypergeometric series Psi2(1; b1, b2; x, y).
-
-    ``sum_{m,n>=0} (1)_{m+n} x^m y^n / ((b1)_m (b2)_n m! n!)``. The series is
-    entire, but summed directly its terms cancel for strongly negative x, so
-    only the cases the coupling closed form needs are summed, each without
-    cancellation: one argument zero (a 1F1 series, Kummer-transformed for
-    negative arguments) and (b1, b2) = (2, 1) (``sum_n 1F1(n+1; 2; x) y^n /
-    n!`` with the inner functions in closed form).
+    ``sum_{m,n>=0} (1)_{m+n} x^m y^n / ((2)_m (1)_n m! n!)``, the one case the
+    coupling closed form needs. The series is entire, but summed directly
+    its terms cancel for strongly negative x, so it is summed as
+    ``sum_n 1F1(n+1; 2; x) y^n / n!`` with the inner functions in closed
+    form; at y = 0 that is exactly ``1F1(1; 2; x) = expm1(x) / x``.
 
     Raises
     ------
     ValueError
-        For any other (b1, b2) with both arguments nonzero.
+        For x > 0, y < 0 or a non-finite argument.
     SeriesConvergenceError
         If the terms have not decayed below tolerance within
         ``ctl.max_terms_per_index``.
     PrecisionLossError
         If the terms overflow the double range.
     """
-    value, _ = _psi2_eval(b1, b2, x, y, ctl or SeriesControl())
-    return value
-
-
-def _psi2_single_series(b: float, z: float, ctl: SeriesControl, label: str) -> tuple[float, float]:
-    """Psi2 with one argument zero: ``sum_m z^m / (b)_m``, cancellation-free.
-
-    The sum is the confluent 1F1(1; b; z). For z < 0 the direct series
-    alternates and its condition number grows like e^|z|, so Kummer's
-    transformation ``1F1(1; b; z) = e^z 1F1(b-1; b; -z)`` is applied instead:
-    the transformed series has nonnegative terms only and is summed by a
-    multiplicative term recurrence, keeping errors at a few ulps.
-    """
-    # Terms grow until the index reaches ~|z|, so an index cap below that can
-    # never satisfy the decay criterion; fail fast with the honest reason.
-    if abs(z) > b + ctl.max_terms_per_index:
-        raise SeriesConvergenceError(
-            f"humbert_psi2: |argument| ~ {abs(z):.3g} needs more terms than "
-            f"max_terms_per_index={ctl.max_terms_per_index} ({label})"
-        )
-    if z >= 0.0:
-        prefactor = 1.0
-        ratio = lambda m, term: term * (z / (b + m))
-    else:
-        prefactor = math.exp(z)
-        w = -z
-        ratio = lambda m, term: term * (w * (b - 1.0 + m) / ((b + m) * (m + 1.0)))
-
-    total = 0.0
-    term = 1.0
-    below = 0
-    history: list[float] = []
-    for m in range(ctl.max_terms_per_index + 1):
-        if not math.isfinite(term):
-            raise PrecisionLossError(
-                f"humbert_psi2: series terms overflow the double range ({label})",
-                value=prefactor * total,
-            )
-        total += term
-        history.append(abs(term))
-        if abs(term) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
-            below += 1
-            if below >= 3:
-                return prefactor * total, prefactor * (
-                    _tail_estimate(history) + 1.0e-16 * total
-                )
-        else:
-            below = 0
-        term = ratio(m, term)
-    raise SeriesConvergenceError(
-        f"humbert_psi2 did not converge within max_terms_per_index="
-        f"{ctl.max_terms_per_index} ({label})",
-        value=prefactor * total,
-        err_est=prefactor * history[-1],
-    )
+    if not (-math.inf < x <= 0.0 and 0.0 <= y < math.inf):
+        raise ValueError(f"humbert_psi2 requires finite x <= 0 and y >= 0, got ({x}, {y})")
+    if y == 0.0:
+        return _g_table(x, 0)[0]
+    return _psi2_21(x, y, ctl or SeriesControl())
 
 
 def _g_table(x: float, n_max: int) -> list[float]:
@@ -309,7 +210,7 @@ def _g_table(x: float, n_max: int) -> list[float]:
     return values
 
 
-def _psi2_21(x: float, y: float, ctl: SeriesControl) -> tuple[float, float]:
+def _psi2_21(x: float, y: float, ctl: SeriesControl) -> float:
     """Psi2(1; 2, 1; x, y) as ``sum_n g_n(x) y^n / n!`` with closed-form g_n.
 
     The y-weights are nonnegative and g_n is evaluated without cancellation,
@@ -328,7 +229,6 @@ def _psi2_21(x: float, y: float, ctl: SeriesControl) -> tuple[float, float]:
     total = 0.0
     weight = 1.0  # y^n / n!
     below = 0
-    history: list[float] = []
     for n in range(cap + 1):
         if n >= len(gs):
             gs = _g_table(x, min(cap, len(gs) * 2))
@@ -339,11 +239,10 @@ def _psi2_21(x: float, y: float, ctl: SeriesControl) -> tuple[float, float]:
                 value=total,
             )
         total += term
-        history.append(abs(term))
         if abs(term) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
             below += 1
             if below >= 3:
-                return total, _tail_estimate(history) + 1.0e-16 * abs(total)
+                return total
         else:
             below = 0
         weight *= y / (n + 1.0)
@@ -351,31 +250,8 @@ def _psi2_21(x: float, y: float, ctl: SeriesControl) -> tuple[float, float]:
         f"humbert_psi2 did not converge within max_terms_per_index={cap} "
         f"(x={x}, y={y}); y is too large for the series route",
         value=total,
-        err_est=history[-1],
+        err_est=abs(term),
     )
-
-
-def _psi2_eval(
-    b1: float, b2: float, x: float, y: float, ctl: SeriesControl
-) -> tuple[float, float]:
-    """Evaluate Psi2 returning ``(value, truncation_error_estimate)``."""
-    if not (b1 > 0.0 and b2 > 0.0):
-        raise ValueError(f"humbert_psi2 requires b1, b2 > 0, got ({b1}, {b2})")
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"humbert_psi2 requires finite arguments, got ({x}, {y})")
-
-    # (1)_{m+n} cancels against m! (resp. n!) when the other index is pinned
-    # at zero, collapsing the double sum to sum z^m / (b)_m.
-    if y == 0.0:
-        return _psi2_single_series(b1, x, ctl, f"x={x}, y=0")
-    if x == 0.0:
-        return _psi2_single_series(b2, y, ctl, f"x=0, y={y}")
-    if not (b1 == 2.0 and b2 == 1.0):
-        raise ValueError(
-            "humbert_psi2 sums (b1, b2) = (2, 1), or any (b1, b2) with one "
-            f"argument zero; got ({b1}, {b2}) at x={x}, y={y}"
-        )
-    return _psi2_21(x, y, ctl)
 
 
 # ---------------------------------------------------------------------------

@@ -13,33 +13,6 @@ mp.mp.dps = 50
 SERIES_CAP = 200
 
 
-def erf_series(x) -> mp.mpf:
-    """erf via its Maclaurin series, 200-term cap."""
-    x = mp.mpf(x)
-    acc = mp.mpf(0)
-    for n in range(SERIES_CAP):
-        acc += (-1) ** n * x ** (2 * n + 1) / (mp.factorial(n) * (2 * n + 1))
-    return 2 / mp.sqrt(mp.pi) * acc
-
-
-def bessel_j1_series(x) -> mp.mpf:
-    """J1 via its ascending series, 200-term cap."""
-    x = mp.mpf(x)
-    acc = mp.mpf(0)
-    for n in range(SERIES_CAP):
-        acc += (-1) ** n * (x / 2) ** (2 * n + 1) / (mp.factorial(n) * mp.factorial(n + 1))
-    return acc
-
-
-def bessel_i0_series(x) -> mp.mpf:
-    """I0 via its ascending series, 200-term cap (valid for x <~ 250)."""
-    x = mp.mpf(x)
-    acc = mp.mpf(0)
-    for n in range(SERIES_CAP):
-        acc += (x / 2) ** (2 * n) / mp.factorial(n) ** 2
-    return acc
-
-
 def gamma_p_reference(s, x) -> mp.mpf:
     """Regularized lower incomplete gamma P(s, x) by its ascending series.
 

@@ -200,6 +200,13 @@ class TestSafetyCheck:
         *_, dyn = safety_check(cfg, n=10_000, seed=2)
         assert dyn is None
 
+    def test_large_coupling_argument(self, baseline_cfg):
+        # a 3.0513 mm coupling focal length puts the coupling argument at 300
+        cfg = baseline_cfg.with_value("coupling.focal_length_mm", 3.0513)
+        assert cfg.coupling.coupling_argument == pytest.approx(300.0, rel=1e-4)
+        _, neuron_irr, *_ = safety_check(cfg, n=10_000)
+        assert math.isfinite(neuron_irr) and neuron_irr > 0.0
+
 
 class TestKpiReport:
     def test_assembly(self, baseline_cfg):

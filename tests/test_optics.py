@@ -80,6 +80,15 @@ class TestCouplingClosedForm:
             expected = 2.0 * (1.0 - math.exp(-a)) ** 2 / a
             assert coupling_eta_closed(cp, 0.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [300.0, 1e3, 1e5])
+    def test_zero_misalignment_large_argument(self, a):
+        # Psi2(1; 2, 1; -a, 0) = -expm1(-a) / a holds for every a; a = 300
+        # is the default preset with a 3.05 mm coupling focal length.
+        cp = cp_for(a)
+        a = cp.coupling_argument
+        expected = 2.0 * math.expm1(-a) ** 2 / a
+        assert coupling_eta_closed(cp, 0.0) == pytest.approx(expected, rel=1e-14)
+
     def test_large_misalignment_vanishes(self):
         # Beyond the main lobe the residual ring amplitude decays like r^-3,
         # not like the bare Gaussian factor, so the approach to zero is slow.
