@@ -231,16 +231,21 @@ class LinkConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def with_value(self, path: str, value) -> "LinkConfig":
-        """A new config with one raw field replaced (path like 'beam.sigma_s_mm')."""
-        doc = self.to_dict()
+        """A new config with one raw field replaced (path like 'beam.sigma_s_mm').
+
+        Only the dicts along the path are copied before the write; ``from_dict``
+        deep-copies the result, so the two configs share no mutable node.
+        """
+        doc = node = dict(self.raw)
         parts = path.split(".")
-        node = doc
         for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
+            if not isinstance(node.get(part), dict):
                 raise ConfigError(f"config.{path}: no such field")
-            node = node[part]
+            child = dict(node[part])
+            node[part] = child
+            node = child
         leaf = parts[-1]
-        if not isinstance(node, dict) or leaf not in node:
+        if leaf not in node:
             raise ConfigError(f"config.{path}: no such field")
         if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
             raise ConfigError(f"config.{path}: not a numeric field")

@@ -14,6 +14,18 @@ structure), which makes the monotonicity relations exact per seed:
 ``p_damage <= p_hearing`` whenever ``d_th >= y_th``, and ``p_hearing`` is
 nondecreasing in transmit power.
 
+Common random numbers also make the draws reusable. A block's displacements
+r, their coupling efficiencies eta(r) and its background counts depend only
+on (seed, block, block size) and on sigma_s and the coupling geometry, or on
+the mean background B; power, skin, threshold and gain enter afterwards, as
+factors of eta(r) and the comparison. So every exceedance call keeps them in
+two least-recently-used caches, ``(seed, block, count, sigma_s, coupling) ->
+(r, eta(r))`` and ``(seed, block, count, B) -> counts``, of
+``DRAW_CACHE_ENTRIES`` entries each: at most 1 MiB per (r, eta) entry and
+0.5 MiB per counts entry, 48 MiB in all. A power sweep or the dynamic-range
+bisection then draws and evaluates the coupling kernel once per block, and
+its results are bit-identical to drawing afresh.
+
 ``p_false_hearing`` exposes two numbers on purpose: the survival probability
 ``Pr(N >= y_th)`` that matches the verbal definition of a false trigger, and
 the closed form ``Q(y_th + 1, B)``, which is the Poisson CDF
@@ -25,6 +37,7 @@ with false triggers being vanishingly rare at realistic thresholds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -58,6 +71,8 @@ __all__ = [
 ]
 
 KPI_BLOCK_SIZE = 1 << 16
+MIN_SAMPLES = 10_000
+DRAW_CACHE_ENTRIES = 32  # per cache; an entry holds one block of at most KPI_BLOCK_SIZE
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -92,6 +107,25 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return lo, hi
 
 
+@functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)
+def _block_displacements(
+    seed: int, block: int, count: int, sigma_s: float, coupling: optics.CouplingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block ``block``'s displacements r (stream (seed, 2 block)) and eta(r), read-only."""
+    r = sample_rayleigh(RngStream(seed, 2 * block), sigma_s, count)
+    eta = optics.coupling_eta_batch(coupling, r)
+    r.flags.writeable = eta.flags.writeable = False
+    return r, eta
+
+
+@functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)
+def _block_background(seed: int, block: int, count: int, b_mean: float) -> np.ndarray:
+    """Block ``block``'s background counts (stream (seed, 2 block + 1)), read-only."""
+    counts = sample_poisson(RngStream(seed, 2 * block + 1), b_mean, count)
+    counts.flags.writeable = False
+    return counts
+
+
 def _exceedance(
     cfg: "LinkConfig",
     threshold: float,
@@ -105,9 +139,18 @@ def _exceedance(
     counts from stream (seed, 2b+1), so two calls with the same (n, seed) see
     identical randomness regardless of threshold or transmit power: estimates
     are pathwise comparable across parameter values.
+
+    The draws come from the per-block caches of the module docstring: (r,
+    eta(r)) under (seed, block, count, sigma_s, coupling), the counts under
+    (seed, block, count, B), each bounded at ``DRAW_CACHE_ENTRIES`` entries.
+    A stream is a pure function of its (seed, id), so a cached block is the
+    block a fresh draw would give, and each call still evaluates
+    ``(prefactor eta) h_p gain + N >= threshold`` in the same order. With
+    ``signal_shot_noise`` the count's Poisson mean holds the signal, so its
+    draw is made per call; only (r, eta) come from the cache.
     """
-    if n < 10_000:
-        raise ValueError(f"need at least 10000 samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
 
@@ -116,23 +159,17 @@ def _exceedance(
     sigma = cfg.beam.sigma_s
 
     hits = 0
-    produced = 0
-    block = 0
-    while produced < n:
-        count = min(KPI_BLOCK_SIZE, n - produced)
-        r_stream = RngStream(seed, 2 * block)
-        noise_stream = RngStream(seed, 2 * block + 1)
-        r = sample_rayleigh(r_stream, sigma, count)
-        signal_counts = received_flux_batch(r, cfg) * gain
+    for block, start in enumerate(range(0, n, KPI_BLOCK_SIZE)):
+        count = min(KPI_BLOCK_SIZE, n - start)
+        r, eta = _block_displacements(seed, block, count, sigma, cfg.coupling)
+        signal_counts = received_flux_batch(r, cfg, eta=eta) * gain
         if signal_shot_noise:
             # Extension beyond the additive model: the whole count is Poisson
             # with the signal folded into the mean.
-            totals = sample_poisson(noise_stream, signal_counts + b_mean, count)
+            totals = sample_poisson(RngStream(seed, 2 * block + 1), signal_counts + b_mean, count)
         else:
-            totals = signal_counts + sample_poisson(noise_stream, b_mean, count)
+            totals = signal_counts + _block_background(seed, block, count, b_mean)
         hits += int(np.count_nonzero(totals >= threshold))
-        produced += count
-        block += 1
 
     lo, hi = wilson_interval(hits, n)
     return ProbabilityEstimate(value=hits / n, ci_low=lo, ci_high=hi, n_samples=n, seed=seed)
@@ -276,7 +313,7 @@ def kpi_report(
     skin_irr, neuron_irr, skin_ok, neuron_ok, dyn = safety_check(
         cfg,
         hearing_target=hearing_target,
-        n=max(n // 2, 10_000),
+        n=max(n // 2, MIN_SAMPLES),
         seed=seed,
     ) if with_dynamic_range else (*_irradiances(cfg), None)
     return KpiReport(

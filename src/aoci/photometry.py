@@ -199,16 +199,20 @@ def received_flux_at(r: float, cfg: "LinkConfig") -> float:
     return float(received_flux_batch(np.array([r], dtype=np.float64), cfg)[0])
 
 
-def received_flux_batch(r: np.ndarray, cfg: "LinkConfig") -> np.ndarray:
+def received_flux_batch(
+    r: np.ndarray, cfg: "LinkConfig", eta: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorized ``Phi(r)`` over an array of displacements.
 
     Takes the coupling efficiency from the cached Chebyshev kernel of the
     overlap integral (``optics.coupling_eta_batch``), which is valid for
-    every displacement (the series route is not).
+    every displacement (the series route is not). A caller that already holds
+    ``coupling_eta_batch(cfg.coupling, r)`` passes it as ``eta``.
     """
     state = derive_state(cfg)
     r = np.asarray(r, dtype=np.float64)
-    eta = optics.coupling_eta_batch(cfg.coupling, r)
+    if eta is None:
+        eta = optics.coupling_eta_batch(cfg.coupling, r)
     h_p = state.a0 * np.exp(-2.0 * (r / state.w_eq) ** 2)
     return _deterministic_prefactor(cfg, state) * eta * h_p
 

@@ -62,6 +62,9 @@ class SweepSpec:
             raise ConfigError(f"sweep.method: unknown method {self.method!r}")
         if self.mc_n < 1000:
             raise ConfigError(f"sweep.mc.n: need at least 1000 samples, got {self.mc_n}")
+        if self.metric in ("p_hearing", "p_damage") and self.mc_n < kpi.MIN_SAMPLES:
+            raise ConfigError(f"sweep.mc.n: {self.metric} needs at least {kpi.MIN_SAMPLES} "
+                              f"samples, got {self.mc_n}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":

@@ -132,6 +132,13 @@ class TestSweep:
         assert main(["sweep", "--config", config_path, "--sweep", sweep_path,
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_exceedance_sweep_below_sample_floor_exits_2(self, config_path, tmp_path, capsys):
+        sweep_path = self.make_sweep(tmp_path, metric="p_hearing", method="mc",
+                                     mc={"n": 2000, "seed": 9})
+        assert main(["sweep", "--config", config_path, "--sweep", sweep_path,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "sweep.mc.n" in capsys.readouterr().err
+
 
 class TestFigure:
     def test_figure6_produces_artifacts_and_passes(self, tmp_path, capsys):

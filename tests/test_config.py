@@ -109,6 +109,23 @@ class TestMutation:
         assert other.skin.delta == pytest.approx(8e-3)
         assert baseline_cfg.skin.delta == pytest.approx(6e-3)  # original untouched
 
+    def test_with_value_shares_no_mutable_node(self, baseline_cfg):
+        before = baseline_cfg.config_hash()
+        other = baseline_cfg.with_value("skin.delta_mm", 8.0)
+
+        def nodes(doc):
+            yield doc
+            for value in doc.values():
+                if isinstance(value, dict):
+                    yield from nodes(value)
+
+        assert not {id(node) for node in nodes(baseline_cfg.raw)} & {
+            id(node) for node in nodes(other.raw)}
+        assert baseline_cfg.config_hash() == before
+        doc = baseline_cfg.to_dict()
+        doc["skin"]["delta_mm"] = 8.0
+        assert other.config_hash() == LinkConfig.from_dict(doc).config_hash()
+
     def test_with_value_revalidates(self, baseline_cfg):
         with pytest.raises(ConfigError):
             baseline_cfg.with_value("beam.sigma_s_mm", -1.0)

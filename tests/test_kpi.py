@@ -2,10 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import _oracles as oracles
+from aoci import kpi
+from aoci.config import LinkConfig
+from aoci.figures import POWER_GRID_FIG8_MW
 from aoci.kpi import (
+    DRAW_CACHE_ENTRIES,
+    KPI_BLOCK_SIZE,
     _exceedance,
     kpi_report,
     p_damage,
@@ -14,7 +20,9 @@ from aoci.kpi import (
     safety_check,
     wilson_interval,
 )
-from aoci.photometry import NeuralParams
+from aoci.photometry import NeuralParams, received_flux_batch, response_window_gain
+from aoci.stochastics import RngStream, sample_poisson, sample_rayleigh
+from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 
 NEURAL_SMALL = NeuralParams(f0=10.0, tau=0.15, y_th=5.0, d_th=50.0)
 
@@ -224,3 +232,128 @@ class TestKpiReport:
         cfg = LinkConfig.from_dict(baseline_doc)
         report = kpi_report(cfg, n=10_000, seed=4)
         assert report.dynamic_range_w is not None
+
+
+def clear_draw_caches():
+    kpi._block_displacements.cache_clear()
+    kpi._block_background.cache_clear()
+
+
+def uncached_exceedance(cfg, threshold, n, seed, signal_shot_noise):
+    """The block loop of the estimator, drawing every block afresh."""
+    gain = response_window_gain(cfg.neural.tau)
+    b_mean = cfg.neural.mean_background
+    hits = produced = block = 0
+    while produced < n:
+        count = min(KPI_BLOCK_SIZE, n - produced)
+        r = sample_rayleigh(RngStream(seed, 2 * block), cfg.beam.sigma_s, count)
+        signal_counts = received_flux_batch(r, cfg) * gain
+        noise_stream = RngStream(seed, 2 * block + 1)
+        if signal_shot_noise:
+            totals = sample_poisson(noise_stream, signal_counts + b_mean, count)
+        else:
+            totals = signal_counts + sample_poisson(noise_stream, b_mean, count)
+        hits += int(np.count_nonzero(totals >= threshold))
+        produced += count
+        block += 1
+    return hits / n
+
+
+# "dim": a few photons per window, so signal, background and shot noise all
+# move the counts across both thresholds; "bright": the baseline link.
+LINKS = {
+    "dim": {"source": {"power_mw": 1e-12}, "neural": {"y_th_photons": 5.0, "d_th_photons": 8.0}},
+    "bright": {"source": {"power_mw": 3000.0}, "neural": {"d_th_photons": 1e16}},
+}
+
+
+class TestDrawCache:
+    @pytest.mark.parametrize("link", sorted(LINKS))
+    @pytest.mark.parametrize("shot", [False, True])
+    @pytest.mark.parametrize("n", [10_000, 150_000])  # 150,000: two full blocks and a part
+    def test_bit_identical_to_fresh_draws(self, baseline_doc, link, shot, n):
+        for section, values in LINKS[link].items():
+            baseline_doc[section].update(values)
+        cfg = LinkConfig.from_dict(baseline_doc)
+        expected = {
+            p_hearing: uncached_exceedance(cfg, cfg.neural.y_th, n, 7, shot),
+            p_damage: uncached_exceedance(cfg, cfg.neural.d_th, n, 7, shot),
+        }
+        assert 0.0 < expected[p_damage] < expected[p_hearing] < 1.0
+        clear_draw_caches()
+        for state in ("cold", "warm"):
+            for fn, value in expected.items():
+                est = fn(cfg, n=n, seed=7, signal_shot_noise=shot)
+                assert est.value == value, (state, fn.__name__)
+                assert (est.ci_low, est.ci_high) == kpi.wilson_interval(round(value * n), n)
+        blocks = -(-n // KPI_BLOCK_SIZE)
+        assert kpi._block_displacements.cache_info().misses == blocks
+        assert kpi._block_background.cache_info().misses == (0 if shot else blocks)
+
+    def test_power_sweep_draws_once(self, baseline_cfg):
+        spec = SweepSpec(SweepAxis("source.power_mw", POWER_GRID_FIG8_MW), None, "p_hearing",
+                         mc_n=10_000)
+        clear_draw_caches()
+        result = run_sweep(baseline_cfg, spec)
+        assert len(result.rows) == 17
+        assert kpi._block_displacements.cache_info().misses == 1
+        assert kpi._block_background.cache_info().misses == 1
+
+    def test_keys_never_alias(self, baseline_cfg):
+        variants = {
+            "base": baseline_cfg,
+            "seed": baseline_cfg,
+            "sigma": baseline_cfg.with_value("beam.sigma_s_mm", 0.2),
+            "coupling": baseline_cfg.with_value("coupling.focal_length_mm", 30.0),
+            "background": baseline_cfg.with_value("neural.f0_per_s", 20.0),
+        }
+        seeds = {name: 8 if name == "seed" else 5 for name in variants}
+        clear_draw_caches()
+        for name, cfg in variants.items():
+            p_hearing(cfg, n=10_000, seed=seeds[name])
+        assert kpi._block_displacements.cache_info().misses == 4  # background shares base's
+        assert kpi._block_background.cache_info().misses == 3  # sigma, coupling share base's
+        draws = {
+            name: kpi._block_displacements(seeds[name], 0, 10_000, cfg.beam.sigma_s, cfg.coupling)
+            for name, cfg in variants.items()
+        }
+        counts = {
+            name: kpi._block_background(seeds[name], 0, 10_000, cfg.neural.mean_background)
+            for name, cfg in variants.items()
+        }
+        (r, eta), base_counts = draws["base"], counts["base"]
+        assert not np.array_equal(draws["seed"][0], r)
+        assert not np.array_equal(draws["sigma"][0], r)
+        assert np.array_equal(draws["coupling"][0], r)
+        assert not np.array_equal(draws["coupling"][1], eta)
+        assert not np.array_equal(counts["seed"], base_counts)
+        assert not np.array_equal(counts["background"], base_counts)
+        assert kpi._block_displacements.cache_info().misses == 4
+        assert kpi._block_background.cache_info().misses == 3
+
+    def test_cached_arrays_are_read_only(self, baseline_cfg):
+        clear_draw_caches()
+        p_hearing(baseline_cfg, n=10_000, seed=5)
+        r, eta = kpi._block_displacements(5, 0, 10_000, baseline_cfg.beam.sigma_s,
+                                          baseline_cfg.coupling)
+        counts = kpi._block_background(5, 0, 10_000, baseline_cfg.neural.mean_background)
+        for array in (r, eta, counts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_bounded(self, baseline_cfg):
+        cp, sigma, b_mean = baseline_cfg.coupling, baseline_cfg.beam.sigma_s, 1.5
+        clear_draw_caches()
+        for seed in range(DRAW_CACHE_ENTRIES + 5):
+            kpi._block_displacements(seed, 0, 16, sigma, cp)
+            kpi._block_background(seed, 0, 16, b_mean)
+        for cache in (kpi._block_displacements, kpi._block_background):
+            info = cache.cache_info()
+            assert info.maxsize == DRAW_CACHE_ENTRIES
+            assert info.currsize == DRAW_CACHE_ENTRIES
+        # the per-entry sizes the stated byte bound rests on
+        r, eta = kpi._block_displacements(1, 0, KPI_BLOCK_SIZE, sigma, cp)
+        assert r.nbytes + eta.nbytes == 1 << 20
+        assert kpi._block_background(1, 0, KPI_BLOCK_SIZE, b_mean).nbytes == 1 << 19
+        clear_draw_caches()

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from aoci import optics
+from aoci import kpi, optics
 from aoci.figures import POWER_GRID_FIG8_MW, load_preset
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 from aoci.optics import (
@@ -197,6 +197,7 @@ class TestCouplingKernel:
             mc_n=10_000,
         )
         assert len(spec.axis1.values) == 17
+        kpi._block_displacements.cache_clear()  # else an earlier test's draws would serve it
         optics._coupling_kernel.cache_clear()
         result = run_sweep(cfg, spec)
         assert len(result.rows) == 17

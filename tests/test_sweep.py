@@ -53,6 +53,13 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SweepSpec.from_dict(spec_doc(extra=1))
 
+    @pytest.mark.parametrize("metric", ["p_hearing", "p_damage"])
+    def test_exceedance_needs_the_estimator_sample_floor(self, metric):
+        with pytest.raises(ConfigError, match=r"sweep\.mc\.n"):
+            SweepSpec.from_dict(spec_doc(metric=metric, mc={"n": 2000}))
+        assert SweepSpec.from_dict(spec_doc(metric=metric, mc={"n": 10_000})).mc_n == 10_000
+        assert SweepSpec.from_dict(spec_doc(mc={"n": 2000})).mc_n == 2000  # flux MC: 1000
+
 
 class TestRunSweep:
     def test_monotone_flux_column(self, baseline_cfg):
