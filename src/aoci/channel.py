@@ -13,6 +13,8 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "SkinParams",
     "BeamGeometry",
@@ -125,19 +127,19 @@ def beam_stats(geom: BeamGeometry, delta: float) -> BeamStats:
     return BeamStats(w_delta=w_delta, upsilon=upsilon, w_eq=w_eq, a0=a0)
 
 
-def pointing_gain(geom: BeamGeometry, delta: float, r: float) -> float:
-    """Collected-power fraction ``A0 exp(-2 r^2 / w_eq^2)`` at displacement r."""
-    if r < 0.0:
+def pointing_gain(geom: BeamGeometry, delta: float, r):
+    """Collected-power fraction ``A0 exp(-2 r^2 / w_eq^2)`` at displacement r, float or array."""
+    if np.any(r < 0.0):
         raise ValueError(f"radial displacement must be >= 0, got {r}")
     stats = beam_stats(geom, delta)
-    return stats.a0 * math.exp(-2.0 * r * r / (stats.w_eq * stats.w_eq))
+    return stats.a0 * np.exp(-2.0 * r * r / (stats.w_eq * stats.w_eq))
 
 
-def rayleigh_pdf(sigma_s: float, r: float) -> float:
-    """Density of the radial displacement, ``(r / sigma_s^2) exp(-r^2 / 2 sigma_s^2)``."""
+def rayleigh_pdf(sigma_s: float, r):
+    """Rayleigh density ``(r / sigma_s^2) exp(-r^2 / 2 sigma_s^2)`` at r, float or array."""
     if not (sigma_s > 0.0):
         raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
-    if r < 0.0:
+    if np.any(r < 0.0):
         raise ValueError(f"radial displacement must be >= 0, got {r}")
     z = r / sigma_s
-    return (r / (sigma_s * sigma_s)) * math.exp(-0.5 * z * z)
+    return (r / (sigma_s * sigma_s)) * np.exp(-0.5 * z * z)

@@ -9,7 +9,6 @@ of truth and is what the provenance hash is computed over.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -32,6 +31,13 @@ _DEFAULT_MPE = {"skin_mw_per_mm2": 500.0, "neuron_mw_per_mm2": 75.0}
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field path."""
+
+
+def _copy_tree(node: Any) -> Any:
+    """A copy of a JSON tree: fresh dicts and lists, the immutable leaves shared."""
+    if isinstance(node, dict):
+        return {key: _copy_tree(value) for key, value in node.items()}
+    return [_copy_tree(value) for value in node] if isinstance(node, list) else node
 
 
 def _require(section: dict, key: str, path: str) -> Any:
@@ -207,7 +213,7 @@ class LinkConfig:
             mpe_skin=mpe_skin,
             mpe_neuron=mpe_neuron,
             skin_spot_radius=spot * 1e-3,
-            raw=copy.deepcopy(doc),
+            raw=_copy_tree(doc),
         )
 
     @classmethod
@@ -220,7 +226,7 @@ class LinkConfig:
 
     def to_dict(self) -> dict:
         """The raw unit-suffixed document this config was ingested from."""
-        return copy.deepcopy(self.raw)
+        return _copy_tree(self.raw)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -234,7 +240,7 @@ class LinkConfig:
         """A new config with one raw field replaced (path like 'beam.sigma_s_mm').
 
         Only the dicts along the path are copied before the write; ``from_dict``
-        deep-copies the result, so the two configs share no mutable node.
+        copies the result's dicts and lists, so the two configs share no mutable node.
         """
         doc = node = dict(self.raw)
         parts = path.split(".")

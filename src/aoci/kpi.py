@@ -21,10 +21,10 @@ the mean background B; power, skin, threshold and gain enter afterwards, as
 factors of eta(r) and the comparison. So every exceedance call keeps them in
 two least-recently-used caches, ``(seed, block, count, sigma_s, coupling) ->
 (r, eta(r))`` and ``(seed, block, count, B) -> counts``, of
-``DRAW_CACHE_ENTRIES`` entries each: at most 1 MiB per (r, eta) entry and
-0.5 MiB per counts entry, 48 MiB in all. A power sweep or the dynamic-range
-bisection then draws and evaluates the coupling kernel once per block, and
-its results are bit-identical to drawing afresh.
+``DRAW_CACHE_ENTRIES`` = 64 entries each: at most 1 MiB per (r, eta) entry
+and 0.5 MiB per counts entry, 96 MiB in all. A power sweep, figure 7 (10
+sigma_s x up to 6 blocks) or the dynamic-range bisection then draws and
+evaluates the coupling kernel once per block, bit-identical to drawing afresh.
 
 ``p_false_hearing`` exposes two numbers on purpose: the survival probability
 ``Pr(N >= y_th)`` that matches the verbal definition of a false trigger, and
@@ -72,7 +72,7 @@ __all__ = [
 
 KPI_BLOCK_SIZE = 1 << 16
 MIN_SAMPLES = 10_000
-DRAW_CACHE_ENTRIES = 32  # per cache; an entry holds one block of at most KPI_BLOCK_SIZE
+DRAW_CACHE_ENTRIES = 64  # per cache; an entry holds one block of at most KPI_BLOCK_SIZE
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 

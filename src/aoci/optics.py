@@ -9,9 +9,9 @@ available through three routes that must agree:
 * ``coupling_eta_integral`` -- direct adaptive quadrature of the Bessel x
   Gaussian x modified-Bessel overlap integrand the closed form was derived
   from, which serves as the oracle for the closed form and the kernel;
-* ``coupling_eta_batch`` / ``coupling_eta_at`` -- a cached piecewise
-  Chebyshev interpolant of that integral in ``s = r / w0``, one per coupling
-  argument, valid at every displacement; it serves Monte Carlo, exceedance
+* ``coupling_eta_batch`` -- a cached piecewise Chebyshev interpolant of
+  that integral in ``s = r / w0``, one per coupling argument, valid at every
+  displacement and evaluated on arrays; it serves Monte Carlo, exceedance
   and the flux quadrature.
 
 The literal constants 3.83 and 1.22 are kept exactly as written (not the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate
@@ -45,7 +45,6 @@ __all__ = [
     "coupling_eta_closed",
     "coupling_eta_integral",
     "coupling_eta_batch",
-    "coupling_eta_at",
     "peak_coupling",
     "fiber_efficiency",
 ]
@@ -187,11 +186,7 @@ def coupling_eta_integral(
     breakpoints = (max(r - 3.0 * cp.omega0, 0.0), r, r + 3.0 * cp.omega0)
     try:
         amplitude, _ = integrate_semi_infinite(
-            lambda rho: float(_overlap_amplitude_integrand(c, cp.omega0, r, rho)),
-            decay_scale,
-            ctl,
-            breakpoints=breakpoints,
-        )
+            partial(_overlap_amplitude_integrand, c, cp.omega0, r), decay_scale, ctl, breakpoints)
     except QuadratureExhaustedError as exc:
         # Deep in the ring region the oscillatory amplitude integral is
         # roundoff-limited and the relative tolerance is unreachable; accept
@@ -206,7 +201,7 @@ def coupling_eta_integral(
 
 
 def _clenshaw(coeffs, x):
-    """``sum_j c_j T_j(x)`` by Clenshaw's recurrence, on floats or arrays.
+    """``sum_j c_j T_j(x)`` by Clenshaw's recurrence.
 
     ``coeffs`` yields c_n, ..., c_0, highest degree first.
     """
@@ -274,16 +269,6 @@ def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
     table = _coupling_kernel(cp.coupling_argument).cover(float(s.max(initial=0.0)))
     k = (0.5 * s).astype(np.intp)
     return _clenshaw((column.take(k) for column in table.T[::-1]), s - 2.0 * k - 1.0)
-
-
-def coupling_eta_at(cp: CouplingParams, r: float) -> float:
-    """``coupling_eta_batch`` at one misalignment, on plain floats."""
-    if not (0.0 <= r < math.inf):
-        raise ValueError(f"radial misalignment must be finite and >= 0, got {r}")
-    s = r / cp.omega0
-    table = _coupling_kernel(cp.coupling_argument).cover(s)
-    k = int(0.5 * s)
-    return _clenshaw(table[k, ::-1].tolist(), s - 2.0 * k - 1.0)
 
 
 def peak_coupling() -> tuple[float, float]:

@@ -283,9 +283,9 @@ def mean_flux_quadrature(cfg: "LinkConfig", ctl: QuadControl | None = None) -> F
     prefactor = _deterministic_prefactor(cfg, state)
     core_scale = 1.0 / math.sqrt(_exposure_rate(cfg, state))
 
-    def integrand(r: float) -> float:
-        eta = optics.coupling_eta_at(cfg.coupling, r)
-        h_p = state.a0 * math.exp(-2.0 * (r / state.w_eq) ** 2)
+    def integrand(r: np.ndarray) -> np.ndarray:
+        eta = optics.coupling_eta_batch(cfg.coupling, r)
+        h_p = state.a0 * np.exp(-2.0 * (r / state.w_eq) ** 2)
         return eta * h_p * channel.rayleigh_pdf(sigma, r)
 
     value, err = integrate_semi_infinite(

@@ -3,7 +3,7 @@
 Runs the cross-route consistency checks that pin the implementation:
 
 1. closed-form vs overlap-integral coupling efficiency over a 1000-point
-   parameter grid;
+   parameter grid, and the Chebyshev kernel vs the integral to r = 200 w0;
 2. location and ceiling of the zero-misalignment coupling maximum;
 3. three-way average-flux agreement (series / quadrature / Monte Carlo) on
    randomized configurations;
@@ -51,7 +51,8 @@ def _coupling_params_for(a: float, omega0: float, lam: float = 594e-9) -> optics
 
 
 def check_coupling_routes(quick: bool) -> CheckResult:
-    """Criterion: closed form and overlap integral agree to 1e-6 on the grid."""
+    """Criterion: closed form and overlap integral agree to 1e-6 on the grid; the
+    kernel matches the integral to rel 1e-8, abs 1e-9 x peak, out to r = 200 w0."""
     n_a, n_r, n_w = (5, 5, 3) if quick else (10, 10, 10)
     a_grid = np.logspace(math.log10(0.05), math.log10(5.0), n_a)
     r_grid = np.linspace(0.0, 3.0, n_r)
@@ -74,11 +75,21 @@ def check_coupling_routes(quick: bool) -> CheckResult:
                 rel = abs(eta_closed - eta_integral + perturb) / eta_integral
                 worst = max(worst, rel)
     total = n_a * n_r * n_w
+    s_grid = np.linspace(0.0, 200.0, 21 if quick else 41)
+    kernel_worst, kernel_ok = 0.0, True
+    for a in a_grid:
+        cp = _coupling_params_for(float(a), 1e-4)
+        batch = optics.coupling_eta_batch(cp, s_grid * cp.omega0)
+        integral = np.array([optics.coupling_eta_integral(cp, s * cp.omega0) for s in s_grid])
+        diff = np.abs(batch - integral)
+        kernel_ok &= bool(np.all(diff <= 1e-8 * integral + 1e-9 * batch.max()))
+        kernel_worst = max(kernel_worst, float(diff.max()))
     return CheckResult(
         name="coupling closed form vs overlap integral",
-        passed=worst <= 1e-6,
+        passed=worst <= 1e-6 and kernel_ok,
         worst_error=worst,
-        detail=f"worst rel diff {worst:.2e} over {total - skipped}/{total} points",
+        detail=f"worst rel diff {worst:.2e} over {total - skipped}/{total} points; kernel "
+        f"worst abs diff {kernel_worst:.2e} over {n_a * len(s_grid)} points",
     )
 
 

@@ -1,9 +1,14 @@
 """CLI surface: subcommands, exit codes, determinism of emitted artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aoci
 from aoci.cli import main
 from aoci.figures import load_preset, preset_path
 
@@ -179,3 +184,15 @@ class TestValidate:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # Start-up cost: no aoci module needs scipy.integrate, so importing the
+    # package and every command module must not load it.
+    code = ("import sys; import aoci, aoci.cli, aoci.figures, aoci.kpi, aoci.validate; "
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(aoci.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "False"

@@ -8,7 +8,7 @@ import pytest
 import _oracles as oracles
 from aoci import kpi
 from aoci.config import LinkConfig
-from aoci.figures import POWER_GRID_FIG8_MW
+from aoci.figures import POWER_GRID_FIG8_MW, SIGMA_GRID_FIG7_MM
 from aoci.kpi import (
     DRAW_CACHE_ENTRIES,
     KPI_BLOCK_SIZE,
@@ -352,8 +352,21 @@ class TestDrawCache:
             info = cache.cache_info()
             assert info.maxsize == DRAW_CACHE_ENTRIES
             assert info.currsize == DRAW_CACHE_ENTRIES
-        # the per-entry sizes the stated byte bound rests on
+        # the per-entry sizes the stated byte bound (96 MiB) rests on
         r, eta = kpi._block_displacements(1, 0, KPI_BLOCK_SIZE, sigma, cp)
         assert r.nbytes + eta.nbytes == 1 << 20
         assert kpi._block_background(1, 0, KPI_BLOCK_SIZE, b_mean).nbytes == 1 << 19
+        assert DRAW_CACHE_ENTRIES * ((1 << 20) + (1 << 19)) == 96 << 20
+        clear_draw_caches()
+
+    def test_figure7_sweep_stays_warm(self, baseline_cfg):
+        # Figure 7's inner loop runs over its 10 sigma_s values; at 300,000
+        # samples each needs 5 blocks, so 50 keys cycle through the cache
+        # once per power value, and every one must still be there the next time.
+        spec = SweepSpec(SweepAxis("beam.sigma_s_mm", SIGMA_GRID_FIG7_MM),
+                         SweepAxis("source.power_mw", (20.0, 30.0)), "p_hearing", mc_n=300_000)
+        clear_draw_caches()
+        run_sweep(baseline_cfg, spec)
+        info = kpi._block_displacements.cache_info()
+        assert (info.misses, info.hits) == (50, 50)
         clear_draw_caches()

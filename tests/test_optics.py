@@ -15,7 +15,6 @@ from aoci.optics import (
     FiberLoss,
     MemParams,
     collimation_gain,
-    coupling_eta_at,
     coupling_eta_batch,
     coupling_eta_closed,
     coupling_eta_integral,
@@ -156,7 +155,7 @@ class TestCouplingIntegralOracle:
 
 
 class TestCouplingKernel:
-    """The cached Chebyshev kernel behind coupling_eta_batch / coupling_eta_at."""
+    """The cached Chebyshev kernel behind coupling_eta_batch."""
 
     KERNEL_ARGS = [0.05, 1.2566, 5.0, 25.0]
 
@@ -185,7 +184,7 @@ class TestCouplingKernel:
         cp = cp_for(a)
         rs = np.linspace(0.0, 90.0, 901) * cp.omega0
         array = coupling_eta_batch(cp, rs)
-        scalar = np.array([coupling_eta_at(cp, float(r)) for r in rs])
+        scalar = np.array([coupling_eta_batch(cp, float(r))[0] for r in rs])
         assert np.max(np.abs(scalar - array)) <= 1e-15
 
     def test_power_sweep_builds_one_table(self):
@@ -236,7 +235,7 @@ class TestCouplingKernel:
         with pytest.raises(ValueError):
             coupling_eta_batch(cp, np.array([0.0, -1e-6]))
         with pytest.raises(ValueError):
-            coupling_eta_at(cp, -1e-6)
+            coupling_eta_batch(cp, -1e-6)
 
 
 class TestFiberEfficiency:

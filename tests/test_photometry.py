@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from aoci.figures import load_preset
+from aoci.optics import coupling_eta_batch
 from aoci.photometry import (
     FluxEstimate,
     NeuralParams,
     SourceParams,
+    _deterministic_prefactor,
     background_pmf,
     derive_state,
     link_budget,
@@ -173,6 +175,39 @@ class TestMeanFluxRoutes:
     def test_unknown_method_rejected(self, baseline_cfg):
         with pytest.raises(ValueError):
             mean_flux(baseline_cfg, method="fastest")
+
+    @pytest.mark.parametrize("preset, delta_mm, sigma_mm", [
+        ("default", None, None),
+        ("fig5", 4.0, 0.1),
+        ("fig5", 4.0, 1.0),
+        ("fig5", 10.0, 1.3),
+        ("fig5", 6.0, 2.0),
+    ])
+    def test_quadrature_matches_quadpack(self, preset, delta_mm, sigma_mm):
+        # QUADPACK (scipy.integrate.quad) on the same scalar integrand, cutoff,
+        # breakpoints and tolerances is the outside oracle of the numpy rule.
+        from scipy import integrate
+
+        cfg = load_preset(preset)
+        if delta_mm is not None:
+            cfg = cfg.with_value("skin.delta_mm", delta_mm).with_value("beam.sigma_s_mm", sigma_mm)
+        state, ctl, sigma = derive_state(cfg), cfg.quad_ctl, cfg.beam.sigma_s
+        prefactor = _deterministic_prefactor(cfg, state)
+        w0, w_eq = cfg.coupling.omega0, state.w_eq
+        core_scale = (2 / w0**2 + 2 / w_eq**2 + 1 / (2 * sigma**2)) ** -0.5
+
+        def integrand(r):
+            eta = coupling_eta_batch(cfg.coupling, r)[0]
+            return eta * state.a0 * math.exp(-2 * (r / w_eq) ** 2) * r / sigma**2 * math.exp(
+                -0.5 * (r / sigma) ** 2)
+
+        value, err = integrate.quad(
+            integrand, 0.0, ctl.tail_cutoff_sigmas * sigma, epsabs=ctl.abs_tol,
+            epsrel=ctl.rel_tol, limit=ctl.max_subdivisions,
+            points=sorted({core_scale, sigma, 2 * sigma}))
+        quad = mean_flux_quadrature(cfg)
+        assert abs(quad.value - prefactor * value) <= quad.err_bound + prefactor * err
+        assert quad.err_bound <= ctl.rel_tol * quad.value
 
 
 class TestFluxEstimate:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import _oracles as oracles
 from aoci.specfun import (
     QuadControl,
+    QuadratureExhaustedError,
     SeriesControl,
     SeriesConvergenceError,
     _f4_eval,
@@ -231,35 +232,54 @@ class TestF4General:
 
 class TestIntegrateSemiInfinite:
     def test_gaussian_moment(self):
-        value, err = integrate_semi_infinite(lambda r: r * math.exp(-r * r / 2), 1.0)
+        value, err = integrate_semi_infinite(lambda r: r * np.exp(-r * r / 2), 1.0)
         assert value == pytest.approx(1.0, abs=1e-10)
         assert err <= 1e-9
 
     def test_exponential(self):
-        value, _ = integrate_semi_infinite(lambda r: math.exp(-r), 1.0, QuadControl(tail_cutoff_sigmas=40.0))
+        value, _ = integrate_semi_infinite(lambda r: np.exp(-r), 1.0, QuadControl(tail_cutoff_sigmas=40.0))
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_moment(self):
         # int r^3 e^{-r^2} dr = Gamma(2)/2 = 1/2
-        value, _ = integrate_semi_infinite(lambda r: r**3 * math.exp(-(r * r)), 1.0)
+        value, _ = integrate_semi_infinite(lambda r: r**3 * np.exp(-(r * r)), 1.0)
         assert value == pytest.approx(0.5, abs=1e-9)
 
     def test_breakpoints_capture_narrow_feature(self):
         # A bump of width 1e-3 at r = 5 on a cutoff interval of 10: the plain
         # initial rule would step over it.
         width, center = 1e-3, 5.0
-        f = lambda r: math.exp(-((r - center) / width) ** 2)
+        f = lambda r: np.exp(-((r - center) / width) ** 2)
         value, _ = integrate_semi_infinite(f, 1.0, breakpoints=(center,))
         assert value == pytest.approx(math.sqrt(math.pi) * width, rel=1e-8)
 
     def test_exhaustion_reported_with_estimate(self):
         ctl = QuadControl(rel_tol=1e-13, max_subdivisions=4)
-        f = lambda r: math.sin(40.0 * r) ** 2 * math.exp(-r)
-        try:
+        f = lambda r: np.sin(40.0 * r) ** 2 * np.exp(-r)
+        with pytest.raises(QuadratureExhaustedError) as info:
             integrate_semi_infinite(f, 1.0, ctl)
-        except Exception as exc:
-            assert hasattr(exc, "value") and hasattr(exc, "err_est")
-            assert math.isfinite(exc.value)
+        assert math.isfinite(info.value.value) and math.isfinite(info.value.err_est)
+        assert info.value.err_est > 1e-13 * abs(info.value.value)
+
+    def test_initial_partition_counts_against_budget(self):
+        # Five breakpoints give six segments, halved into twelve initial
+        # intervals: more than four, however easy the integrand.
+        ctl = QuadControl(max_subdivisions=4)
+        with pytest.raises(QuadratureExhaustedError) as info:
+            integrate_semi_infinite(lambda r: np.exp(-r), 1.0, ctl, breakpoints=(1, 2, 3, 4, 5))
+        assert info.value.value == pytest.approx(1.0 - math.exp(-10.0), rel=1e-12)
+        assert math.isfinite(info.value.err_est)
+
+    def test_integrand_called_once_per_pass_on_arrays(self):
+        calls = []
+
+        def f(r):
+            calls.append(r.shape)
+            return r * np.exp(-r * r / 2)
+
+        integrate_semi_infinite(f, 1.0, breakpoints=(1.0,))
+        assert calls[0] == (4 * 21,)  # two segments, each halved
+        assert all(len(shape) == 1 and shape[0] % 42 == 0 for shape in calls[1:])
 
     def test_invalid_decay_scale(self):
         with pytest.raises(ValueError):
