@@ -135,9 +135,9 @@ def pointing_gain(geom: BeamGeometry, delta: float, r):
     return stats.a0 * np.exp(-2.0 * r * r / (stats.w_eq * stats.w_eq))
 
 
-def rayleigh_pdf(sigma_s: float, r):
-    """Rayleigh density ``(r / sigma_s^2) exp(-r^2 / 2 sigma_s^2)`` at r, float or array."""
-    if not (sigma_s > 0.0):
+def rayleigh_pdf(sigma_s, r):
+    """Rayleigh density ``(r / sigma_s^2) exp(-r^2 / 2 sigma_s^2)`` at r; floats or arrays."""
+    if not np.all(sigma_s > 0.0):
         raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
     if np.any(r < 0.0):
         raise ValueError(f"radial displacement must be >= 0, got {r}")

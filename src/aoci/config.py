@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -236,26 +237,29 @@ class LinkConfig:
         canonical = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
-    def with_value(self, path: str, value) -> "LinkConfig":
-        """A new config with one raw field replaced (path like 'beam.sigma_s_mm').
+    def with_value(self, path: str | Mapping[str, Any], value: Any = None) -> "LinkConfig":
+        """A new config with raw fields replaced, validated once.
 
-        Only the dicts along the path are copied before the write; ``from_dict``
-        copies the result's dicts and lists, so the two configs share no mutable node.
+        ``path`` is a dotted path (like 'beam.sigma_s_mm') set to ``value``, or a mapping
+        of paths to values, all set before one ``from_dict`` (so fields valid only together
+        can change together). Only the dicts on the paths are copied before the writes, and
+        ``from_dict`` copies the result's dicts and lists, so the two configs share no mutable node.
         """
-        doc = node = dict(self.raw)
-        parts = path.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
-                raise ConfigError(f"config.{path}: no such field")
-            child = dict(node[part])
-            node[part] = child
-            node = child
-        leaf = parts[-1]
-        if leaf not in node:
-            raise ConfigError(f"config.{path}: no such field")
-        if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
-            raise ConfigError(f"config.{path}: not a numeric field")
-        node[leaf] = value
+        doc = dict(self.raw)
+        for dotted, new in path.items() if isinstance(path, Mapping) else [(path, value)]:
+            node, parts = doc, dotted.split(".")
+            for part in parts[:-1]:
+                if not isinstance(node.get(part), dict):
+                    raise ConfigError(f"config.{dotted}: no such field")
+                child = dict(node[part])
+                node[part] = child
+                node = child
+            leaf = parts[-1]
+            if leaf not in node:
+                raise ConfigError(f"config.{dotted}: no such field")
+            if not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool):
+                raise ConfigError(f"config.{dotted}: not a numeric field")
+            node[leaf] = new
         return LinkConfig.from_dict(doc)
 
     def resolve(self, path: str) -> float:

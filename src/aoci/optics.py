@@ -253,7 +253,8 @@ class _CouplingKernel:
         return table
 
 
-_coupling_kernel = lru_cache(maxsize=8)(_CouplingKernel)  # one kernel per coupling argument
+COUPLING_KERNELS = 8  # kernels cached at once; a flux batch uses at most this many
+_coupling_kernel = lru_cache(maxsize=COUPLING_KERNELS)(_CouplingKernel)  # one per argument
 
 
 def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:

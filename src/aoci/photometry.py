@@ -8,7 +8,8 @@ three mutually validating routes:
 
 * ``mean_flux_quadrature`` -- adaptive quadrature of the flux-weighted
                               Rayleigh integrand (valid in every regime;
-                              the default route);
+                              the default route; ``mean_flux_quadrature_batch``
+                              runs many configs in one quadrature);
 * ``mean_flux_series``     -- closed form via the quadruple hypergeometric
                               series (fails loudly outside its
                               convergence envelope);
@@ -27,17 +28,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from aoci import channel, optics
-from aoci.specfun import (
+from aoci.specfun import (  # integrate_semi_infinite stays importable for bench/tracing.py
     QuadControl,
+    QuadratureExhaustedError,
     SeriesControl,
     _f4_eval,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
 )
 from aoci.stochastics import RngStream, sample_rayleigh
 
@@ -56,6 +60,7 @@ __all__ = [
     "received_flux_batch",
     "mean_flux_series",
     "mean_flux_quadrature",
+    "mean_flux_quadrature_batch",
     "mean_flux_mc",
     "mean_flux",
     "response_window_gain",
@@ -275,30 +280,54 @@ def mean_flux_quadrature(cfg: "LinkConfig", ctl: QuadControl | None = None) -> F
     The default route: valid for every parameter regime. The integrand
     combines the narrow coupling response (scale ~w0) with the Rayleigh
     envelope (scale sigma_s); both scales are passed to the quadrature as
-    breakpoints so neither can be stepped over.
+    breakpoints so neither can be stepped over. This is
+    ``mean_flux_quadrature_batch`` on one config (with ``ctl`` as its ``quad_ctl``).
     """
-    ctl = ctl or cfg.quad_ctl
-    state = derive_state(cfg)
-    sigma = cfg.beam.sigma_s
-    prefactor = _deterministic_prefactor(cfg, state)
-    core_scale = 1.0 / math.sqrt(_exposure_rate(cfg, state))
+    (est,) = mean_flux_quadrature_batch([cfg if ctl is None else replace(cfg, quad_ctl=ctl)])
+    if isinstance(est, QuadratureExhaustedError):
+        raise est
+    return est
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        eta = optics.coupling_eta_batch(cfg.coupling, r)
-        h_p = state.a0 * np.exp(-2.0 * (r / state.w_eq) ** 2)
-        return eta * h_p * channel.rayleigh_pdf(sigma, r)
 
-    value, err = integrate_semi_infinite(
-        integrand,
-        sigma,
-        ctl,
-        breakpoints=(core_scale, sigma, 2.0 * sigma),
-    )
-    return FluxEstimate(
-        value=max(prefactor * value, 0.0),
-        method="quadrature",
-        err_bound=abs(prefactor) * err,
-    )
+def mean_flux_quadrature_batch(
+    cfgs: Sequence["LinkConfig"],
+) -> list[FluxEstimate | QuadratureExhaustedError]:
+    """``mean_flux_quadrature`` of many configs in one adaptive quadrature.
+
+    Each node carries the index of its config, which selects that config's
+    beam and Rayleigh constants; eta comes from one ``coupling_eta_batch`` call per
+    distinct ``CouplingParams`` per pass, at most ``optics.COUPLING_KERNELS`` of them
+    a batch, so no kernel is evicted and rebuilt mid-batch. Each point gets bitwise
+    its lone estimate, or the ``QuadratureExhaustedError`` its lone call raises.
+    """
+    index: dict = {}
+    kernel = np.array([index.setdefault(cfg.coupling, len(index)) for cfg in cfgs], dtype=np.intp)
+    couplings, step = list(index), optics.COUPLING_KERNELS
+    if len(couplings) > step:
+        groups = [np.flatnonzero(kernel // step == g) for g in range(kernel.max() // step + 1)]
+        ests = {i: est for at in groups
+                for i, est in zip(at, mean_flux_quadrature_batch([cfgs[i] for i in at]))}
+        return [ests[i] for i in range(len(cfgs))]
+    states = [derive_state(cfg) for cfg in cfgs]
+    sigma, a0, w_eq = np.array([(c.beam.sigma_s, s.a0, s.w_eq)  # (0, 3) for no configs
+                                for c, s in zip(cfgs, states)]).reshape(-1, 3).T
+
+    def integrand(r: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        eta, codes = np.empty_like(r), kernel[owner]
+        for k in np.unique(codes):
+            at = codes == k
+            eta[at] = optics.coupling_eta_batch(couplings[k], r[at])
+        h_p = a0[owner] * np.exp(-2.0 * (r / w_eq[owner]) ** 2)
+        return eta * h_p * channel.rayleigh_pdf(sigma[owner], r)
+
+    breakpoints = [(1.0 / math.sqrt(_exposure_rate(cfg, state)), s, 2.0 * s)
+                   for cfg, state, s in zip(cfgs, states, sigma.tolist())]
+    results = integrate_semi_infinite_batch(
+        integrand, sigma.tolist(), [cfg.quad_ctl for cfg in cfgs], breakpoints)
+    prefactors = [_deterministic_prefactor(cfg, state) for cfg, state in zip(cfgs, states)]
+    return [result if isinstance(result, QuadratureExhaustedError) else FluxEstimate(
+        value=max(p * result[0], 0.0), method="quadrature", err_bound=abs(p) * result[1])
+        for p, result in zip(prefactors, results)]
 
 
 def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:

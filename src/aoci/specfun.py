@@ -27,7 +27,8 @@ binomial weights are handled in log space, so no intermediate overflows
 occur.
 
 ``integrate_semi_infinite`` is a globally adaptive numpy Gauss-Kronrod rule
-(QUADPACK's dqk21) that evaluates its array integrand once per refinement pass.
+(QUADPACK's dqk21). ``integrate_semi_infinite_batch`` runs many such integrals in
+one owner-tagged interval table, one integrand call per refinement pass for all.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "humbert_psi2",
     "f4_general",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_batch",
 ]
 
 # Ratio of sum(|term|) to |sum(term)| above which a result has lost too
@@ -405,15 +407,85 @@ _ROUNDOFF = 50.0 * np.finfo(np.float64).eps
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dqk21 on every interval [lo_i, hi_i] with one call of ``f``: (integrals, errors)."""
+    """dqk21 on every interval [lo_i, hi_i] with one call of ``f``: (integrals, errors).
+
+    Row sums, not matrix products (whose rounding varies with the row count), so
+    no interval's result depends on the others.
+    """
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fv = np.reshape(f((center[:, None] + half[:, None] * _NODES).ravel()), (len(lo), 21))
-    resk = fv @ _WEIGHTS_K
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WEIGHTS_K * half
-    err = np.abs((resk - fv[:, 1::2] @ _WEIGHTS_G) * half)
+    resk = (fv * _WEIGHTS_K).sum(axis=1)
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) * _WEIGHTS_K).sum(axis=1) * half
+    err = np.abs((resk - (fv[:, 1::2] * _WEIGHTS_G).sum(axis=1)) * half)
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where(resasc > 0.0, resasc * np.fmin(1.0, (200.0 * err / resasc) ** 1.5), err)
-    return resk * half, np.maximum(_ROUNDOFF * (np.abs(fv) @ _WEIGHTS_K * half), err)
+    return resk * half, np.maximum(_ROUNDOFF * ((np.abs(fv) * _WEIGHTS_K).sum(axis=1) * half), err)
+
+
+def integrate_semi_infinite_batch(f, decay_scales, ctls, breakpoints) -> list:
+    """Many ``integrate_semi_infinite`` runs at once, one call of ``f`` per pass.
+
+    Integral i takes ``decay_scales[i]``, ``ctls[i]`` and ``breakpoints[i]``;
+    ``f(x, owner)`` gives the integrands at abscissae ``x`` of integrals ``owner``.
+    All the intervals share one table, tagged by owner. Every reduction (interval
+    rule, per-owner sums in table order, the split's running error sums) reads one
+    integral's numbers alone, so each result is bitwise what a lone run gives.
+    Returns per integral ``(value, err_est)`` or the ``QuadratureExhaustedError``
+    that the lone call raises.
+    """
+    edges = []
+    for scale, ctl, marks in zip(decay_scales, ctls, breakpoints, strict=True):
+        if not (scale > 0.0 and math.isfinite(scale)):
+            raise ValueError(f"decay_scale must be positive and finite, got {scale}")
+        cutoff = ctl.tail_cutoff_sigmas * scale
+        points = [0.0, *sorted({p for p in marks if 0.0 < p < cutoff}), cutoff]
+        edges.append(sorted(points + [0.5 * (a + b) for a, b in zip(points, points[1:])]))
+    n = len(edges)
+    results: list = [None] * n
+    if not n:
+        return results
+    rel_tol, abs_tol, cap = (np.array([getattr(c, name) for c in ctls])
+                             for name in ("rel_tol", "abs_tol", "max_subdivisions"))
+    owner = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
+    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    res, err = _gk21(lambda x: f(x, np.repeat(owner, 21)), lo, hi)
+    while True:
+        count = np.bincount(owner, minlength=n)
+        value, err_est = np.bincount(owner, res, n), np.bincount(owner, err, n)
+        tol = np.maximum(rel_tol * np.abs(value), abs_tol)
+        room = cap - count
+        done = (count > 0) & (err_est <= tol) & (room >= 0)
+        exhausted = (count > 0) & ~done & ((room <= 0) | ~np.isfinite(err_est))
+        for i in np.flatnonzero(done):
+            results[i] = float(value[i]), float(err_est[i])
+        for i in np.flatnonzero(exhausted):
+            results[i] = QuadratureExhaustedError(
+                f"integrate_semi_infinite: error {err_est[i]:.3g} (tolerance {tol[i]:.3g}) with "
+                f"{count[i]} intervals, max_subdivisions={cap[i]}",
+                value=float(value[i]), err_est=float(err_est[i]))
+        live = ~(done | exhausted)[owner]
+        owner, lo, hi, res, err = owner[live], lo[live], hi[live], res[live], err[live]
+        if not owner.size:
+            return results
+        # Per integral, bisect the intervals of most error (stable order) until the error
+        # left unsplit is within tol / 2; running sums by rows of a zero-padded matrix.
+        order = np.lexsort((-err, owner))
+        by = owner[order]
+        _, first, row = np.unique(by, return_index=True, return_inverse=True)
+        rank = np.arange(by.size) - first[row]
+        padded = np.zeros((first.size, rank.max() + 1))
+        padded[row, rank] = err[order]
+        left = err_est[by] - np.cumsum(padded, axis=1)[row, rank]
+        wide = np.bincount(by, left > 0.5 * tol[by], n).astype(np.intp)
+        split = order[rank < np.minimum(1 + wide, room)[by]]
+        mid = 0.5 * (lo[split] + hi[split])
+        halves = (np.concatenate([owner[split]] * 2), np.concatenate([lo[split], mid]),
+                  np.concatenate([mid, hi[split]]))
+        new = (*halves, *_gk21(lambda x: f(x, np.repeat(halves[0], 21)), *halves[1:]))
+        keep = np.ones(owner.size, dtype=bool)
+        keep[split] = False
+        owner, lo, hi, res, err = (np.concatenate([old[keep], add])
+                                   for old, add in zip((owner, lo, hi, res, err), new))
 
 
 def integrate_semi_infinite(
@@ -432,7 +504,7 @@ def integrate_semi_infinite(
     segment between them gives the initial partition, so narrow features are
     never stepped over. Each pass bisects the intervals carrying the most error
     until the error left unsplit is within half the tolerance, and calls ``f``
-    once, on all the new nodes.
+    once, on all the new nodes: ``integrate_semi_infinite_batch`` of one.
 
     Returns
     -------
@@ -447,29 +519,8 @@ def integrate_semi_infinite(
         the initial ones included. The exception carries the best estimate
         and its achieved error.
     """
-    ctl = ctl or QuadControl()
-    if not (decay_scale > 0.0 and math.isfinite(decay_scale)):
-        raise ValueError(f"decay_scale must be positive and finite, got {decay_scale}")
-
-    cutoff = ctl.tail_cutoff_sigmas * decay_scale
-    points = np.array([0.0, *sorted({p for p in breakpoints if 0.0 < p < cutoff}), cutoff])
-    edges = np.sort(np.concatenate([points, 0.5 * (points[:-1] + points[1:])]))
-    table = np.vstack([edges[:-1], edges[1:], *_gk21(f, edges[:-1], edges[1:])])
-    while True:
-        lo, hi, res, err = table  # one column per interval
-        value, err_est = float(np.sum(res)), float(np.sum(err))
-        tol = max(ctl.rel_tol * abs(value), ctl.abs_tol)
-        room = ctl.max_subdivisions - len(lo)
-        if err_est <= tol and room >= 0:
-            return value, err_est
-        if room <= 0 or not math.isfinite(err_est):
-            raise QuadratureExhaustedError(
-                f"integrate_semi_infinite: error {err_est:.3g} (tolerance {tol:.3g}) with "
-                f"{len(lo)} intervals, max_subdivisions={ctl.max_subdivisions}",
-                value=value, err_est=err_est)
-        order = np.argsort(-err, kind="stable")
-        left = err_est - np.cumsum(err[order])
-        split = order[: min(1 + int(np.count_nonzero(left > 0.5 * tol)), room)]
-        mid = 0.5 * (lo[split] + hi[split])
-        halves = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        table = np.hstack([np.delete(table, split, axis=1), [*halves, *_gk21(f, *halves)]])
+    (result,) = integrate_semi_infinite_batch(
+        lambda x, owner: f(x), [decay_scale], [ctl or QuadControl()], [breakpoints])
+    if isinstance(result, QuadratureExhaustedError):
+        raise result
+    return result

@@ -2,8 +2,10 @@
 
 A sweep varies one or two raw config fields (dotted paths into the
 unit-suffixed document, e.g. ``beam.sigma_s_mm``) over explicit value lists
-and evaluates one metric per grid point. Points are evaluated independently
-(each from its own re-validated config) and rows are written in grid order:
+and evaluates one metric per grid point. Each point's config is built with
+all its axis values set at once and validated once. Quadrature flux points
+(``mean_flux`` / ``link_budget``) go ``BATCH_POINTS`` at a time through one
+quadrature, bitwise as lone evaluations. Rows are written in grid order:
 axis2 outer, axis1 inner, so axis1 is the natural x-axis of a plotted curve
 family. Per-point numerical failures are recorded in the ``error`` column
 and the run continues.
@@ -17,6 +19,7 @@ evaluated point and the seed when randomness was involved.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ __all__ = ["SweepAxis", "SweepSpec", "SweepResult", "run_sweep", "write_csv"]
 
 METRICS = ("mean_flux", "p_hearing", "p_false_hearing", "p_damage", "link_budget")
 METHODS = ("quadrature", "series", "mc")
+BATCH_POINTS = 256  # points built and evaluated together; ~25 KB of temporaries each
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,8 @@ class SweepResult:
     spec: SweepSpec
 
 
-def _evaluate_point(cfg: LinkConfig, spec: SweepSpec) -> dict[str, Any]:
-    """One grid point: returns value/err/method/ci fields for the metric."""
+def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, est=None) -> dict[str, Any]:
+    """One grid point: value/err/method/ci fields for the metric (flux from ``est`` if given)."""
     out: dict[str, Any] = {
         "value": "",
         "err_bound": "",
@@ -129,7 +133,8 @@ def _evaluate_point(cfg: LinkConfig, spec: SweepSpec) -> dict[str, Any]:
     }
     metric = spec.metric
     if metric in ("mean_flux", "link_budget"):
-        est = photometry.mean_flux(cfg, method=spec.method, n=spec.mc_n, seed=spec.mc_seed)
+        if est is None:
+            est = photometry.mean_flux(cfg, method=spec.method, n=spec.mc_n, seed=spec.mc_seed)
         gain = photometry.response_window_gain(cfg.neural.tau)
         if metric == "mean_flux":
             out["value"], out["err_bound"] = est.value, est.err_bound
@@ -170,46 +175,46 @@ def _columns_for(spec: SweepSpec) -> tuple[str, ...]:
 
 
 def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
-    """Evaluate the metric over the full grid, tolerating per-point failures."""
-    # Both paths must resolve before any evaluation starts.
-    base_cfg.resolve(spec.axis1.path)
-    if spec.axis2 is not None:
-        base_cfg.resolve(spec.axis2.path)
+    """Evaluate the metric over the full grid, tolerating per-point failures.
 
+    ``BATCH_POINTS`` points at a time (bounded memory): their configs first, then
+    their quadrature flux together by ``photometry.mean_flux_quadrature_batch``.
+    """
+    axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
+    for axis in axes:  # every path must resolve before any evaluation starts
+        base_cfg.resolve(axis.path)
+    grid = [combo[::-1] for combo in itertools.product(*(a.values for a in axes[::-1]))]
+    batched = spec.metric in ("mean_flux", "link_budget") and spec.method == "quadrature"
     columns = _columns_for(spec)
-    outer = spec.axis2.values if spec.axis2 is not None else (None,)
     rows: list[tuple] = []
-    for v2 in outer:
-        for v1 in spec.axis1.values:
-            point: dict[str, Any] = {
-                "axis1_path": spec.axis1.path,
-                "axis1_value": v1,
-                "metric": spec.metric,
-                "config_hash": "",
-                "error": "",
-            }
-            if spec.axis2 is not None:
-                point["axis2_path"] = spec.axis2.path
-                point["axis2_value"] = v2
+    for start in range(0, len(grid), BATCH_POINTS):
+        points, cfgs = zip(*(_build_point(base_cfg, spec, axes, values)
+                             for values in grid[start:start + BATCH_POINTS]))
+        valid = [cfg for cfg in cfgs if isinstance(cfg, LinkConfig)]
+        estimates = iter(photometry.mean_flux_quadrature_batch(valid) if batched else ())
+        for point, cfg in zip(points, cfgs):
             try:
-                cfg = base_cfg.with_value(spec.axis1.path, v1)
-                if spec.axis2 is not None:
-                    cfg = cfg.with_value(spec.axis2.path, v2)
-                point["config_hash"] = cfg.config_hash()
-                point.update(_evaluate_point(cfg, spec))
+                est = cfg if isinstance(cfg, ConfigError) else next(estimates, None)
+                if isinstance(est, (ConfigError, NumericalError)):
+                    raise est
+                point.update(_evaluate_point(cfg, spec, est))
             except (ConfigError, NumericalError) as exc:
-                point.setdefault("value", "")
-                point.update(
-                    {
-                        "err_bound": "",
-                        "method": "",
-                        "n_samples": "",
-                        "seed": "",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
+                point["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(tuple(point.get(c, "") for c in columns))
     return SweepResult(columns=columns, rows=tuple(rows), spec=spec)
+
+
+def _build_point(base_cfg: LinkConfig, spec: SweepSpec, axes: list, values: tuple) -> tuple:
+    """A grid point's row fields and its config, or the ConfigError refusing it."""
+    point: dict[str, Any] = {"metric": spec.metric, "config_hash": "", "error": ""}
+    for i, (axis, value) in enumerate(zip(axes, values), 1):
+        point[f"axis{i}_path"], point[f"axis{i}_value"] = axis.path, value
+    try:
+        cfg = base_cfg.with_value({axis.path: v for axis, v in zip(axes, values)})
+    except ConfigError as exc:
+        return point, exc
+    point["config_hash"] = cfg.config_hash()
+    return point, cfg
 
 
 def _format_cell(value: Any) -> str:

@@ -126,6 +126,14 @@ class TestMutation:
         doc["skin"]["delta_mm"] = 8.0
         assert other.config_hash() == LinkConfig.from_dict(doc).config_hash()
 
+    def test_with_value_sets_several_paths_before_validating(self, baseline_cfg):
+        # y_th above the old d_th is valid only together with the new d_th.
+        other = baseline_cfg.with_value(
+            {"neural.y_th_photons": 1.6e17, "neural.d_th_photons": 3.2e17})
+        assert (other.neural.y_th, other.neural.d_th) == (1.6e17, 3.2e17)
+        with pytest.raises(ConfigError, match="neural.nope"):
+            baseline_cfg.with_value({"neural.y_th_photons": 1.0, "neural.nope": 1.0})
+
     def test_with_value_revalidates(self, baseline_cfg):
         with pytest.raises(ConfigError):
             baseline_cfg.with_value("beam.sigma_s_mm", -1.0)

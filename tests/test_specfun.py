@@ -19,9 +19,11 @@ from aoci.specfun import (
     SeriesControl,
     SeriesConvergenceError,
     _f4_eval,
+    _gk21,
     f4_general,
     humbert_psi2,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
     regularized_gamma_q,
 )
 
@@ -280,6 +282,34 @@ class TestIntegrateSemiInfinite:
         integrate_semi_infinite(f, 1.0, breakpoints=(1.0,))
         assert calls[0] == (4 * 21,)  # two segments, each halved
         assert all(len(shape) == 1 and shape[0] % 42 == 0 for shape in calls[1:])
+
+    def test_gk21_interval_independent_of_its_batch(self):
+        f = lambda r: np.sin(3.0 * r) * np.exp(-0.3 * r) + 1.0 / (1.0 + r * r)
+        lo = np.linspace(0.0, 12.0, 41)[:-1]
+        hi = lo + 0.3
+        res, err = _gk21(f, lo, hi)
+        for i in range(lo.size):
+            one_res, one_err = _gk21(f, lo[i:i + 1], hi[i:i + 1])
+            assert (one_res[0], one_err[0]) == (res[i], err[i])
+
+    def test_batch_equals_lone_integrals(self):
+        # Scales far apart: any sum shared across integrals would swamp the small ones.
+        rates, scales = np.array([1.0, 3.0, 0.5]), np.array([1e12, 1.0, 1e-6])
+        f = lambda r, owner: scales[owner] * np.sin(40.0 * r) ** 2 * np.exp(-rates[owner] * r)
+        ctls = [QuadControl(), QuadControl(rel_tol=1e-13, max_subdivisions=6),
+                QuadControl(rel_tol=1e-6)]
+        decay, marks = [1.0, 2.0, 4.0], [(), (1.0,), (0.5, 2.0)]
+        batch = integrate_semi_infinite_batch(f, decay, ctls, marks)
+        for i in range(3):
+            lone = lambda r, i=i: f(r, np.full(r.size, i))
+            try:
+                assert batch[i] == integrate_semi_infinite(lone, decay[i], ctls[i], marks[i])
+            except QuadratureExhaustedError as exc:
+                assert isinstance(batch[i], QuadratureExhaustedError)
+                assert str(batch[i]) == str(exc)
+                assert (batch[i].value, batch[i].err_est) == (exc.value, exc.err_est)
+        assert isinstance(batch[1], QuadratureExhaustedError)
+        assert not isinstance(batch[0], QuadratureExhaustedError)
 
     def test_invalid_decay_scale(self):
         with pytest.raises(ValueError):

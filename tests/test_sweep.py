@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from aoci import optics, photometry, sweep
 from aoci.config import ConfigError, LinkConfig
-from aoci.sweep import SweepAxis, SweepSpec, run_sweep, write_csv
+from aoci.figures import FIGURES, load_preset
+from aoci.photometry import mean_flux_quadrature, response_window_gain
+from aoci.specfun import QuadratureExhaustedError
+from aoci.sweep import BATCH_POINTS, SweepAxis, SweepSpec, run_sweep, write_csv
 
 
 def spec_doc(**overrides):
@@ -129,6 +133,108 @@ class TestRunSweep:
         result = run_sweep(baseline_cfg, spec)
         records = [dict(zip(result.columns, r)) for r in result.rows]
         assert all(r["value"] > 0 for r in records)
+
+    def test_two_axis_point_validated_on_the_grid_only(self):
+        # (1.6e17, 3.2e17) is valid; the off-grid (y_th 1.6e17, d_th 8e16) is not.
+        spec = SweepSpec(SweepAxis("neural.y_th_photons", (2.835e14, 1.6e17)),
+                         SweepAxis("neural.d_th_photons", (3.2e17,)), "mean_flux")
+        result = run_sweep(load_preset("default"), spec)
+        assert [dict(zip(result.columns, r))["error"] for r in result.rows] == ["", ""]
+
+
+def _records(result):
+    return [dict(zip(result.columns, r)) for r in result.rows]
+
+
+def _point(cfg, record):
+    paths = {record["axis1_path"]: record["axis1_value"]}
+    if "axis2_path" in record:
+        paths[record["axis2_path"]] = record["axis2_value"]
+    return cfg.with_value(paths)
+
+
+class TestBatchedQuadrature:
+    """Quadrature flux points run in batches; each row is its lone evaluation."""
+
+    @pytest.mark.parametrize("number", [3, 4, 5, 6])
+    def test_figure_rows_equal_lone_quadrature(self, number):
+        fig, cfg = FIGURES[number], load_preset(f"fig{number}")
+        result = run_sweep(cfg, SweepSpec(fig.axis1, fig.axis2, "mean_flux"))
+        for record in _records(result):
+            est = mean_flux_quadrature(_point(cfg, record))
+            assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
+
+    @pytest.mark.parametrize("metric", ["mean_flux", "link_budget"])
+    def test_several_coupling_kernels_in_one_batch(self, baseline_cfg, metric):
+        spec = SweepSpec(SweepAxis("coupling.focal_length_mm", (3.0513, 10.0, 20.0, 30.0)),
+                         SweepAxis("beam.sigma_s_mm", (0.05, 0.5)), metric)
+        gain = response_window_gain(baseline_cfg.neural.tau)
+        for record in _records(run_sweep(baseline_cfg, spec)):
+            point = _point(baseline_cfg, record)
+            est = mean_flux_quadrature(point)
+            if metric == "mean_flux":
+                expected = est.value, est.err_bound
+            else:
+                expected = est.value * gain + point.neural.mean_background, est.err_bound * gain
+            assert (record["value"], record["err_bound"]) == expected
+
+    def test_exhausted_points_carry_the_lone_error(self):
+        doc = load_preset("fig5").to_dict()
+        doc["numerics"] = {"quad": {"max_subdivisions": 10}}
+        cfg = LinkConfig.from_dict(doc)
+        sigmas = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
+        result = run_sweep(cfg, SweepSpec(SweepAxis("beam.sigma_s_mm", sigmas), None,
+                                          "mean_flux"))
+        failed = 0
+        for record in _records(result):
+            try:
+                est = mean_flux_quadrature(_point(cfg, record))
+            except QuadratureExhaustedError as exc:
+                failed += 1
+                assert record["error"] == f"QuadratureExhaustedError: {exc}"
+                assert record["value"] == ""
+            else:
+                assert record["error"] == ""
+                assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
+        assert 0 < failed < len(sigmas)
+
+    def test_batch_of_invalid_points_records_each_config_error(self, baseline_cfg, monkeypatch):
+        # The second batch holds only invalid points; the first batch's rows survive.
+        monkeypatch.setattr(sweep, "BATCH_POINTS", 2)
+        spec = SweepSpec(SweepAxis("beam.sigma_s_mm", (0.1, 0.05, -0.5, -1.0)), None,
+                         "mean_flux")
+        records = _records(run_sweep(baseline_cfg, spec))
+        for record in records[:2]:
+            est = mean_flux_quadrature(_point(baseline_cfg, record))
+            assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
+        for record in records[2:]:
+            with pytest.raises(ConfigError) as exc:
+                _point(baseline_cfg, record)
+            assert record["error"] == f"ConfigError: {exc.value}"
+            assert record["value"] == ""
+        assert photometry.mean_flux_quadrature_batch([]) == []
+
+    def test_each_kernel_built_once_beyond_the_kernel_cache(self, baseline_cfg):
+        focal = tuple(3.0 + 2.0 * i for i in range(2 * optics.COUPLING_KERNELS + 1))
+        spec = SweepSpec(SweepAxis("coupling.focal_length_mm", focal), None, "mean_flux")
+        optics._coupling_kernel.cache_clear()
+        records = _records(run_sweep(baseline_cfg, spec))
+        assert optics._coupling_kernel.cache_info().misses == len(focal)
+        for record in records:
+            est = mean_flux_quadrature(_point(baseline_cfg, record))
+            assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
+
+    def test_large_sweep_runs_in_bounded_batches(self, baseline_cfg, monkeypatch):
+        sizes, batch = [], photometry.mean_flux_quadrature_batch
+        monkeypatch.setattr(photometry, "mean_flux_quadrature_batch",
+                            lambda cfgs: sizes.append(len(cfgs)) or batch(cfgs))
+        sigmas = tuple(0.05 + 0.001 * i for i in range(BATCH_POINTS + 44))
+        spec = SweepSpec(SweepAxis("beam.sigma_s_mm", sigmas), None, "mean_flux")
+        records = _records(run_sweep(baseline_cfg, spec))
+        assert sizes == [BATCH_POINTS, 44]
+        for record in records[BATCH_POINTS - 1:BATCH_POINTS + 1]:
+            est = mean_flux_quadrature(_point(baseline_cfg, record))
+            assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
 
 
 class TestCsvEmission:
