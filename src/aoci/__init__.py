@@ -10,7 +10,7 @@ adaptive quadrature, seeded Monte Carlo).
 
 Module map
 ----------
-specfun     scalar special functions and the series/quadrature engines
+specfun     special functions (numpy kernels) and the series/quadrature engines
 channel     transdermal path gain and pointing-error geometry
 optics      collimation, fiber coupling (closed form, oracle, kernel), fiber losses
 photometry  end-to-end flux chain and the three averaging routes

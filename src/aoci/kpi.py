@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy import special
 
 from aoci import optics
 from aoci.photometry import (
@@ -52,7 +51,7 @@ from aoci.photometry import (
     received_flux_batch,
     response_window_gain,
 )
-from aoci.specfun import regularized_gamma_q
+from aoci.specfun import regularized_gamma_p, regularized_gamma_q
 from aoci.stochastics import RngStream, sample_poisson, sample_rayleigh
 
 if TYPE_CHECKING:
@@ -220,7 +219,7 @@ def p_false_hearing(neural: NeuralParams) -> FalseHearing:
     if y_th == 0:
         literal = 1.0
     else:
-        literal = float(special.gammainc(float(y_th), b))
+        literal = regularized_gamma_p(float(y_th), b)
     return FalseHearing(literal=literal, cdf_closed_form=closed_form)
 
 

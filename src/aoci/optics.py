@@ -23,18 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate
-from scipy import special as _special
 
-from aoci.specfun import (
+from aoci.specfun import (  # integrate_semi_infinite stays importable for bench/tracing.py
     QuadControl,
     QuadratureExhaustedError,
     SeriesControl,
+    bessel_i0e,
+    bessel_j1,
     humbert_psi2,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
 )
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "collimation_gain",
     "coupling_eta_closed",
     "coupling_eta_integral",
+    "coupling_eta_integrals",
     "coupling_eta_batch",
     "peak_coupling",
     "fiber_efficiency",
@@ -159,9 +162,9 @@ def _overlap_amplitude_integrand(c: float, w0: float, r, rho):
     w0sq = w0 * w0
     rho = np.asarray(rho, dtype=np.float64)
     return (
-        _special.j1(c * rho)
+        bessel_j1(c * rho)
         * np.exp(-((rho - r) ** 2) / w0sq)
-        * _special.i0e(2.0 * rho * r / w0sq)
+        * bessel_i0e(2.0 * rho * r / w0sq)
     )
 
 
@@ -172,32 +175,43 @@ def coupling_eta_integral(
 
     ``eta = (8 / w0^2) * J^2`` where J is the overlap amplitude integral of
     ``_overlap_amplitude_integrand``. Valid for all r >= 0; this is the
-    independent oracle for ``coupling_eta_closed``.
+    independent oracle for ``coupling_eta_closed``. ``coupling_eta_integrals``
+    of one point.
     """
-    if r < 0.0:
-        raise ValueError(f"radial misalignment must be >= 0, got {r}")
-    ctl = ctl or QuadControl()
+    return coupling_eta_integrals([cp], [r], ctl)[0]
 
+
+def coupling_eta_integrals(cps, rs, ctl: QuadControl | None = None) -> list[float]:
+    """``coupling_eta_integral`` at the points ``(cps[i], rs[i])``, in one quadrature batch.
+
+    The integrand is called once per refinement pass for all the points, and
+    each value is bitwise the one a lone call gives.
+    """
+    if not all(r >= 0.0 for r in rs):
+        raise ValueError(f"radial misalignments must be >= 0, got {min(rs)}")
+    ctl = ctl or QuadControl()
+    w0, r = np.array([cp.omega0 for cp in cps]), np.array(rs, dtype=np.float64)
+    c = np.array([2.0 * 3.83 * cp.lens_diameter / (1.22 * cp.lam * cp.focal_length) for cp in cps])
     # The integrand is a Gaussian of width ~w0 centered at rho = r; make the
     # cutoff cover the center plus the tail, and mark the center so the
     # subdivision cannot step over a narrow bump far from the origin.
-    c = 2.0 * 3.83 * cp.lens_diameter / (1.22 * cp.lam * cp.focal_length)
-    decay_scale = cp.omega0 + r / ctl.tail_cutoff_sigmas
-    breakpoints = (max(r - 3.0 * cp.omega0, 0.0), r, r + 3.0 * cp.omega0)
-    try:
-        amplitude, _ = integrate_semi_infinite(
-            partial(_overlap_amplitude_integrand, c, cp.omega0, r), decay_scale, ctl, breakpoints)
-    except QuadratureExhaustedError as exc:
-        # Deep in the ring region the oscillatory amplitude integral is
-        # roundoff-limited and the relative tolerance is unreachable; accept
-        # the estimate if its propagated absolute error in eta (a quantity
-        # of order <= 0.8145) is still negligible.
-        scale = 8.0 / (cp.omega0 * cp.omega0)
-        eta_err = scale * (2.0 * abs(exc.value) * exc.err_est + exc.err_est**2)
-        if eta_err > 1.0e-10:
-            raise
-        amplitude = exc.value
-    return (8.0 / (cp.omega0 * cp.omega0)) * amplitude * amplitude
+    results = integrate_semi_infinite_batch(
+        lambda rho, i: _overlap_amplitude_integrand(c[i], w0[i], r[i], rho),
+        w0 + r / ctl.tail_cutoff_sigmas, [ctl] * len(r),
+        [(max(ri - 3.0 * wi, 0.0), ri, ri + 3.0 * wi) for ri, wi in zip(r, w0)])
+    etas = []
+    for result, wi in zip(results, w0):
+        scale = 8.0 / (wi * wi)
+        if isinstance(result, QuadratureExhaustedError):
+            # Deep in the ring region the oscillatory amplitude integral is
+            # roundoff-limited and the relative tolerance is unreachable; accept
+            # the estimate if its propagated absolute error in eta (a quantity
+            # of order <= 0.8145) is still negligible.
+            if scale * (2.0 * abs(result.value) * result.err_est + result.err_est**2) > 1.0e-10:
+                raise result
+            result = result.value, result.err_est
+        etas.append(float(scale * result[0] * result[0]))
+    return etas
 
 
 def _clenshaw(coeffs, x):
@@ -275,16 +289,18 @@ def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
 def peak_coupling() -> tuple[float, float]:
     """Maximize the zero-misalignment efficiency over the coupling argument.
 
-    At r = 0 the closed form reduces to ``2 (1 - e^-a)^2 / a``; the maximum
-    is found numerically. Returns ``(a_star, eta_star)`` with
-    eta_star ~ 0.8145, the hard ceiling of the Gaussian-Airy overlap.
+    At r = 0 the closed form reduces to ``2 (1 - e^-a)^2 / a``, stationary
+    where ``(1 + 2a) e^-a = 1``; Newton's method from a = 1.25 finds that root.
+    Returns ``(a_star, eta_star)`` with eta_star ~ 0.8145, the hard ceiling of
+    the Gaussian-Airy overlap.
     """
-    from scipy import optimize
-
-    objective = lambda a: -2.0 * (1.0 - math.exp(-a)) ** 2 / a
-    result = optimize.minimize_scalar(objective, bounds=(0.1, 5.0), method="bounded",
-                                      options={"xatol": 1e-12})
-    return float(result.x), float(-result.fun)
+    a = 1.25
+    for _ in range(50):
+        step = ((1.0 + 2.0 * a) * math.exp(-a) - 1.0) / ((1.0 - 2.0 * a) * math.exp(-a))
+        a -= step
+        if abs(step) <= 1e-15 * a:
+            break
+    return a, 2.0 * math.expm1(-a) ** 2 / a
 
 
 def fiber_efficiency(fl: FiberLoss) -> float:

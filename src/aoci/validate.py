@@ -59,28 +59,29 @@ def check_coupling_routes(quick: bool) -> CheckResult:
     w_grid = np.logspace(math.log10(0.05e-3), math.log10(1.0e-3), n_w)
     perturb = 1e-5 if os.environ.get("AOCI_VALIDATE_PERTURB") else 0.0
 
-    worst = 0.0
-    skipped = 0
+    points, closed, skipped = [], [], 0
     for omega0 in w_grid:
         for a in a_grid:
             cp = _coupling_params_for(float(a), float(omega0))
             for rr in r_grid:
                 r = float(rr) * cp.omega0
                 try:
-                    eta_closed = optics.coupling_eta_closed(cp, r)
+                    closed.append(optics.coupling_eta_closed(cp, r))
                 except NumericalError:
                     skipped += 1
                     continue
-                eta_integral = optics.coupling_eta_integral(cp, r)
-                rel = abs(eta_closed - eta_integral + perturb) / eta_integral
-                worst = max(worst, rel)
+                points.append((cp, r))
+    integral = np.array(optics.coupling_eta_integrals(*zip(*points)))
+    worst = float(np.max(np.abs(np.array(closed) - integral + perturb) / integral))
     total = n_a * n_r * n_w
     s_grid = np.linspace(0.0, 200.0, 21 if quick else 41)
+    cps = [_coupling_params_for(float(a), 1e-4) for a in a_grid]
+    integrals = np.reshape(optics.coupling_eta_integrals(
+        [cp for cp in cps for _ in s_grid], [s * cp.omega0 for cp in cps for s in s_grid]),
+        (len(cps), len(s_grid)))
     kernel_worst, kernel_ok = 0.0, True
-    for a in a_grid:
-        cp = _coupling_params_for(float(a), 1e-4)
+    for cp, integral in zip(cps, integrals):
         batch = optics.coupling_eta_batch(cp, s_grid * cp.omega0)
-        integral = np.array([optics.coupling_eta_integral(cp, s * cp.omega0) for s in s_grid])
         diff = np.abs(batch - integral)
         kernel_ok &= bool(np.all(diff <= 1e-8 * integral + 1e-9 * batch.max()))
         kernel_worst = max(kernel_worst, float(diff.max()))

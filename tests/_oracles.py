@@ -13,22 +13,23 @@ mp.mp.dps = 50
 SERIES_CAP = 200
 
 
-def gamma_p_reference(s, x) -> mp.mpf:
+def gamma_p_reference(s, x, terms: int = SERIES_CAP) -> mp.mpf:
     """Regularized lower incomplete gamma P(s, x) by its ascending series.
 
     ``P(s, x) = x^s e^-x / Gamma(s + 1) * sum_n x^n / ((s + 1) ... (s + n))``;
-    every term is positive, so the far lower tail keeps full precision.
+    every term is positive, so the far lower tail keeps full precision. Near
+    x = s the series needs about 9 sqrt(s) terms.
     """
     s, x = mp.mpf(s), mp.mpf(x)
     term = mp.mpf(1)
     total = term
-    for n in range(1, SERIES_CAP):
+    for n in range(1, terms):
         term *= x / (s + n)
         total += term
     return total * mp.exp(-x + s * mp.log(x) - mp.loggamma(s + 1))
 
 
-def gamma_q_reference(s, x) -> mp.mpf:
+def gamma_q_reference(s, x, terms: int = SERIES_CAP) -> mp.mpf:
     """Regularized upper incomplete gamma via series / continued fraction.
 
     Lower series for x < s + 1, Lentz continued fraction otherwise; the
@@ -41,7 +42,7 @@ def gamma_q_reference(s, x) -> mp.mpf:
         # P(s, x) by the ascending series, then complement.
         term = mp.mpf(1) / s
         total = term
-        for n in range(1, SERIES_CAP):
+        for n in range(1, terms):
             term *= x / (s + n)
             total += term
         p = total * mp.exp(-x + s * mp.log(x) - mp.loggamma(s))
@@ -52,7 +53,7 @@ def gamma_q_reference(s, x) -> mp.mpf:
     c = 1 / tiny
     d = 1 / b
     h = d
-    for i in range(1, SERIES_CAP):
+    for i in range(1, terms):
         an = -i * (i - s)
         b += 2
         d = an * d + b
@@ -64,6 +65,11 @@ def gamma_q_reference(s, x) -> mp.mpf:
         d = 1 / d
         h *= d * c
     return h * mp.exp(-x + s * mp.log(x) - mp.loggamma(s))
+
+
+def bessel_j1_reference(x) -> mp.mpf:
+    """Bessel function J1(x) by mpmath's own evaluation at working precision."""
+    return mp.besselj(1, mp.mpf(x))
 
 
 def poisson_cdf_partial_sum(k: int, mean) -> mp.mpf:

@@ -186,13 +186,26 @@ class TestValidate:
         assert "FAIL" in out
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # Start-up cost: no aoci module needs scipy.integrate, so importing the
-    # package and every command module must not load it.
-    code = ("import sys; import aoci, aoci.cli, aoci.figures, aoci.kpi, aoci.validate; "
-            "print('scipy.integrate' in sys.modules)")
+def test_import_and_core_calls_leave_scipy_unloaded():
+    # Start-up cost: no aoci module imports scipy, eagerly or lazily, so importing
+    # the package and every command module and running each route must not load it.
+    code = "\n".join([
+        "import sys",
+        "import aoci, aoci.channel, aoci.cli, aoci.config, aoci.figures, aoci.kpi",
+        "import aoci.optics, aoci.photometry, aoci.specfun, aoci.stochastics",
+        "import aoci.svgplot, aoci.sweep, aoci.validate",
+        "from aoci import kpi, optics, photometry",
+        "cfg = aoci.figures.load_preset('default')",
+        "photometry.mean_flux_quadrature(cfg)",  # builds the coupling kernel
+        "photometry.mean_flux_mc(cfg, n=20_000, seed=1)",
+        "kpi.p_hearing(cfg, n=10_000, seed=1)",
+        "kpi.p_false_hearing(cfg.neural)",
+        "optics.peak_coupling()",
+        "photometry.mean_flux_series(cfg)",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+    ])
     src = str(Path(aoci.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -58,11 +59,14 @@ class TestCollimationGain:
 
 class TestPeakCoupling:
     def test_location_and_value(self):
-        # d/da [2 (1-e^-a)^2 / a] = 0  <=>  e^a = 1 + 2a; root a* = 1.2564312,
-        # eta* = 8 a* / (1 + 2 a*)^2 = 0.8145288 (mpmath root-solve).
+        # d/da [2 (1-e^-a)^2 / a] = 0  <=>  (1 + 2a) e^-a = 1; root a* = 1.2564312,
+        # eta* = 2 (1 - e^-a*)^2 / a* = 0.8145288 (mpmath root-solve at 40 digits).
+        with mp.workdps(40):
+            a_ref = mp.findroot(lambda a: (1 + 2 * a) * mp.exp(-a) - 1, 1.25)
+            eta_ref = float(2 * (1 - mp.exp(-a_ref)) ** 2 / a_ref)
         a_star, eta_star = peak_coupling()
-        assert a_star == pytest.approx(1.2564312086261697, abs=1e-6)
-        assert eta_star == pytest.approx(0.8145287551781475, abs=1e-9)
+        assert a_star == pytest.approx(float(a_ref), abs=1e-13)
+        assert eta_star == pytest.approx(eta_ref, abs=1e-13)
 
 
 class TestCouplingClosedForm:
@@ -139,6 +143,15 @@ class TestCouplingIntegralOracle:
         cp = cp_for(a_star, omega0=1e-4, lens_diameter=1e-4)
         assert coupling_eta_integral(cp, 0.0) == pytest.approx(0.8145, abs=1e-3)
         assert coupling_eta_integral(cp, 0.0) == pytest.approx(eta_star, rel=1e-9)
+
+    def test_points_in_one_batch_equal_lone_integrals(self):
+        # Two couplings, on-axis to deep in the rings: the batch is bitwise the lone calls.
+        cps = [cp_for(0.05), cp_for(5.0, omega0=5e-5)]
+        points = [(cp, k * cp.omega0) for cp in cps for k in (0.0, 0.7, 3.0, 40.0, 200.0)]
+        lone = [coupling_eta_integral(cp, r) for cp, r in points]
+        assert optics.coupling_eta_integrals(*zip(*points)) == lone
+        with pytest.raises(ValueError):
+            optics.coupling_eta_integrals(cps, [0.0, -1e-6])
 
     def test_batch_evaluator_agrees_with_adaptive(self):
         # Out to r = 200 w0, the reach of the figure-5 flux quadrature

@@ -20,10 +20,13 @@ from aoci.specfun import (
     SeriesConvergenceError,
     _f4_eval,
     _gk21,
+    bessel_i0e,
+    bessel_j1,
     f4_general,
     humbert_psi2,
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
+    regularized_gamma_p,
     regularized_gamma_q,
 )
 
@@ -56,6 +59,57 @@ class TestControls:
             QuadControl(**kwargs)
 
 
+class TestBesselKernels:
+    def test_j1_matches_mpmath(self):
+        # Both sides of the series/Miller seam at 4 and the Miller/Hankel seam at 25,
+        # out to 3000, and negative x (J1 is odd). Worst 4.5e-16; a Miller start only
+        # 22 orders above 25 is 4.5e-10 off near 25.
+        seams = [np.nextafter(v, v + d) for v in (4.0, 25.0) for d in (-1.0, 0.0, 1.0)]
+        x = np.concatenate([np.linspace(0.0, 30.0, 1201), seams, np.linspace(30.0, 3000.0, 300),
+                            -np.linspace(0.01, 60.0, 120)])
+        ref = np.array([float(oracles.bessel_j1_reference(v)) for v in x])
+        assert np.max(np.abs(bessel_j1(x) - ref)) <= 1e-15
+
+    def test_j1_elementwise(self):
+        # Each value is independent of its array, which keeps batched quadratures
+        # bitwise equal to lone ones.
+        x = np.array([[0.5, 4.5, 24.9], [30.0, -7.0, 1e3]])
+        lone = np.array([[bessel_j1(v)[()] for v in row] for row in x])
+        assert np.array_equal(bessel_j1(x), lone)
+        assert bessel_j1(x).shape == x.shape
+
+    def test_i0e_matches_scipy(self):
+        from scipy import special
+
+        z = np.concatenate([np.linspace(0.0, 20.0, 2001), np.geomspace(1e-8, 1e7, 3000),
+                            [8.0, np.nextafter(8.0, 9.0)]])
+        ref = special.i0e(z)
+        assert np.all(np.abs(bessel_i0e(z) - ref) <= 2.0 * np.spacing(ref))
+        assert np.array_equal(bessel_i0e(-z), bessel_i0e(z))
+
+
+class TestRegularizedGammaP:
+    # P and Q each against the mpmath series / continued fraction. The last two
+    # points: the default preset's count threshold at its background, where Q
+    # is 1 and P underflows to 0, and s = x = 1e6, where the series needs about
+    # 9000 terms and the prefix needs Stirling's series to keep relative precision.
+    POINTS = [(s, x) for s in (1.0, 2.5, 9.5, 10.0, 30.0, 201.0)
+              for x in (1e-3, 1.5, 9.0, 11.0, 60.0, 250.0)] + [(2.835e14 + 1.0, 1.5), (1e6, 1e6)]
+
+    @pytest.mark.parametrize("s, x", POINTS)
+    def test_p_and_q_match_oracles(self, s, x):
+        terms = 20_000 if s == 1e6 else 2_000
+        p_ref = float(oracles.gamma_p_reference(s, x, terms))
+        q_ref = float(oracles.gamma_q_reference(s, x, terms))
+        assert abs(regularized_gamma_p(s, x) - p_ref) <= 1e-13 * p_ref
+        assert abs(regularized_gamma_q(s, x) - q_ref) <= 1e-13 * q_ref
+
+    def test_unconverged_is_a_typed_error(self):
+        # Near x = s the series needs about 9 sqrt(s) terms, past the cap at s = 1e12.
+        with pytest.raises(SeriesConvergenceError):
+            regularized_gamma_p(1e12, 1e12)
+
+
 class TestRegularizedGammaQ:
     def test_exponential_closed_form(self):
         for x in [0.0, 0.3, 1.5, 10.0]:
@@ -81,6 +135,9 @@ class TestRegularizedGammaQ:
             regularized_gamma_q(-2.0, 1.0)
         with pytest.raises(ValueError):
             regularized_gamma_q(2.0, -1.0)
+        for s, x in [(math.inf, 1.0), (2.0, math.nan), (-2.0, 1.0), (2.0, -1.0)]:
+            with pytest.raises(ValueError):
+                regularized_gamma_p(s, x)
 
     def test_oracle_grid(self):
         for s in np.logspace(0, math.log10(201.0), 10):
