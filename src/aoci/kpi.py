@@ -267,7 +267,7 @@ def safety_check(
     range is the power interval where hearing probability meets the target
     while both exposure verdicts hold; it is found by bisection on the
     common-random-number estimator (monotone in power per seed) and is None
-    when empty.
+    when empty. Each probed power's config rebuilds only the source section.
     """
     skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok = _irradiances(cfg)
 

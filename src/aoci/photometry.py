@@ -314,7 +314,7 @@ def mean_flux_quadrature_batch(
 
     def integrand(r: np.ndarray, owner: np.ndarray) -> np.ndarray:
         eta, codes = np.empty_like(r), kernel[owner]
-        for k in np.unique(codes):
+        for k in np.flatnonzero(np.bincount(codes, minlength=len(couplings))):
             at = codes == k
             eta[at] = optics.coupling_eta_batch(couplings[k], r[at])
         h_p = a0[owner] * np.exp(-2.0 * (r / w_eq[owner]) ** 2)

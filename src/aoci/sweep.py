@@ -3,7 +3,8 @@
 A sweep varies one or two raw config fields (dotted paths into the
 unit-suffixed document, e.g. ``beam.sigma_s_mm``) over explicit value lists
 and evaluates one metric per grid point. Each point's config is built with
-all its axis values set at once and validated once. Quadrature flux points
+all its axis values set at once and validated once, by ``with_value``, which
+rebuilds only the config sections the axes touch. Quadrature flux points
 (``mean_flux`` / ``link_budget``) go ``BATCH_POINTS`` at a time through one
 quadrature, bitwise as lone evaluations. Rows are written in grid order:
 axis2 outer, axis1 inner, so axis1 is the natural x-axis of a plotted curve
