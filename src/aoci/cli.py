@@ -26,6 +26,14 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+def _int_from(low: int):
+    def integer(text: str) -> int:  # argparse type; int()'s ValueError reads "invalid integer"
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoci",
@@ -42,8 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["quadrature", "series", "mc"],
         help="average-flux evaluation route (default: quadrature)",
     )
-    p_eval.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples")
-    p_eval.add_argument("--seed", type=int, default=1234, help="Monte Carlo seed")
+    p_eval.add_argument("--samples", type=_int_from(kpi.MIN_SAMPLES), default=100_000,
+                        help=f"Monte Carlo samples (at least {kpi.MIN_SAMPLES})")
+    p_eval.add_argument("--seed", type=_int_from(0), default=1234, help="Monte Carlo seed")
     p_eval.add_argument("--out", default=None, help="directory for eval.csv")
 
     p_sweep = sub.add_parser("sweep", help="evaluate a metric over a parameter grid")
@@ -57,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--config", default=None, help="override the bundled preset config")
     p_fig.add_argument("--out", required=True, help="output directory")
     p_fig.add_argument("--samples", type=int, default=20_000, help="Monte Carlo samples per point")
-    p_fig.add_argument("--seed", type=int, default=1234, help="Monte Carlo seed")
+    p_fig.add_argument("--seed", type=_int_from(0), default=1234, help="Monte Carlo seed")
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
     p_val.add_argument("--quick", action="store_true", help="reduced grids, ~30 s")

@@ -9,10 +9,10 @@ available through three routes that must agree:
 * ``coupling_eta_integral`` -- direct adaptive quadrature of the Bessel x
   Gaussian x modified-Bessel overlap integrand the closed form was derived
   from, which serves as the oracle for the closed form and the kernel;
-* ``coupling_eta_batch`` -- a cached piecewise Chebyshev interpolant of
-  that integral in ``s = r / w0``, one per coupling argument, valid at every
-  displacement and evaluated on arrays; it serves Monte Carlo, exceedance
-  and the flux quadrature.
+* ``coupling_eta_batch`` -- a cached piecewise polynomial interpolant of that
+  integral on unit panels in ``s = r / w0``, one per coupling argument, valid
+  at every displacement and evaluated on arrays by Horner's rule; it serves
+  Monte Carlo, exceedance and the flux quadrature.
 
 The literal constants 3.83 and 1.22 are kept exactly as written (not the
 higher-precision Bessel root 3.8317...), because the closed form is defined
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from aoci.specfun import (  # integrate_semi_infinite stays importable for bench/tracing.py
     QuadControl,
@@ -214,55 +214,56 @@ def coupling_eta_integrals(cps, rs, ctl: QuadControl | None = None) -> list[floa
     return etas
 
 
-def _clenshaw(coeffs, x):
-    """``sum_j c_j T_j(x)`` by Clenshaw's recurrence.
-
-    ``coeffs`` yields c_n, ..., c_0, highest degree first.
-    """
-    x2 = 2.0 * x
-    b1 = b2 = 0.0
-    for cj in coeffs:
-        b1, b2 = cj + x2 * b1 - b2, b1
-    return b1 - x * b2
-
-
 class _CouplingKernel:
-    """Piecewise Chebyshev interpolant of eta(s), s = r / w0, for one coupling argument a.
+    """Piecewise polynomial interpolant of eta(s), s = r / w0, for one coupling argument a.
 
     In units of w0 the overlap integral depends on a alone (c = 2 sqrt(a)), so
     one table serves every configuration with that a, whichever built it.
-    Panel k covers s in [2k, 2k + 2]; it is built on demand from Gauss-Legendre
-    quadrature over [max(0, s - 8), s + 8] at its first-kind Chebyshev points.
-    eta is analytic in s: degree 20 + 4 floor(sqrt(a)), capped at 32, reaches roundoff.
+    Panel k covers s in [k, k + 1]; it is built on demand from Gauss-Legendre
+    quadrature over [max(0, s - 8), s + 8] at its first-kind Chebyshev points,
+    and its Chebyshev coefficients are stored in powers of x = 2 (s - k) - 1 for
+    Horner's rule. eta is analytic in s; the degree is the lowest above which a
+    degree-40 fit of panels 0-3 has no coefficient over 1e-15.
     """
 
     def __init__(self, a: float):
         self.c = 2.0 * math.sqrt(a)
-        self.degree = min(20 + 4 * int(math.sqrt(a)), 32)
         self.xi, self.wi = np.polynomial.legendre.leggauss(64 + 24 * int(math.sqrt(a)))
-        self.table = np.empty((0, self.degree + 1))  # row k: the coefficients of panel k
+        probe = np.abs(self._chebyshev(np.arange(4), 40)).max(axis=0) > 1e-15
+        self.degree = int(np.flatnonzero(probe).max())
+        self.to_power = np.eye(self.degree + 1)  # row i: T_i's coefficients of 1, x, x^2, ...
+        for i in range(2, self.degree + 1):
+            self.to_power[i] = 2.0 * np.roll(self.to_power[i - 1], 1) - self.to_power[i - 2]
+        self.table = np.empty((self.degree + 1, 0))  # column k: panel k; row j: x^j
 
     def _eta(self, s: np.ndarray) -> np.ndarray:
         s = s[:, None]
         lo = np.maximum(s - 8.0, 0.0)
         half = 0.5 * (s + 8.0 - lo)
         values = _overlap_amplitude_integrand(self.c, 1.0, s, lo + half * (1.0 + self.xi))
-        amplitude = half[:, 0] * (values @ self.wi)
+        amplitude = half[:, 0] * (values * self.wi).sum(axis=1)
         return 8.0 * amplitude * amplitude
+
+    def _chebyshev(self, panels: np.ndarray, degree: int) -> np.ndarray:
+        """Row i: the Chebyshev coefficients of eta's interpolant on panel ``panels[i]``."""
+        x = chebpts1(degree + 1)
+        values = self._eta((panels[:, None] + 0.5 + 0.5 * x).ravel())
+        fit = chebvander(x, degree).T * (2.0 / (degree + 1))
+        fit[0] *= 0.5
+        return (values.reshape(len(panels), 1, degree + 1) * fit).sum(axis=2)
 
     def cover(self, s_max: float) -> np.ndarray:
         """Build the panels up to the one holding s_max; return the table.
 
         The table is read once and replaced whole, so a concurrent caller
-        sees a shorter or longer table, never a wrong row.
+        sees a shorter or longer table, never a wrong column.
         """
         table = self.table
-        panels = [
-            chebinterpolate(lambda x: self._eta(2.0 * k + 1.0 + x), self.degree)
-            for k in range(len(table), int(0.5 * s_max) + 1)
-        ]
-        if panels:
-            table = np.vstack([table, panels])
+        panels = np.arange(table.shape[1], int(s_max) + 1)
+        if panels.size:
+            coeffs = np.vstack([self._chebyshev(chunk, self.degree)
+                                for chunk in np.array_split(panels, -(-panels.size // 4))])
+            table = np.hstack([table, (coeffs[:, :, None] * self.to_power).sum(axis=1).T])
             self.table = table
         return table
 
@@ -274,7 +275,7 @@ _coupling_kernel = lru_cache(maxsize=COUPLING_KERNELS)(_CouplingKernel)  # one p
 def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
     """Vectorized coupling efficiency over an array of misalignments.
 
-    Evaluates the cached Chebyshev kernel of the overlap integral, which
+    Evaluates the cached piecewise kernel of the overlap integral, which
     matches ``coupling_eta_integral`` to roundoff at every displacement.
     """
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
@@ -282,8 +283,13 @@ def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
         raise ValueError("radial misalignments must be finite and >= 0")
     s = r / cp.omega0
     table = _coupling_kernel(cp.coupling_argument).cover(float(s.max(initial=0.0)))
-    k = (0.5 * s).astype(np.intp)
-    return _clenshaw((column.take(k) for column in table.T[::-1]), s - 2.0 * k - 1.0)
+    k = s.astype(np.intp)
+    x = 2.0 * (s - k) - 1.0
+    eta = table[-1][k]
+    for row in table[-2::-1]:  # in place: a fresh array per step costs more than the step
+        eta *= x
+        eta += row[k]
+    return eta
 
 
 def peak_coupling() -> tuple[float, float]:

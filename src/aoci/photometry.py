@@ -209,7 +209,7 @@ def received_flux_batch(
 ) -> np.ndarray:
     """Vectorized ``Phi(r)`` over an array of displacements.
 
-    Takes the coupling efficiency from the cached Chebyshev kernel of the
+    Takes the coupling efficiency from the cached piecewise kernel of the
     overlap integral (``optics.coupling_eta_batch``), which is valid for
     every displacement (the series route is not). A caller that already holds
     ``coupling_eta_batch(cfg.coupling, r)`` passes it as ``eta``.
@@ -338,9 +338,9 @@ def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
     the blocks. err_bound is one standard error of the mean, from per-block
     centred sums of squares merged by Chan, Golub and LeVeque's update.
     """
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
-    sigma = cfg.beam.sigma_s
+    ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, seed))
+    if not (ints and n >= 1000 and seed >= 0):
+        raise ValueError(f"need an int n >= 1000 and an int seed >= 0, got n={n!r}, seed={seed!r}")
 
     total = 0.0
     running_mean = 0.0
@@ -349,10 +349,11 @@ def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
     block = 0
     while produced < n:
         count = min(MC_BLOCK_SIZE, n - produced)
-        r = sample_rayleigh(RngStream(seed, block), sigma, count)
+        r = sample_rayleigh(RngStream(seed, block), cfg.beam.sigma_s, count)
         phi = received_flux_batch(r, cfg)
-        total += float(np.sum(phi))
-        block_mean = float(np.mean(phi))
+        block_total = float(np.sum(phi))
+        total += block_total
+        block_mean = block_total / count
         delta = block_mean - running_mean
         merged = produced + count
         running_mean += delta * count / merged

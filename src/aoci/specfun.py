@@ -166,8 +166,7 @@ _I0E_AB = [
     -1.3215811840447713e-11, -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
     3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07, 2.8913705208347567e-06,
     6.889758346916825e-05, 0.0033691164782556943, 0.8044904110141088]
-# One row per range; five leading zeros leave the second sum bitwise unchanged.
-_I0E = np.array([_I0E_AB[:30], [0.0] * 5 + _I0E_AB[30:]])
+_I0E = (_I0E_AB[:30], _I0E_AB[30:])
 # Stirling's series log Gamma(s+1) - (s + 1/2) log s + s - log(2 pi)/2, in 1/s^2 (times 1/s).
 _STIRLING = [1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400]
@@ -221,19 +220,19 @@ def bessel_j1(x) -> np.ndarray:
 def bessel_i0e(z) -> np.ndarray:
     """Exponentially scaled modified Bessel function ``e^-|z| I0(z)`` on an array.
 
-    Cephes' Chebyshev expansions in its order of operations, both ranges in one
-    Clenshaw pass.
+    Cephes' Chebyshev expansions in its order of operations, one Clenshaw pass per range.
     """
     z = np.abs(np.asarray(z, dtype=np.float64))
-    high = z > 8.0
-    y = np.where(high, 32.0 / np.maximum(z, 8.0), 0.5 * z) - 2.0
-    coeffs = np.take(_I0E.T, high.astype(np.intp), axis=1)  # row k: each element's k-th
-    b0, b1 = coeffs[0], np.zeros_like(y)
-    for c in coeffs[1:]:
-        b2, b1 = b1, b0
-        b0 = y * b1 - b2 + c
-    out = 0.5 * (b0 - b2)
-    return np.where(high, out / np.sqrt(np.maximum(z, 8.0)), out)
+    out, high = np.empty_like(z), z > 8.0
+    for i, part in enumerate((~high, high)):
+        zp = z[part]
+        y = 32.0 / zp - 2.0 if i else 0.5 * zp - 2.0
+        b0, b1 = np.full_like(y, _I0E[i][0]), np.zeros_like(y)
+        for c in _I0E[i][1:]:
+            b2, b1 = b1, b0
+            b0 = y * b1 - b2 + c
+        out[part] = 0.5 * (b0 - b2) / np.sqrt(zp) if i else 0.5 * (b0 - b2)
+    return out
 
 
 def _gamma_pq(s: float, x: float) -> tuple[float, float]:

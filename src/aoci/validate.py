@@ -3,7 +3,7 @@
 Runs the cross-route consistency checks that pin the implementation:
 
 1. closed-form vs overlap-integral coupling efficiency over a 1000-point
-   parameter grid, and the Chebyshev kernel vs the integral to r = 200 w0;
+   parameter grid, and the piecewise kernel vs the integral to r = 200 w0;
 2. location and ceiling of the zero-misalignment coupling maximum;
 3. three-way average-flux agreement (series / quadrature / Monte Carlo) on
    randomized configurations;

@@ -71,6 +71,21 @@ class TestEval:
     def test_missing_file_exits_2(self, capsys):
         assert main(["eval", "--config", "/nonexistent/link.json"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--seed", "-1"],
+        ["eval", "--method", "mc", "--seed", "-1"],
+        ["eval", "--seed", "x"],
+        ["eval", "--samples", "5000"],  # below kpi.MIN_SAMPLES, which the report needs
+        ["figure", "8", "--seed", "-1"],
+    ])
+    def test_bad_seed_or_sample_count_is_a_usage_error(self, argv, config_path, tmp_path, capsys):
+        extra = ["--config", config_path] if argv[0] == "eval" else ["--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"argument {argv[-2]}: " in err.splitlines()[-1]
+
     def test_eval_csv_written_and_deterministic(self, config_path, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["eval", "--config", config_path, "--samples", "10000",

@@ -168,9 +168,35 @@ class TestCouplingIntegralOracle:
 
 
 class TestCouplingKernel:
-    """The cached Chebyshev kernel behind coupling_eta_batch."""
+    """The cached piecewise kernel behind coupling_eta_batch."""
 
     KERNEL_ARGS = [0.05, 1.2566, 5.0, 25.0]
+
+    @pytest.mark.parametrize("a", [0.05, 0.2, 0.5, peak_coupling()[0], 2.0, 5.0, 50.0, 300.0])
+    def test_matches_its_quadrature_and_the_adaptive_integral(self, a):
+        # Seeded points fall off the interpolation nodes, out to s = 200; the kernel's
+        # own quadrature is the reference to roundoff, the adaptive integral to the
+        # tolerances of `aoci validate`.
+        cp = cp_for(a)
+        s = np.random.default_rng(2026).uniform(0.0, 200.0, 2000)
+        batch = coupling_eta_batch(cp, s * cp.omega0)
+        kernel = optics._coupling_kernel(cp.coupling_argument)
+        own = np.concatenate([kernel._eta(part) for part in np.array_split(s, 20)])
+        assert np.max(np.abs(batch - own)) <= 1e-14
+        integral = np.array(optics.coupling_eta_integrals([cp] * 20, s[:20] * cp.omega0))
+        assert np.all(np.abs(batch[:20] - integral) <= 1e-8 * integral + 1e-9 * batch.max())
+
+    @pytest.mark.parametrize("a", [0.05, 1.2566, 5.0, 300.0])
+    def test_horner_on_each_panel_equals_its_chebyshev_series(self, a):
+        cp = cp_for(a, omega0=2.0**-13)  # r = s w0 and s = r / w0 are exact
+        kernel = optics._coupling_kernel(cp.coupling_argument)
+        table = kernel.cover(40.0)
+        chebyshev = kernel._chebyshev(np.arange(table.shape[1]), kernel.degree)
+        x = np.linspace(-1.0, 1.0, 17)[:-1]  # x = 1 is the next panel's x = -1
+        for k in range(table.shape[1]):
+            horner = coupling_eta_batch(cp, (k + 0.5 + 0.5 * x) * cp.omega0)
+            series = np.polynomial.chebyshev.chebval(x, chebyshev[k])
+            assert np.max(np.abs(horner - series)) <= 1e-15
 
     @pytest.mark.parametrize("a", KERNEL_ARGS)
     def test_same_argument_any_mode_radius_is_bitwise_equal(self, a):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from aoci import photometry
 from aoci.figures import load_preset
 from aoci.optics import coupling_eta_batch
 from aoci.photometry import (
@@ -91,6 +92,16 @@ class TestMeanFluxRoutes:
         wide = mean_flux_mc(baseline_cfg, n=25_000, seed=7)
         # doubling n cuts the standard error by ~1/sqrt(2)
         assert wide.err_bound / a.err_bound == pytest.approx(math.sqrt(2.0), rel=0.2)
+
+    @pytest.mark.parametrize("n, seed", [(1e5, 3), (True, 3), (5000, -1), (5000, 1.5),
+                                         (5000, False), (500, 3)])
+    def test_mc_refuses_bad_n_or_seed_before_drawing(self, n, seed, baseline_cfg, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew samples for a bad request")
+
+        monkeypatch.setattr(photometry, "sample_rayleigh", draw)
+        with pytest.raises(ValueError):
+            mean_flux_mc(baseline_cfg, n=n, seed=seed)
 
     def test_mc_stderr_survives_tiny_spread(self):
         # At sigma_s = 1e-7 mm the flux varies by ~1e-12 of its mean; a
