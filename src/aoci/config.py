@@ -108,8 +108,10 @@ def _mpe(doc: dict, built: dict) -> dict:
         sec = _section(doc, "mpe")
         _reject_unknown(sec, set(_DEFAULT_MPE), "config.mpe")
         mpe_doc.update(sec)
-    mpe_skin = float(mpe_doc["skin_mw_per_mm2"]) * _MW_PER_MM2
-    mpe_neuron = float(mpe_doc["neuron_mw_per_mm2"]) * _MW_PER_MM2
+    mpe_skin = _number(mpe_doc, "skin_mw_per_mm2", "config.mpe") * _MW_PER_MM2
+    mpe_neuron = _number(mpe_doc, "neuron_mw_per_mm2", "config.mpe") * _MW_PER_MM2
+    if not math.isfinite(mpe_skin + mpe_neuron):
+        raise ConfigError("config.mpe: limits must be finite")
     if mpe_skin <= 0.0 or mpe_neuron <= 0.0:
         raise ConfigError("config.mpe: limits must be positive")
     return {"mpe_skin": mpe_skin, "mpe_neuron": mpe_neuron}

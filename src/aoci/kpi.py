@@ -23,8 +23,9 @@ two least-recently-used caches, ``(seed, block, count, sigma_s, coupling) ->
 (r, eta(r))`` and ``(seed, block, count, B) -> counts``, of
 ``DRAW_CACHE_ENTRIES`` = 64 entries each: at most 1 MiB per (r, eta) entry
 and 0.5 MiB per counts entry, 96 MiB in all. A power sweep, figure 7 (10
-sigma_s x up to 6 blocks) or the dynamic-range bisection then draws and
-evaluates the coupling kernel once per block, bit-identical to drawing afresh.
+sigma_s x up to 6 blocks) or the dynamic range of ``safety_check`` then
+draws and evaluates the coupling kernel once per block, bit-identical to
+drawing afresh.
 
 ``p_false_hearing`` exposes two numbers on purpose: the survival probability
 ``Pr(N >= y_th)`` that matches the verbal definition of a false trigger, and
@@ -46,13 +47,15 @@ import numpy as np
 
 from aoci import optics
 from aoci.photometry import (
+    MC_BLOCK_SIZE,
     NeuralParams,
+    _draw_block,
     derive_state,
     received_flux_batch,
     response_window_gain,
 )
 from aoci.specfun import regularized_gamma_p, regularized_gamma_q
-from aoci.stochastics import RngStream, sample_poisson, sample_rayleigh
+from aoci.stochastics import RngStream, sample_poisson
 
 if TYPE_CHECKING:
     from aoci.config import LinkConfig
@@ -69,9 +72,8 @@ __all__ = [
     "kpi_report",
 ]
 
-KPI_BLOCK_SIZE = 1 << 16
 MIN_SAMPLES = 10_000
-DRAW_CACHE_ENTRIES = 64  # per cache; an entry holds one block of at most KPI_BLOCK_SIZE
+DRAW_CACHE_ENTRIES = 64  # per cache; an entry holds one block of at most MC_BLOCK_SIZE
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -106,15 +108,7 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return lo, hi
 
 
-@functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)
-def _block_displacements(
-    seed: int, block: int, count: int, sigma_s: float, coupling: optics.CouplingParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Block ``block``'s displacements r (stream (seed, 2 block)) and eta(r), read-only."""
-    r = sample_rayleigh(RngStream(seed, 2 * block), sigma_s, count)
-    eta = optics.coupling_eta_batch(coupling, r)
-    r.flags.writeable = eta.flags.writeable = False
-    return r, eta
+_block_displacements = functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)(_draw_block)
 
 
 @functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)
@@ -123,6 +117,15 @@ def _block_background(seed: int, block: int, count: int, b_mean: float) -> np.nd
     counts = sample_poisson(RngStream(seed, 2 * block + 1), b_mean, count)
     counts.flags.writeable = False
     return counts
+
+
+def _blocks(cfg: "LinkConfig", n: int, seed: int):
+    """Each block's (index, r, eta(r)) for n samples at ``cfg``'s sigma_s and coupling, cached."""
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    sigma, cp = cfg.beam.sigma_s, cfg.coupling
+    return ((block, *_block_displacements(seed, block, min(MC_BLOCK_SIZE, n - start), sigma, cp))
+            for block, start in enumerate(range(0, n, MC_BLOCK_SIZE)))
 
 
 def _exceedance(
@@ -148,19 +151,16 @@ def _exceedance(
     ``signal_shot_noise`` the count's Poisson mean holds the signal, so its
     draw is made per call; only (r, eta) come from the cache.
     """
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
+    blocks = _blocks(cfg, n, seed)
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
 
     gain = response_window_gain(cfg.neural.tau)
     b_mean = cfg.neural.mean_background
-    sigma = cfg.beam.sigma_s
 
     hits = 0
-    for block, start in enumerate(range(0, n, KPI_BLOCK_SIZE)):
-        count = min(KPI_BLOCK_SIZE, n - start)
-        r, eta = _block_displacements(seed, block, count, sigma, cfg.coupling)
+    for block, r, eta in blocks:
+        count = r.size
         signal_counts = received_flux_batch(r, cfg, eta=eta) * gain
         if signal_shot_noise:
             # Extension beyond the additive model: the whole count is Poisson
@@ -264,39 +264,38 @@ def safety_check(
     """Irradiances, exposure verdicts, and the usable transmit-power range.
 
     The irradiances and verdicts are those of ``_irradiances``. The dynamic
-    range is the power interval where hearing probability meets the target
-    while both exposure verdicts hold; it is found by bisection on the
-    common-random-number estimator (monotone in power per seed) and is None
-    when empty. Each probed power's config rebuilds only the source section.
+    range is the power interval where ``p_hearing(n, seed)`` meets
+    ``hearing_target`` while both exposure verdicts hold, None when empty.
+    Sample i is heard from power x_i = (y_th - N_i) / (g Phi_1(r_i)) up (Phi_1
+    the flux at 1 W, N_i the background count), so the lower edge is the
+    ceil(target n)-th smallest x_i, 0.0 when the background alone suffices,
+    raised by ulps until ``p_hearing``'s own arithmetic meets the target.
     """
+    if not 0.0 < hearing_target <= 1.0:
+        raise ValueError(f"hearing_target must be in (0, 1], got {hearing_target}")
+    blocks = _blocks(cfg, n, seed)
     skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok = _irradiances(cfg)
+    at_1w = cfg.with_value("source.power_mw", 1e3)
+    skin_1w, neuron_1w = _irradiances(at_1w)[:2]
+    x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w)
 
-    # Both irradiances are linear in transmit power, so the exposure-limited
-    # maximum power is their limit over their value per watt.
-    x = cfg.source.power_tx
-    if x > 0.0:
-        per_watt = (skin_irr / x, neuron_irr / x)
-    else:
-        per_watt = _irradiances(cfg.with_value("source.power_mw", 1e3))[:2]
-    x_max = min(cfg.mpe_skin / per_watt[0], cfg.mpe_neuron / per_watt[1])
-
-    def hearing_at(power_w: float) -> float:
-        test_cfg = cfg.with_value("source.power_mw", power_w * 1e3)
-        return p_hearing(test_cfg, n=n, seed=seed).value
-
-    dynamic_range: tuple[float, float] | None
-    if hearing_at(x_max) < hearing_target:
-        dynamic_range = None
-    else:
-        lo, hi = 0.0, x_max
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if mid <= 0.0 or hearing_at(mid) >= hearing_target:
-                hi = mid
-            else:
-                lo = mid
-        dynamic_range = (hi, x_max)
-
+    y_th, b_mean = cfg.neural.y_th, cfg.neural.mean_background
+    gain = response_window_gain(cfg.neural.tau)
+    powers = []
+    for block, r, eta in blocks:
+        short = y_th - _block_background(seed, block, r.size, b_mean)  # count the signal must add
+        per_watt = received_flux_batch(r, at_1w, eta=eta) * gain
+        x = np.where(short > 0.0, np.inf, 0.0)  # a zero flux needs infinite power
+        with np.errstate(over="ignore"):  # and a near-zero flux overflows to the same verdict
+            np.divide(short, per_watt, out=x, where=(short > 0.0) & (per_watt > 0.0))
+        powers.append(x)
+    k = math.ceil(hearing_target * n)
+    edge = float(np.partition(np.concatenate(powers), k - 1)[k - 1])
+    while edge <= x_max and _exceedance(
+        cfg.with_value("source.power_mw", edge * 1e3), y_th, n, seed, False
+    ).value < hearing_target:
+        edge = math.nextafter(edge, math.inf)
+    dynamic_range = (edge, x_max) if edge <= x_max else None
     return skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok, dynamic_range
 
 
@@ -305,16 +304,9 @@ def kpi_report(
     n: int = 100_000,
     seed: int = 1234,
     signal_shot_noise: bool = False,
-    hearing_target: float = 0.9,
-    with_dynamic_range: bool = True,
 ) -> KpiReport:
-    """Assemble every indicator for one configuration."""
-    skin_irr, neuron_irr, skin_ok, neuron_ok, dyn = safety_check(
-        cfg,
-        hearing_target=hearing_target,
-        n=max(n // 2, MIN_SAMPLES),
-        seed=seed,
-    ) if with_dynamic_range else (*_irradiances(cfg), None)
+    """Every indicator for one configuration, the dynamic range on the same (n, seed) draws."""
+    skin_irr, neuron_irr, skin_ok, neuron_ok, dyn = safety_check(cfg, n=n, seed=seed)
     return KpiReport(
         p_hearing=p_hearing(cfg, n=n, seed=seed, signal_shot_noise=signal_shot_noise),
         p_false_hearing=p_false_hearing(cfg.neural),

@@ -256,17 +256,7 @@ def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> Flu
     f4, f4_err = _f4_eval(-a, -a, y, y, ctl)
     q = 3.83 * math.sqrt(2.0) * cp.lens_diameter * cp.omega0 / (1.22 * cp.lam * cp.focal_length)
     sigma_sq = cfg.beam.sigma_s * cfg.beam.sigma_s
-    prefactor = (
-        state.k
-        * state.g_c
-        * state.h_l
-        * state.photons_per_joule
-        * cfg.source.power_tx
-        * state.a0
-        * q
-        * q
-        / (2.0 * sigma_sq * s_rate)
-    )
+    prefactor = _deterministic_prefactor(cfg, state) * state.a0 * q * q / (2.0 * sigma_sq * s_rate)
     return FluxEstimate(
         value=max(prefactor * f4, 0.0),
         method="series",
@@ -330,27 +320,39 @@ def mean_flux_quadrature_batch(
         for p, result in zip(prefactors, results)]
 
 
+def _draw_block(
+    seed: int, block: int, count: int, sigma_s: float, coupling: optics.CouplingParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Block ``block``'s displacements r (stream (seed, 2 block)) and eta(r), read-only."""
+    r = sample_rayleigh(RngStream(seed, 2 * block), sigma_s, count)
+    eta = optics.coupling_eta_batch(coupling, r)
+    r.flags.writeable = eta.flags.writeable = False
+    return r, eta
+
+
 def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
     """Average flux by seeded Monte Carlo over Rayleigh displacements.
 
-    Samples are generated in fixed blocks of 2^16, one derived stream per
-    block, so the estimate is identical no matter how many workers evaluate
-    the blocks. err_bound is one standard error of the mean, from per-block
-    centred sums of squares merged by Chan, Golub and LeVeque's update.
+    Samples come in fixed blocks of 2^16 from ``_draw_block`` (uncached: no
+    caller repeats a request), the blocks the exceedance estimator draws, so
+    the estimate does not depend on how workers split the blocks. err_bound
+    is one standard error of the mean, from per-block centred sums of squares
+    merged by Chan, Golub and LeVeque's update.
     """
     ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, seed))
     if not (ints and n >= 1000 and seed >= 0):
         raise ValueError(f"need an int n >= 1000 and an int seed >= 0, got n={n!r}, seed={seed!r}")
+    n, seed = int(n), int(seed)
 
     total = 0.0
     running_mean = 0.0
     sum_sq_dev = 0.0
     produced = 0
-    block = 0
-    while produced < n:
-        count = min(MC_BLOCK_SIZE, n - produced)
-        r = sample_rayleigh(RngStream(seed, block), cfg.beam.sigma_s, count)
-        phi = received_flux_batch(r, cfg)
+    for block, start in enumerate(range(0, n, MC_BLOCK_SIZE)):
+        count = min(MC_BLOCK_SIZE, n - start)
+        r, eta = _draw_block(seed, block, count, cfg.beam.sigma_s, cfg.coupling)
+        phi = received_flux_batch(r, cfg, eta=eta)
+        del r, eta  # not held through the next block's draw
         block_total = float(np.sum(phi))
         total += block_total
         block_mean = block_total / count
@@ -360,7 +362,6 @@ def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
         sum_sq_dev += float(np.sum((phi - block_mean) ** 2))
         sum_sq_dev += delta * delta * produced * count / merged
         produced = merged
-        block += 1
 
     mean = total / n
     stderr = math.sqrt(sum_sq_dev / n / n)

@@ -68,6 +68,15 @@ class TestEval:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "x", None, True])
+    def test_bad_mpe_limit_exits_2_with_one_line(self, baseline_doc, tmp_path, capsys, value):
+        baseline_doc["mpe"] = {"neuron_mw_per_mm2": value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(baseline_doc))
+        assert main(["eval", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.mpe") and err.count("\n") == 1
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["eval", "--config", "/nonexistent/link.json"]) == 2
 

@@ -108,6 +108,14 @@ class TestValidation:
             LinkConfig.from_dict(baseline_doc)
         assert section in str(err.value)
 
+    @pytest.mark.parametrize("key", ["skin_mw_per_mm2", "neuron_mw_per_mm2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "x", None, True])
+    def test_mpe_limits_are_finite_numbers(self, baseline_doc, key, value):
+        baseline_doc["mpe"] = {key: value}
+        with pytest.raises(ConfigError) as err:
+            LinkConfig.from_dict(baseline_doc)
+        assert "config.mpe" in str(err.value)
+
     def test_thresholds_must_order(self, baseline_doc):
         baseline_doc["neural"]["d_th_photons"] = 1.0
         with pytest.raises(ConfigError):

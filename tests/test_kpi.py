@@ -1,6 +1,7 @@
 """Hearing/safety indicators: estimator laws, CRN monotonicity, exposure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from aoci.config import LinkConfig
 from aoci.figures import POWER_GRID_FIG8_MW, SIGMA_GRID_FIG7_MM
 from aoci.kpi import (
     DRAW_CACHE_ENTRIES,
-    KPI_BLOCK_SIZE,
+    MIN_SAMPLES,
     _exceedance,
     kpi_report,
     p_damage,
@@ -20,7 +21,7 @@ from aoci.kpi import (
     safety_check,
     wilson_interval,
 )
-from aoci.photometry import NeuralParams, received_flux_batch, response_window_gain
+from aoci.photometry import MC_BLOCK_SIZE, NeuralParams, received_flux_batch, response_window_gain
 from aoci.stochastics import RngStream, sample_poisson, sample_rayleigh
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 
@@ -208,6 +209,63 @@ class TestSafetyCheck:
         *_, dyn = safety_check(cfg, n=10_000, seed=2)
         assert dyn is None
 
+    @pytest.mark.parametrize("sigma_mm", [0.01, 0.02, 0.03, 0.05])
+    def test_edge_matches_bisection_and_is_tight(self, baseline_cfg, sigma_mm):
+        cfg = baseline_cfg.with_value("beam.sigma_s_mm", sigma_mm)
+        for n in (10_000, 50_000):
+            for seed in (1, 2):
+                skin_irr, neuron_irr, _, _, dyn = safety_check(cfg, n=n, seed=seed)
+                x = cfg.source.power_tx  # irradiances are linear in power
+                x_max = min(cfg.mpe_skin / (skin_irr / x), cfg.mpe_neuron / (neuron_irr / x))
+                want = bisection_edge(cfg, 0.9, n, seed, x_max)
+                if want is None:
+                    assert dyn is None
+                    continue
+                lo, hi = dyn
+                assert hi == pytest.approx(x_max, rel=1e-12)
+                assert abs(lo - want) <= x_max * 2.0**-39
+                heard = {f: p_hearing(cfg.with_value("source.power_mw", lo * f * 1e3), n=n,
+                                      seed=seed).value >= 0.9 for f in (1.0, 1.0 - 1e-9)}
+                assert heard == {1.0: True, 1.0 - 1e-9: False}
+
+    def test_one_pass_over_the_draws(self, baseline_cfg, monkeypatch):
+        def no_hearing(*args, **kwargs):
+            raise AssertionError("safety_check ran p_hearing")
+
+        monkeypatch.setattr(kpi, "p_hearing", no_hearing)
+        cfg = baseline_cfg.with_value("beam.sigma_s_mm", 0.02)
+        clear_draw_caches()
+        *_, dyn = safety_check(cfg, n=150_000, seed=3)
+        assert dyn is not None
+        assert kpi._block_displacements.cache_info().misses == 3
+        assert kpi._block_background.cache_info().misses == 3
+
+    def test_background_alone_gives_zero_edge(self, baseline_cfg):
+        # B = 1.5: Pr(N >= 1) = 1 - exp(-1.5) = 0.777 meets a 0.7 target at no power
+        cfg = baseline_cfg.with_value("neural.y_th_photons", 1.0)
+        *_, dyn = safety_check(cfg, hearing_target=0.7, n=10_000, seed=2)
+        assert dyn is not None and dyn[0] == 0.0
+        assert p_hearing(cfg.with_value("source.power_mw", 0.0), n=10_000, seed=2).value >= 0.7
+
+    def test_flux_underflow_runs_without_warnings(self, baseline_cfg):
+        # w_eq = 0.18 mm against sigma_s = 1 mm: h_p underflows to 0 beyond r ~ 5 mm
+        cfg = baseline_cfg.with_value({"skin.delta_mm": 1.0, "beam.beta_mm": 0.05,
+                                       "beam.sigma_s_mm": 1.0, "neural.y_th_photons": 2.0})
+        r, eta = kpi._block_displacements(1, 0, 10_000, cfg.beam.sigma_s, cfg.coupling)
+        assert np.count_nonzero(received_flux_batch(r, cfg, eta=eta) == 0.0) > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *_, dyn = safety_check(cfg, hearing_target=0.5, n=10_000, seed=1)
+        assert dyn is not None and dyn[0] > 0.0
+        at_lo = cfg.with_value("source.power_mw", dyn[0] * 1e3)
+        assert p_hearing(at_lo, n=10_000, seed=1).value >= 0.5
+
+    @pytest.mark.parametrize("target, n", [(0.0, 10_000), (-0.1, 10_000), (1.1, 10_000),
+                                           (math.nan, 10_000), (0.9, MIN_SAMPLES - 1)])
+    def test_refuses_bad_target_or_sample_count(self, baseline_cfg, target, n):
+        with pytest.raises(ValueError):
+            safety_check(baseline_cfg, hearing_target=target, n=n)
+
     def test_large_coupling_argument(self, baseline_cfg):
         # a 3.0513 mm coupling focal length puts the coupling argument at 300
         cfg = baseline_cfg.with_value("coupling.focal_length_mm", 3.0513)
@@ -218,7 +276,7 @@ class TestSafetyCheck:
 
 class TestKpiReport:
     def test_assembly(self, baseline_cfg):
-        report = kpi_report(baseline_cfg, n=10_000, seed=4, with_dynamic_range=False)
+        report = kpi_report(baseline_cfg, n=10_000, seed=4)
         assert 0.0 <= report.p_hearing.value <= 1.0
         assert report.p_damage.value <= report.p_hearing.value
         assert report.skin_irradiance > 0.0
@@ -230,8 +288,24 @@ class TestKpiReport:
         from aoci.config import LinkConfig
 
         cfg = LinkConfig.from_dict(baseline_doc)
-        report = kpi_report(cfg, n=10_000, seed=4)
+        report = kpi_report(cfg, n=20_000, seed=4)
         assert report.dynamic_range_w is not None
+        assert report.dynamic_range_w == safety_check(cfg, n=20_000, seed=4)[4]  # same draws
+
+
+def bisection_edge(cfg, target, n, seed, x_max):
+    """The lowest power meeting the target by 40 halvings of [0, x_max], None if x_max misses."""
+    def heard(power_w):
+        cfg_at = cfg.with_value("source.power_mw", power_w * 1e3)
+        return p_hearing(cfg_at, n=n, seed=seed).value >= target
+
+    if not heard(x_max):
+        return None
+    lo, hi = 0.0, x_max
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if heard(mid) else (mid, hi)
+    return hi
 
 
 def clear_draw_caches():
@@ -245,7 +319,7 @@ def uncached_exceedance(cfg, threshold, n, seed, signal_shot_noise):
     b_mean = cfg.neural.mean_background
     hits = produced = block = 0
     while produced < n:
-        count = min(KPI_BLOCK_SIZE, n - produced)
+        count = min(MC_BLOCK_SIZE, n - produced)
         r = sample_rayleigh(RngStream(seed, 2 * block), cfg.beam.sigma_s, count)
         signal_counts = received_flux_batch(r, cfg) * gain
         noise_stream = RngStream(seed, 2 * block + 1)
@@ -286,7 +360,7 @@ class TestDrawCache:
                 est = fn(cfg, n=n, seed=7, signal_shot_noise=shot)
                 assert est.value == value, (state, fn.__name__)
                 assert (est.ci_low, est.ci_high) == kpi.wilson_interval(round(value * n), n)
-        blocks = -(-n // KPI_BLOCK_SIZE)
+        blocks = -(-n // MC_BLOCK_SIZE)
         assert kpi._block_displacements.cache_info().misses == blocks
         assert kpi._block_background.cache_info().misses == (0 if shot else blocks)
 
@@ -353,9 +427,9 @@ class TestDrawCache:
             assert info.maxsize == DRAW_CACHE_ENTRIES
             assert info.currsize == DRAW_CACHE_ENTRIES
         # the per-entry sizes the stated byte bound (96 MiB) rests on
-        r, eta = kpi._block_displacements(1, 0, KPI_BLOCK_SIZE, sigma, cp)
+        r, eta = kpi._block_displacements(1, 0, MC_BLOCK_SIZE, sigma, cp)
         assert r.nbytes + eta.nbytes == 1 << 20
-        assert kpi._block_background(1, 0, KPI_BLOCK_SIZE, b_mean).nbytes == 1 << 19
+        assert kpi._block_background(1, 0, MC_BLOCK_SIZE, b_mean).nbytes == 1 << 19
         assert DRAW_CACHE_ENTRIES * ((1 << 20) + (1 << 19)) == 96 << 20
         clear_draw_caches()
 

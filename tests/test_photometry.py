@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from aoci import photometry
+from aoci import kpi, photometry
 from aoci.figures import load_preset
 from aoci.optics import coupling_eta_batch
 from aoci.photometry import (
+    MC_BLOCK_SIZE,
     FluxEstimate,
     NeuralParams,
     SourceParams,
@@ -102,6 +103,37 @@ class TestMeanFluxRoutes:
         monkeypatch.setattr(photometry, "sample_rayleigh", draw)
         with pytest.raises(ValueError):
             mean_flux_mc(baseline_cfg, n=n, seed=seed)
+
+    def test_mc_is_the_block_loop_over_even_streams(self, baseline_cfg):
+        # 150,000 samples: two full blocks and a part, block b from stream (seed, 2b)
+        n, seed, sigma = 150_000, 6, baseline_cfg.beam.sigma_s
+        before = kpi._block_displacements.cache_info()
+        est = mean_flux_mc(baseline_cfg, n=n, seed=seed)
+        assert kpi._block_displacements.cache_info() == before
+        total = mean = sum_sq_dev = 0.0
+        produced = 0
+        for block, start in enumerate(range(0, n, MC_BLOCK_SIZE)):
+            count = min(MC_BLOCK_SIZE, n - start)
+            r = sample_rayleigh(RngStream(seed, 2 * block), sigma, count)
+            if block == 0:
+                cached = kpi._block_displacements(seed, 0, count, sigma, baseline_cfg.coupling)
+                assert np.array_equal(r, cached[0])
+            phi = received_flux_batch(r, baseline_cfg)
+            block_total = float(np.sum(phi))
+            total += block_total
+            delta = block_total / count - mean
+            mean += delta * count / (produced + count)
+            sum_sq_dev += float(np.sum((phi - block_total / count) ** 2))
+            sum_sq_dev += delta * delta * produced * count / (produced + count)
+            produced += count
+        assert produced == n and block == 2
+        assert (est.value, est.err_bound) == (total / n, math.sqrt(sum_sq_dev / n / n))
+
+    def test_mc_returns_python_numbers_for_numpy_ints(self, baseline_cfg):
+        plain = mean_flux_mc(baseline_cfg, n=5000, seed=4)
+        est = mean_flux_mc(baseline_cfg, n=np.int64(5000), seed=np.uint32(4))
+        assert est == plain
+        assert [type(v) for v in (est.value, est.n_samples, est.seed)] == [float, int, int]
 
     def test_mc_stderr_survives_tiny_spread(self):
         # At sigma_s = 1e-7 mm the flux varies by ~1e-12 of its mean; a
