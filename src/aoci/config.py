@@ -243,9 +243,6 @@ class LinkConfig:
         """The raw unit-suffixed document this config was ingested from."""
         return _copy_tree(self.raw)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def config_hash(self) -> str:
         """Provenance hash over the canonical raw document.
 

@@ -277,7 +277,8 @@ def safety_check(
     skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok = _irradiances(cfg)
     at_1w = cfg.with_value("source.power_mw", 1e3)
     skin_1w, neuron_1w = _irradiances(at_1w)[:2]
-    x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w)
+    # A limit whose irradiance is 0 at 1 W (the skin absorbs every photon) never binds.
+    x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w if neuron_1w else math.inf)
 
     y_th, b_mean = cfg.neural.y_th, cfg.neural.mean_background
     gain = response_window_gain(cfg.neural.tau)

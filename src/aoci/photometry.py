@@ -65,7 +65,6 @@ __all__ = [
     "mean_flux",
     "response_window_gain",
     "link_budget",
-    "background_pmf",
 ]
 
 # Exact SI values (2019 redefinition).
@@ -253,7 +252,7 @@ def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> Flu
     y = (1.0 / (cp.omega0 * cp.omega0)) / s_rate
     a = state.coupling_argument
 
-    f4, f4_err = _f4_eval(-a, -a, y, y, ctl)
+    f4, f4_err = _f4_eval(-a, y, ctl)
     q = 3.83 * math.sqrt(2.0) * cp.lens_diameter * cp.omega0 / (1.22 * cp.lam * cp.focal_length)
     sigma_sq = cfg.beam.sigma_s * cfg.beam.sigma_s
     prefactor = _deterministic_prefactor(cfg, state) * state.a0 * q * q / (2.0 * sigma_sq * s_rate)
@@ -404,13 +403,3 @@ def response_window_gain(tau: float) -> float:
 def link_budget(cfg: "LinkConfig", flux: FluxEstimate) -> float:
     """Mean photon count over one response window: ``Phi_bar tau (e-1)/e + B_bar``."""
     return flux.value * response_window_gain(cfg.neural.tau) + cfg.neural.mean_background
-
-
-def background_pmf(neural: NeuralParams, n: int) -> float:
-    """Poisson probability of n background photons in one response window."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"count must be a nonnegative integer, got {n}")
-    b = neural.mean_background
-    if b == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(b) - b - math.lgamma(n + 1.0))

@@ -13,18 +13,20 @@ common library exposes them:
 
 * ``humbert_psi2`` -- the double series
   ``Psi2(1; 2, 1; x, y) = sum_{m,n} (1)_{m+n} x^m y^n / ((2)_m (1)_n m! n!)``
-* ``f4_general`` -- the quadruple series
-  ``sum_{m,k,n,l} (1)_{m+n} (1)_{k+l} (1)_{n+l} x1^m x2^k y1^n y2^l
-  / ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)``
+* ``_f4_eval`` -- the quadruple series in the one symmetric form the average
+  flux needs, ``F4(x, x, y, y) = sum_{m,k,n,l} (1)_{m+n} (1)_{k+l} (1)_{n+l}
+  x^(m+k) y^(n+l) / ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)``
 
-``humbert_psi2`` sums only the (b1, b2) = (2, 1) case the coupling closed
-form needs, by a term recurrence that does not cancel. ``f4_general`` sums
-constant-total-order shells with compensated summation and stops on a
-rigorous bound of the remaining tail (its inner functions are bounded by 1
-on its domain), with a cancellation guard that raises
-``PrecisionLossError`` instead of returning silently wrong digits; its
-binomial weights are handled in log space, so no intermediate overflows
-occur.
+Both are sums over the inner functions ``g_n(x) = 1F1(n+1; 2; x)``, which
+one generator, ``_g_values``, yields in closed form. ``humbert_psi2`` sums
+only the (b1, b2) = (2, 1) case the coupling closed form needs, by a term
+recurrence that does not cancel. ``_f4_eval`` sums constant-total-order
+shells with compensated summation and stops on a rigorous bound of the
+remaining tail (its inner functions are bounded by 1 on its domain); it
+refuses up front when that bound cannot be met within the shell cap, and a
+cancellation guard raises ``PrecisionLossError`` instead of returning
+silently wrong digits. Its binomial weights are handled in log space, so no
+intermediate overflows occur.
 
 ``integrate_semi_infinite`` is a globally adaptive numpy Gauss-Kronrod rule
 (QUADPACK's dqk21). ``integrate_semi_infinite_batch`` runs many such integrals in
@@ -33,6 +35,7 @@ one owner-tagged interval table, one integrand call per refinement pass for all.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +53,6 @@ __all__ = [
     "regularized_gamma_p",
     "regularized_gamma_q",
     "humbert_psi2",
-    "f4_general",
     "integrate_semi_infinite",
     "integrate_semi_infinite_batch",
 ]
@@ -65,8 +67,9 @@ class SeriesControl:
     """Truncation control for the hypergeometric series evaluators.
 
     rel_tol / abs_tol bound the estimated truncation error at
-    ``max(rel_tol * |result|, abs_tol)``; ``max_terms_per_index`` caps every
-    summation index independently.
+    ``max(rel_tol * |result|, abs_tol)``. ``max_terms_per_index`` caps the
+    index of the last term: n in Psi2's ``sum_n g_n y^n / n!``, and the shell
+    index n + l of F4, whose inner functions it also caps.
     """
 
     rel_tol: float = 1.0e-10
@@ -226,6 +229,8 @@ def bessel_i0e(z) -> np.ndarray:
     out, high = np.empty_like(z), z > 8.0
     for i, part in enumerate((~high, high)):
         zp = z[part]
+        if not zp.size:
+            continue
         y = 32.0 / zp - 2.0 if i else 0.5 * zp - 2.0
         b0, b1 = np.full_like(y, _I0E[i][0]), np.zeros_like(y)
         for c in _I0E[i][1:]:
@@ -319,39 +324,36 @@ def humbert_psi2(x: float, y: float, ctl: SeriesControl | None = None) -> float:
     if not (-math.inf < x <= 0.0 and 0.0 <= y < math.inf):
         raise ValueError(f"humbert_psi2 requires finite x <= 0 and y >= 0, got ({x}, {y})")
     if y == 0.0:
-        return _g_table(x, 0)[0]
+        return 1.0 if x == 0.0 else math.expm1(x) / x
     return _psi2_21(x, y, ctl or SeriesControl())
 
 
-def _g_table(x: float, n_max: int) -> list[float]:
-    """Values ``g_n(x) = 1F1(n+1; 2; x)`` for n = 0..n_max, in closed form.
+def _g_values(x: float):
+    """Yield ``g_n(x) = 1F1(n+1; 2; x)`` for n = 0, 1, 2, ..., in closed form.
 
     ``g_n(x) = e^x L_{n-1}^{(1)}(-x) / n`` for n >= 1 (generalized Laguerre),
     evaluated by the stable three-term recurrence; ``g_0 = expm1(x)/x``, which
     keeps full precision for tiny |x|.
     This avoids the e^|x|-conditioned cancellation of the defining series at
-    negative x, where g_n oscillates with slowly decaying amplitude.
+    negative x, where g_n oscillates with slowly decaying amplitude. Raises
+    ``PrecisionLossError`` on reaching an order whose Laguerre value overflows.
     """
-    g0 = 1.0 if x == 0.0 else math.expm1(x) / x
-    values = [g0]
-    if n_max == 0:
-        return values
+    yield 1.0 if x == 0.0 else math.expm1(x) / x
     ex = math.exp(x)
+    if ex == 0.0:  # every later g_n is then 0, though its Laguerre factor may overflow
+        yield from itertools.repeat(0.0)
     w = -x
-    lkm1 = 1.0  # L_0^{(1)}(w)
-    lk = 2.0 - w  # L_1^{(1)}(w)
-    values.append(ex * lkm1)
-    if n_max >= 2:
-        values.append(ex * lk / 2.0)
-    for k in range(1, n_max - 1):
+    lkm1, lk = 1.0, 2.0 - w  # L_0^{(1)}(w), L_1^{(1)}(w)
+    yield ex * lkm1
+    yield ex * lk / 2.0
+    for k in itertools.count(1):
         lkp1 = ((2.0 * k + 2.0 - w) * lk - (k + 1.0) * lkm1) / (k + 1.0)
         if not math.isfinite(lkp1):
             raise PrecisionLossError(
                 f"hypergeometric inner functions overflow at order {k + 1} for x={x}"
             )
-        values.append(ex * lkp1 / (k + 2.0))
+        yield ex * lkp1 / (k + 2.0)
         lkm1, lk = lk, lkp1
-    return values
 
 
 def _psi2_21(x: float, y: float, ctl: SeriesControl) -> float:
@@ -369,14 +371,11 @@ def _psi2_21(x: float, y: float, ctl: SeriesControl) -> float:
             f"humbert_psi2: the y-weights peak near index {y:.3g}, beyond "
             f"max_terms_per_index={cap}; use the integral route instead"
         )
-    gs = _g_table(x, min(cap, 64))
     total = 0.0
     weight = 1.0  # y^n / n!
     below = 0
-    for n in range(cap + 1):
-        if n >= len(gs):
-            gs = _g_table(x, min(cap, len(gs) * 2))
-        term = gs[n] * weight
+    for n, g in zip(range(cap + 1), _g_values(x)):
+        term = g * weight
         if not math.isfinite(term):
             raise PrecisionLossError(
                 f"humbert_psi2: terms overflow the double range (x={x}, y={y})",
@@ -399,125 +398,77 @@ def _psi2_21(x: float, y: float, ctl: SeriesControl) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quadruple hypergeometric series
+# Quadruple hypergeometric series F4(x, x, y, y)
 # ---------------------------------------------------------------------------
 #
-# The quadruple sum factorizes exactly over its index pairs:
+# F4(x, x, y, y) factorizes exactly over its index pairs, since
+# (1)_{m+n}/((1)_n (2)_m m!) = C(m+n,m)/(m+1)! per half and (1)_{n+l}/(n! l!) = C(n+l,n):
 #
-#   sum_{m,k,n,l} (1)_{m+n} (1)_{k+l} (1)_{n+l} x1^m x2^k y1^n y2^l
-#                 / ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)
-#     = sum_{n,l} C(n+l, n) y1^n y2^l g_n(x1) g_l(x2),
+#   F4(x, x, y, y) = sum_{n,l} C(n+l, n) y^(n+l) g_n(x) g_l(x),
+#   g_n(x) = sum_m C(m+n, m) x^m / (m+1)! = 1F1(n+1; 2; x).
 #
-#   g_n(x) = sum_m C(m+n, m) x^m / (m+1)!
-#
-# (regroup (1)_{m+n}/((1)_n (2)_m m!) = C(m+n,m)/(m+1)! per half, and
-# (1)_{n+l}/(n! l!) = C(n+l,n)). The inner functions are the same
-# ``g_n(x) = 1F1(n+1; 2; x)`` used by the Psi2 evaluator and are computed in
-# closed form via the Laguerre recurrence; the outer double series converges
-# geometrically with ratio ~ (y1+y2) and carries the anti-diagonal
-# truncation rule. A literal four-index shell walk computes the identical
-# sum at O(T^4) cost, which is what the brute-force oracle in the test
-# suite does.
+# The outer double series converges geometrically with ratio 2y and is summed in
+# anti-diagonal shells n + l = t. The brute-force oracle in the test suite walks all
+# four indices literally, at O(T^4) cost.
 
 
-class _GTable:
-    """Lazily grown table of g_n(x) values for one argument x."""
-
-    def __init__(self, x: float):
-        self.x = x
-        self.values: list[float] = _g_table(x, 64)
-
-    def upto(self, n: int) -> list[float]:
-        while len(self.values) <= n:
-            self.values = _g_table(self.x, 2 * max(n, len(self.values)))
-        return self.values
-
-
-def f4_general(
-    x1: float, x2: float, y1: float, y2: float, ctl: SeriesControl | None = None
-) -> float:
-    """Quadruple hypergeometric series with the (1)/(2) Pochhammer pattern.
-
-    ``sum (1)_{m+n} (1)_{k+l} (1)_{n+l} x1^m x2^k y1^n y2^l /
-    ((1)_n (2)_m (1)_l (2)_k m! n! k! l!)`` for ``x1, x2 <= 0``, ``y1, y2 >= 0``
-    and ``y1 + y2 < 1``, the domain of its truncation bound. Symmetric under
-    the simultaneous swap (x1, y1) <-> (x2, y2). Near ``y1 + y2 = 1`` the
-    bound needs more shells than the index cap allows, which raises
-    ``SeriesConvergenceError``.
-    """
-    value, _ = _f4_eval(x1, x2, y1, y2, ctl or SeriesControl())
-    return value
-
-
-def _f4_eval(
-    x1: float, x2: float, y1: float, y2: float, ctl: SeriesControl
-) -> tuple[float, float]:
-    """Evaluate the quadruple series returning ``(value, error_bound)``.
+def _f4_eval(x: float, y: float, ctl: SeriesControl) -> tuple[float, float]:
+    """The quadruple series F4(x, x, y, y) for x <= 0, 0 <= y < 1/2: ``(value, error_bound)``.
 
     For x <= 0 every inner function lies in [-1, 1]: 0 < g_0 <= 1, and
-    |g_n(x)| <= e^(x/2) for n >= 1 (DLMF 18.14.8 with alpha = 1). Shell t
-    carries binomial weights summing to (y1 + y2)^t, so everything past shell
-    T sums to at most (y1 + y2)^(T+1) / (1 - y1 - y2) in magnitude. Summing
-    stops at the first complete shell where that bound is within
-    ``max(rel_tol |sum|, abs_tol)``; the bound plus a roundoff term is the
-    returned error.
+    |g_n(x)| <= e^(x/2) for n >= 1 (DLMF 18.14.8 with alpha = 1). Shell t carries
+    binomial weights summing to (2y)^t, so |F4| <= 1/(1 - 2y), and all past shell T
+    sums to at most (2y)^(T+1) / (1 - 2y). ``ctl.max_terms_per_index`` caps T, and
+    ``_g_values`` gives g_0 .. g_cap once. If the bound at the cap exceeds twice the
+    largest stop tolerance that |F4| allows, no shell can stop the sum, and
+    ``SeriesConvergenceError`` is raised before any summing, with a NaN value.
+    Otherwise summing stops at the first complete shell whose bound is within
+    ``max(rel_tol |sum|, abs_tol)``; the bound plus a roundoff term is the returned
+    error. Each shell is summed exactly rounded and the shells are added with
+    compensation; a cancellation guard raises ``PrecisionLossError``.
     """
-    if not (-math.inf < x1 <= 0.0 and -math.inf < x2 <= 0.0):
-        raise ValueError(f"f4_general requires finite x1, x2 <= 0, got ({x1}, {x2})")
-    if not (y1 >= 0.0 and y2 >= 0.0 and y1 + y2 < 1.0):
-        raise ValueError(f"f4_general requires y1, y2 >= 0 and y1 + y2 < 1, got ({y1}, {y2})")
+    if not (-math.inf < x <= 0.0):
+        raise ValueError(f"F4 requires a finite x <= 0, got {x}")
+    if not (y >= 0.0 and y + y < 1.0):
+        raise ValueError(f"F4 requires y >= 0 and 2y < 1, got {y}")
 
     cap = ctl.max_terms_per_index
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(cap + 1)])  # log k!
-    g1 = _GTable(x1)
-    g2 = _GTable(x2)
-    y = y1 + y2
+    y2 = y + y
+    cap_tail = y2 ** (cap + 1) / (1.0 - y2)
+    # Past twice the tolerance that |F4| <= 1/(1 - 2y) allows, no shell stops the sum: sum none.
+    shells = cap + 1 if cap_tail <= 2.0 * max(ctl.rel_tol / (1.0 - y2), ctl.abs_tol) else 0
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(shells)])  # log k!
+    g = np.fromiter(itertools.islice(_g_values(x), shells), np.float64, shells)
+    # At y = 0 summing stops at shell 0, where n = l = 0; 0.0 avoids 0 * -inf.
+    log_y = math.log(y) if y > 0.0 else 0.0
 
-    # When y == 0 the corresponding index is pinned to 0 below, so the log is
-    # never multiplied by a nonzero power; 0.0 avoids 0 * -inf.
-    log_y1 = math.log(y1) if y1 > 0.0 else 0.0
-    log_y2 = math.log(y2) if y2 > 0.0 else 0.0
-
-    total = 0.0
-    comp = 0.0
-    abs_total = 0.0
-    for t in range(cap + 1):
-        n_lo = 0 if y2 > 0.0 else t
-        n_hi = t if y1 > 0.0 else 0
-        if n_lo <= n_hi:
-            n = np.arange(n_lo, n_hi + 1)
-            l = t - n
-            gv1 = np.asarray(g1.upto(n_hi))[n]
-            gv2 = np.asarray(g2.upto(int(l.max())))[l]
-            log_w = log_fact[t] - log_fact[n] - log_fact[l] + n * log_y1 + l * log_y2
-            shell_terms = (np.exp(log_w) * gv1 * gv2).tolist()
-            shell = math.fsum(shell_terms)
-            abs_total += math.fsum(abs(v) for v in shell_terms)
-            s = total + shell
-            if abs(total) >= abs(shell):
-                comp += (total - s) + shell
-            else:
-                comp += (shell - s) + total
-            total = s
-
-        tail = y ** (t + 1) / (1.0 - y)
+    total = comp = abs_total = 0.0
+    result = math.nan
+    for t in range(shells):
+        n = np.arange(t + 1)
+        l = t - n
+        log_w = log_fact[t] - log_fact[n] - log_fact[l] + n * log_y + l * log_y
+        terms = (np.exp(log_w) * g[n] * g[l]).tolist()
+        shell = math.fsum(terms)
+        abs_total += math.fsum(map(abs, terms))
+        s = total + shell
+        if abs(total) >= abs(shell):
+            comp += (total - s) + shell
+        else:
+            comp += (shell - s) + total
+        total = s
+        tail = y2 ** (t + 1) / (1.0 - y2)
         result = total + comp
         if tail <= max(ctl.rel_tol * abs(result), ctl.abs_tol):
             if abs_total > _CANCELLATION_LIMIT * max(abs(result), 1.0e-300):
-                raise PrecisionLossError(
-                    "f4_general: cancellation exceeds double precision",
-                    value=result,
-                    err_est=abs_total * 1.0e-16,
-                )
+                raise PrecisionLossError("F4: cancellation exceeds double precision",
+                                         value=result, err_est=abs_total * 1.0e-16)
             return result, tail + 1.0e-16 * abs_total
-
     raise SeriesConvergenceError(
-        f"f4_general did not converge within max_terms_per_index={cap} "
-        f"(x1={x1}, x2={x2}, y1={y1}, y2={y2}); "
+        f"F4 did not converge within max_terms_per_index={cap} "
+        f"(x1={x}, x2={x}, y1={y}, y2={y}); "
         "use the quadrature route for this argument regime",
-        value=total + comp,
-        err_est=y ** (cap + 1) / (1.0 - y),
-    )
+        value=result, err_est=cap_tail)
 
 
 # ---------------------------------------------------------------------------

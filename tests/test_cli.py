@@ -60,6 +60,16 @@ class TestEval:
         assert "rerun with --method quadrature" in captured.err
         assert "average photon flux" not in captured.out
 
+    def test_opaque_skin_reports_empty_range(self, baseline_doc, tmp_path, capsys):
+        baseline_doc["skin"]["mu_a_per_mm"] = 124.0  # no photon crosses the skin
+        path = tmp_path / "opaque.json"
+        path.write_text(json.dumps(baseline_doc))
+        code = main(["eval", "--config", str(path), "--samples", "10000"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        assert "dynamic range    = empty" in captured.out
+
     def test_bad_config_exits_2(self, baseline_doc, tmp_path, capsys):
         baseline_doc["beam"]["sigma_s_mm"] = -1.0
         path = tmp_path / "bad.json"
@@ -182,7 +192,7 @@ class TestFigure:
         preset = load_preset("fig6")
         override = preset.with_value("source.power_mw", 25.0)
         path = tmp_path / "override.json"
-        path.write_text(override.to_json())
+        path.write_text(json.dumps(override.to_dict()))
         code = main(["figure", "6", "--config", str(path), "--out", str(tmp_path)])
         assert code == 0
 

@@ -147,7 +147,7 @@ class TestRoundTrip:
         assert again.config_hash() == baseline_cfg.config_hash()
 
     def test_json_round_trip_identical(self, baseline_cfg):
-        again = LinkConfig.from_dict(json.loads(baseline_cfg.to_json()))
+        again = LinkConfig.from_dict(json.loads(json.dumps(baseline_cfg.to_dict())))
         assert again == baseline_cfg
 
     def test_hash_sensitive_to_values(self, baseline_cfg):

@@ -266,6 +266,14 @@ class TestSafetyCheck:
         with pytest.raises(ValueError):
             safety_check(baseline_cfg, hearing_target=target, n=n)
 
+    def test_opaque_skin_leaves_neuron_limit_unbound(self, baseline_cfg):
+        # mu_a = 124/mm over 6 mm of skin: the neuron irradiance at 1 W underflows to 0
+        cfg = baseline_cfg.with_value("skin.mu_a_per_mm", 124.0)
+        skin_irr, neuron_irr, skin_ok, neuron_ok, dyn = safety_check(cfg, n=10_000)
+        assert skin_irr > 0.0 and neuron_irr == 0.0
+        assert skin_ok and neuron_ok
+        assert dyn is None
+
     def test_large_coupling_argument(self, baseline_cfg):
         # a 3.0513 mm coupling focal length puts the coupling argument at 300
         cfg = baseline_cfg.with_value("coupling.focal_length_mm", 3.0513)

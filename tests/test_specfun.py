@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import _oracles as oracles
 from aoci.specfun import (
@@ -22,7 +20,6 @@ from aoci.specfun import (
     _gk21,
     bessel_i0e,
     bessel_j1,
-    f4_general,
     humbert_psi2,
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
@@ -83,9 +80,11 @@ class TestBesselKernels:
 
         z = np.concatenate([np.linspace(0.0, 20.0, 2001), np.geomspace(1e-8, 1e7, 3000),
                             [8.0, np.nextafter(8.0, 9.0)]])
-        ref = special.i0e(z)
-        assert np.all(np.abs(bessel_i0e(z) - ref) <= 2.0 * np.spacing(ref))
-        assert np.array_equal(bessel_i0e(-z), bessel_i0e(z))
+        # one range only, and no values at all, take the same kernels
+        for zs in (z, z[z <= 8.0], z[z > 8.0], z[:0]):
+            ref = special.i0e(zs)
+            assert np.all(np.abs(bessel_i0e(zs) - ref) <= 2.0 * np.spacing(ref))
+            assert np.array_equal(bessel_i0e(-zs), bessel_i0e(zs))
 
 
 class TestRegularizedGammaP:
@@ -212,81 +211,81 @@ class TestHumbertPsi2:
 
 
 class TestF4General:
+    # F4(x, x, y, y), the one form of the quadruple series the average flux sums.
     def test_origin(self):
-        assert f4_general(0.0, 0.0, 0.0, 0.0) == 1.0
+        assert _f4_eval(0.0, 0.0, SeriesControl())[0] == 1.0
 
     def test_collapses_to_psi2(self):
-        got = f4_general(-1.0, 0.0, 0.0, 0.0)
-        assert got == pytest.approx(0.6321205588285577, abs=1e-6)
+        # at y = 0 only the n = l = 0 term is left: g_0(x)^2 = Psi2(1; 2, 1; x, 0)^2
+        got, _ = _f4_eval(-1.0, 0.0, SeriesControl())
+        assert got == pytest.approx(0.6321205588285577**2, abs=1e-6)
         for x in [-0.1, -0.7, -2.0, -4.5]:
-            assert f4_general(x, 0.0, 0.0, 0.0) == pytest.approx(
-                humbert_psi2(x, 0.0), rel=1e-9
+            assert _f4_eval(x, 0.0, SeriesControl())[0] == pytest.approx(
+                humbert_psi2(x, 0.0) ** 2, rel=1e-9
             )
 
     def test_geometric_closed_form_at_x_zero(self):
-        # x1 = x2 = 0 collapses the sum to sum C(n+l,n) y1^n y2^l = 1/(1-y1-y2)
-        for y1, y2 in [(0.2, 0.3), (0.45, 0.45), (0.0, 0.6)]:
-            assert f4_general(0.0, 0.0, y1, y2) == pytest.approx(
-                1.0 / (1.0 - y1 - y2), rel=1e-9
+        # x = 0 collapses the sum to sum C(n+l,n) y^(n+l) = 1/(1-2y)
+        for y in [0.25, 0.45, 0.3]:
+            assert _f4_eval(0.0, y, SeriesControl())[0] == pytest.approx(
+                1.0 / (1.0 - 2.0 * y), rel=1e-9
             )
 
     def test_bruteforce_oracle_frozen(self):
         # _oracles.f4_bruteforce(-0.3, -0.3, 0.2, 0.2, terms=30)
         #   = 1.13464487143932078724838764701...
-        got = f4_general(-0.3, -0.3, 0.2, 0.2)
+        got, _ = _f4_eval(-0.3, 0.2, SeriesControl())
         assert got == pytest.approx(1.1346448714393208, rel=1e-9)
 
     def test_bruteforce_oracle_live(self):
-        ref = float(oracles.f4_bruteforce(-0.8, -0.2, 0.15, 0.3, terms=16))
-        got = f4_general(-0.8, -0.2, 0.15, 0.3)
-        assert got == pytest.approx(ref, rel=1e-8)
-
-    @given(
-        st.floats(min_value=-4.0, max_value=0.0),
-        st.floats(min_value=-4.0, max_value=0.0),
-        st.floats(min_value=0.0, max_value=0.45),
-        st.floats(min_value=0.0, max_value=0.45),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_swap_symmetry(self, x1, x2, y1, y2):
-        a = f4_general(x1, x2, y1, y2)
-        b = f4_general(x2, x1, y2, y1)
-        assert a == pytest.approx(b, rel=1e-11)
+        # the oracle's own truncation at 16 terms per index is about 2e-13 here
+        ref = float(oracles.f4_bruteforce(-0.8, -0.8, 0.15, 0.15, terms=16))
+        value, err = _f4_eval(-0.8, 0.15, SeriesControl())
+        assert abs(value - ref) <= err
+        assert value == pytest.approx(ref, rel=1e-10)
 
     def test_domain_validation(self):
-        cases = [
-            (0.0, 0.0, 1.0, 0.0),
-            (0.0, 0.0, -0.1, 0.0),
-            # the truncation bound needs x1, x2 <= 0 and y1 + y2 < 1
-            (0.1, -1.0, 0.2, 0.2),
-            (-1.0, 0.5, 0.2, 0.2),
-            (-math.inf, 0.0, 0.2, 0.2),
-            (math.nan, 0.0, 0.2, 0.2),
-            (-1.0, -1.0, 0.5, 0.5),
-            (-1.0, -1.0, 0.7, 0.6),
-        ]
-        for args in cases:
+        # the truncation bound needs a finite x <= 0 and 0 <= y < 1/2
+        cases = [(0.0, 0.5), (0.0, -0.1), (0.1, 0.2), (-math.inf, 0.2), (math.nan, 0.2),
+                 (-1.0, 0.5), (-1.0, 0.65), (-1.0, math.nan)]
+        for x, y in cases:
             with pytest.raises(ValueError):
-                f4_general(*args)
+                _f4_eval(x, y, SeriesControl())
 
     def test_tiny_argument(self):
         # g_0(x) = (e^x - 1)/x computed naively is 0 for |x| below ~1e-16
-        assert f4_general(-1e-310, 0.0, 0.0, 0.25) == pytest.approx(1.0 / 0.75, rel=1e-9)
-        assert f4_general(-1e-20, -1e-20, 0.2, 0.3) == pytest.approx(2.0, rel=1e-9)
+        assert _f4_eval(-1e-310, 0.125, SeriesControl())[0] == pytest.approx(1.0 / 0.75, rel=1e-9)
+        assert _f4_eval(-1e-20, 0.25, SeriesControl())[0] == pytest.approx(2.0, rel=1e-9)
+
+    def test_underflowing_exponential(self):
+        # e^x = 0: g_n = 0 past g_0 = -1/x, though L_k^(1)(2000) overflows from k = 236
+        value, err = _f4_eval(-2000.0, 0.1, SeriesControl())
+        assert value == pytest.approx(0.0005**2, rel=1e-15) and 0.0 < err < 1e-16
+        assert humbert_psi2(-1e7, 0.5) == pytest.approx(1e-7, rel=1e-15)
 
     def test_error_bound_covers_oracle(self):
         # the frozen oracle of test_bruteforce_oracle_frozen
-        value, err = _f4_eval(-0.3, -0.3, 0.2, 0.2, SeriesControl())
+        value, err = _f4_eval(-0.3, 0.2, SeriesControl())
         assert 0.0 < err < 1e-9
         assert abs(value - 1.1346448714393208) <= err
 
     def test_non_convergence_near_boundary(self):
         ctl = SeriesControl(max_terms_per_index=32)
         with pytest.raises(SeriesConvergenceError):
-            f4_general(0.0, 0.0, 0.4999, 0.4999, ctl)
+            _f4_eval(0.0, 0.4999, ctl)
+
+    def test_refused_before_summing(self):
+        # 0.9998^401 / 2e-4 > 2 rel_tol / 2e-4: no shell up to the cap can stop the
+        # sum, so none is summed and there is no partial value to report
+        with pytest.raises(SeriesConvergenceError) as info:
+            _f4_eval(-1.0, 0.4999, SeriesControl())
+        assert math.isnan(info.value.value)
+        y2 = 0.4999 + 0.4999
+        assert info.value.err_est == y2**401 / (1.0 - y2)
 
     def test_deterministic(self):
-        assert f4_general(-0.3, -0.3, 0.2, 0.2) == f4_general(-0.3, -0.3, 0.2, 0.2)
+        ctl = SeriesControl()
+        assert _f4_eval(-0.3, 0.2, ctl) == _f4_eval(-0.3, 0.2, ctl)
 
 
 class TestIntegrateSemiInfinite:
