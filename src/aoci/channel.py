@@ -127,12 +127,15 @@ def beam_stats(geom: BeamGeometry, delta: float) -> BeamStats:
     return BeamStats(w_delta=w_delta, upsilon=upsilon, w_eq=w_eq, a0=a0)
 
 
-def pointing_gain(geom: BeamGeometry, delta: float, r):
-    """Collected-power fraction ``A0 exp(-2 r^2 / w_eq^2)`` at displacement r, float or array."""
+def pointing_gain(a0, w_eq, r):
+    """Collected-power fraction h_p = ``A0 exp(-2 (r / w_eq)^2)`` at displacement r.
+
+    ``a0`` and ``w_eq`` are ``beam_stats``' peak collection and equivalent width;
+    each argument is a float or an array (broadcast together).
+    """
     if np.any(r < 0.0):
         raise ValueError(f"radial displacement must be >= 0, got {r}")
-    stats = beam_stats(geom, delta)
-    return stats.a0 * np.exp(-2.0 * r * r / (stats.w_eq * stats.w_eq))
+    return a0 * np.exp(-2.0 * (r / w_eq) ** 2)
 
 
 def rayleigh_pdf(sigma_s, r):

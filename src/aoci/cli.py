@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--seed", type=_int_from(0), default=1234, help="Monte Carlo seed")
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
-    p_val.add_argument("--quick", action="store_true", help="reduced grids, ~30 s")
+    p_val.add_argument("--quick", action="store_true", help="reduced grids, ~1 s")
 
     return parser
 
@@ -156,10 +156,11 @@ def _cmd_eval(args) -> int:
                 ["quantity", "value", "err_bound", "method", "n_samples", "seed", "config_hash"]
             )
             h = cfg.config_hash()
+            mc_cells = ["" if v is None else v for v in (flux.n_samples, flux.seed)]
             writer.writerow(["mean_flux_per_s", repr(flux.value), repr(flux.err_bound),
-                             flux.method, flux.n_samples or "", flux.seed or "", h])
+                             flux.method, *mc_cells, h])
             writer.writerow(["link_budget_counts", repr(budget), repr(flux.err_bound * gain),
-                             flux.method, flux.n_samples or "", flux.seed or "", h])
+                             flux.method, *mc_cells, h])
             writer.writerow(["p_hearing", repr(ph.value),
                              repr(0.5 * (ph.ci_high - ph.ci_low)), "monte_carlo",
                              ph.n_samples, ph.seed, h])

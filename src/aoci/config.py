@@ -5,8 +5,9 @@ explicitly (``delta_mm``, ``lambda_nm``, ``power_mw``, ...). Conversion to
 SI happens exactly once, here; everything downstream works in meters, watts
 and seconds. Each top-level key has one builder in ``_BUILDERS`` that
 validates it and returns the ``LinkConfig`` fields it owns; ``from_dict``
-runs them all, ``with_value`` only those its paths touch. The raw document
-is retained verbatim, read-only, as the round-trip source of truth; the
+runs them all, ``with_value`` only those its paths touch. Every number is
+read by ``_finite`` (finite; an int for counts). The raw document is
+retained verbatim, read-only, as the round-trip source of truth; the
 provenance hash is computed over it from canonical JSON fragments of its
 top-level keys, taken when the config is built.
 """
@@ -60,19 +61,36 @@ def _require(section: dict, key: str, path: str) -> Any:
     return section[key]
 
 
-def _number(section: dict, key: str, path: str, allow_none: bool = False) -> float:
+def _finite(value: Any, path: str, integer: bool = False) -> float:
+    """``value`` as a finite float, or with ``integer`` as an int; else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    if integer:
+        if not number.is_integer():
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        return int(value)
+    return number
+
+
+def _number(section: dict, key: str, path: str, allow_none: bool = False,
+            integer: bool = False) -> float:
+    """The number at ``section[key]`` read by ``_finite``; null reads as inf with ``allow_none``."""
     value = _require(section, key, path)
     if value is None and allow_none:
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _finite(value, f"{path}.{key}", integer)
 
 
-def _section(doc: dict, key: str) -> dict:
-    value = _require(doc, key, "config")
+def _section(doc: dict, key: str, path: str = "config") -> dict:
+    value = _require(doc, key, path)
     if not isinstance(value, dict):
-        raise ConfigError(f"config.{key}: expected an object")
+        raise ConfigError(f"{path}.{key}: expected an object")
     return value
 
 
@@ -80,6 +98,20 @@ def _reject_unknown(section: dict, known: set[str], path: str) -> None:
     unknown = set(section) - known
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
+
+
+def _numeric_field(doc: dict, dotted: str) -> tuple[dict, str]:
+    """The node of ``doc`` holding the numeric (or null) field ``dotted``, and its key."""
+    *parents, key = dotted.split(".")
+    node: Any = doc
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or key not in node:
+        raise ConfigError(f"config.{dotted}: no such field")
+    value = node[key]
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"config.{dotted}: not a numeric field")
+    return node, key
 
 
 # A builder reads its top-level key of the document and returns the LinkConfig
@@ -110,16 +142,12 @@ def _mpe(doc: dict, built: dict) -> dict:
         mpe_doc.update(sec)
     mpe_skin = _number(mpe_doc, "skin_mw_per_mm2", "config.mpe") * _MW_PER_MM2
     mpe_neuron = _number(mpe_doc, "neuron_mw_per_mm2", "config.mpe") * _MW_PER_MM2
-    if not math.isfinite(mpe_skin + mpe_neuron):
-        raise ConfigError("config.mpe: limits must be finite")
     if mpe_skin <= 0.0 or mpe_neuron <= 0.0:
         raise ConfigError("config.mpe: limits must be positive")
     return {"mpe_skin": mpe_skin, "mpe_neuron": mpe_neuron}
 
 
 def _spot(doc: dict, built: dict) -> dict:
-    if "skin_spot_radius_mm" not in doc:
-        raise ConfigError("config.skin_spot_radius_mm: missing required field")
     spot = _number(doc, "skin_spot_radius_mm", "config")
     if spot <= 0.0:
         raise ConfigError("config.skin_spot_radius_mm: must be > 0")
@@ -127,18 +155,23 @@ def _spot(doc: dict, built: dict) -> dict:
 
 
 def _numerics(doc: dict, built: dict) -> dict:
-    series_ctl, quad_ctl = SeriesControl(), QuadControl()
-    if "numerics" in doc:
-        numerics = _section(doc, "numerics")
-        _reject_unknown(numerics, {"series", "quad"}, "config.numerics")
-        try:
-            if "series" in numerics:
-                series_ctl = SeriesControl(**numerics["series"])
-            if "quad" in numerics:
-                quad_ctl = QuadControl(**numerics["quad"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.numerics: {exc}") from exc
-    return {"series_ctl": series_ctl, "quad_ctl": quad_ctl}
+    ctl = {"series_ctl": SeriesControl(), "quad_ctl": QuadControl()}
+    if "numerics" not in doc:
+        return ctl
+    numerics = _section(doc, "numerics")
+    _reject_unknown(numerics, {"series", "quad"}, "config.numerics")
+    for key, cls in (("series", SeriesControl), ("quad", QuadControl)):
+        if key in numerics:
+            sec, path = _section(numerics, key, "config.numerics"), f"config.numerics.{key}"
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+            _reject_unknown(sec, set(defaults), path)
+            kwargs = {name: _number(sec, name, path, integer=isinstance(default, int))
+                      for name, default in defaults.items() if name in sec}
+            try:
+                ctl[f"{key}_ctl"] = cls(**kwargs)
+            except ValueError as exc:
+                raise ConfigError(f"config.numerics: {exc}") from exc
+    return ctl
 
 
 # One builder per top-level key, run in this order (coupling reads the source).
@@ -184,7 +217,7 @@ _BUILDERS: dict[str, _Builder] = {
             bend_db_per_90deg=num("bend_db_per_90deg"),
             n_quarter_turns=num("n_quarter_turns"),
             fbg_fraction_lost=num("fbg_fraction_lost"),
-            n_fbg=int(num("n_fbg")),
+            n_fbg=num("n_fbg", integer=True),
         )),
     "neural": _params(
         "neural", {"f0_per_s", "tau_s", "y_th_photons", "d_th_photons"},
@@ -267,19 +300,9 @@ class LinkConfig:
         """
         doc, touched, rebuild = _copy_tree(self.raw), set(), set()
         for dotted, new in path.items() if isinstance(path, Mapping) else [(path, value)]:
-            node, parts = doc, dotted.split(".")
-            for part in parts[:-1]:
-                node = node.get(part)
-                if not isinstance(node, dict):
-                    raise ConfigError(f"config.{dotted}: no such field")
-            leaf = parts[-1]
-            if leaf not in node:
-                raise ConfigError(f"config.{dotted}: no such field")
-            old = node[leaf]
-            if old is not None and (not isinstance(old, (int, float)) or isinstance(old, bool)):
-                raise ConfigError(f"config.{dotted}: not a numeric field")
-            node[leaf] = new
-            touched.add(parts[0])
+            node, key = _numeric_field(doc, dotted)
+            node[key] = new
+            touched.add(dotted.partition(".")[0])
             if dotted == "source.lambda_nm":  # CouplingParams.lam is the wavelength
                 rebuild.add("coupling")
         rebuild |= touched
@@ -292,16 +315,8 @@ class LinkConfig:
 
     def resolve(self, path: str) -> float:
         """Read a raw numeric field by dotted path; a null field reads as inf."""
-        node: Any = self.raw
-        for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"config.{path}: no such field")
-            node = node[part]
-        if node is None:
-            return math.inf
-        if not isinstance(node, (int, float)) or isinstance(node, bool):
-            raise ConfigError(f"config.{path}: not a numeric field")
-        return float(node)
+        node, key = _numeric_field(self.raw, path)
+        return math.inf if node[key] is None else float(node[key])
 
 
 def load_config(path: str | Path) -> LinkConfig:

@@ -217,7 +217,7 @@ def received_flux_batch(
     r = np.asarray(r, dtype=np.float64)
     if eta is None:
         eta = optics.coupling_eta_batch(cfg.coupling, r)
-    h_p = state.a0 * np.exp(-2.0 * (r / state.w_eq) ** 2)
+    h_p = channel.pointing_gain(state.a0, state.w_eq, r)
     return _deterministic_prefactor(cfg, state) * eta * h_p
 
 
@@ -306,7 +306,7 @@ def mean_flux_quadrature_batch(
         for k in np.flatnonzero(np.bincount(codes, minlength=len(couplings))):
             at = codes == k
             eta[at] = optics.coupling_eta_batch(couplings[k], r[at])
-        h_p = a0[owner] * np.exp(-2.0 * (r / w_eq[owner]) ** 2)
+        h_p = channel.pointing_gain(a0[owner], w_eq[owner], r)
         return eta * h_p * channel.rayleigh_pdf(sigma[owner], r)
 
     breakpoints = [(1.0 / math.sqrt(_exposure_rate(cfg, state)), s, 2.0 * s)

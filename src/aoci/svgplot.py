@@ -107,22 +107,24 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _axes_frame(ax_x: _Axis, ax_y: _Axis, xlabel: str, ylabel: str) -> list[str]:
+def _axes_frame(x_ticks, y_ticks, xlabel: str, ylabel: str, marks: bool = True) -> list[str]:
+    """Plot frame, tick labels (with tick marks if ``marks``) and axis labels; each tick
+    is a (pixel, value) pair."""
     parts = [
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="black"/>'
     ]
     y0 = HEIGHT - MARGIN_B
-    for t in ax_x.ticks():
-        px = ax_x(t)
-        parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" stroke="black"/>')
+    for px, t in x_ticks:
+        if marks:
+            parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" y2="{y0 + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{_fmt(px)}" y="{y0 + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
         )
-    for t in ax_y.ticks():
-        py = ax_y(t)
-        parts.append(f'<line x1="{MARGIN_L - 5}" y1="{_fmt(py)}" x2="{MARGIN_L}" y2="{_fmt(py)}" stroke="black"/>')
+    for py, t in y_ticks:
+        if marks:
+            parts.append(f'<line x1="{MARGIN_L - 5}" y1="{_fmt(py)}" x2="{MARGIN_L}" y2="{_fmt(py)}" stroke="black"/>')
         parts.append(
             f'<text x="{MARGIN_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>'
@@ -137,6 +139,12 @@ def _axes_frame(ax_x: _Axis, ax_y: _Axis, xlabel: str, ylabel: str) -> list[str]
         f'transform="rotate(-90 20 {(MARGIN_T + HEIGHT - MARGIN_B) / 2:.0f})">{_escape(ylabel)}</text>'
     )
     return parts
+
+
+def _write(path: str | Path, parts: list[str]) -> None:
+    parts.append("</svg>")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
 def line_plot(
@@ -174,7 +182,8 @@ def line_plot(
     ax_y = _Axis(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T, ylog)
 
     parts = _svg_header(title, provenance)
-    parts += _axes_frame(ax_x, ax_y, xlabel, ylabel)
+    parts += _axes_frame([(ax_x(t), t) for t in ax_x.ticks()],
+                         [(ax_y(t), t) for t in ax_y.ticks()], xlabel, ylabel)
     for y_ref, label in hlines or []:
         py = ax_y(y_ref)
         parts.append(
@@ -212,9 +221,7 @@ def line_plot(
             f'font-size="11">{_escape(label)}</text>'
         )
         legend_y += 18
-    parts.append("</svg>")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    _write(path, parts)
 
 
 def _viridis(frac: float) -> str:
@@ -277,32 +284,10 @@ def heatmap(
                 f'<rect x="{_fmt(x_pix)}" y="{_fmt(y_pix)}" width="{_fmt(cell_w + 0.5)}" '
                 f'height="{_fmt(cell_h + 0.5)}" fill="{fill}"/>'
             )
-    # frame + edge tick labels
-    parts.append(
-        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="black"/>'
-    )
-    for i in (0, len(xs) - 1):
-        px = MARGIN_L + (i + 0.5) * cell_w
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{HEIGHT - MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(xs[i])}</text>'
-        )
-    for j in (0, len(ys) - 1):
-        py = HEIGHT - MARGIN_B - (j + 0.5) * cell_h
-        parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(ys[j])}</text>'
-        )
-    parts.append(
-        f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2:.0f}" y="{HEIGHT - 16}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2:.0f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {(MARGIN_T + HEIGHT - MARGIN_B) / 2:.0f})">{_escape(ylabel)}</text>'
-    )
+    # frame + edge tick labels, at the centres of the first and last cells
+    parts += _axes_frame([(MARGIN_L + (i + 0.5) * cell_w, xs[i]) for i in (0, len(xs) - 1)],
+                         [(HEIGHT - MARGIN_B - (j + 0.5) * cell_h, ys[j]) for j in (0, len(ys) - 1)],
+                         xlabel, ylabel, marks=False)
     # colorbar
     bar_x, bar_w = WIDTH - MARGIN_R + 24, 18
     steps = 24
@@ -323,6 +308,4 @@ def heatmap(
         f'<text x="{bar_x + bar_w + 4}" y="{MARGIN_T + 10}" font-family="sans-serif" '
         f'font-size="10">{hi_label}</text>'
     )
-    parts.append("</svg>")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    _write(path, parts)

@@ -22,13 +22,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from aoci import kpi, photometry
-from aoci.config import ConfigError, LinkConfig
+from aoci.config import ConfigError, LinkConfig, _finite, _number, _reject_unknown
 from aoci.specfun import NumericalError
 
 __all__ = ["SweepAxis", "SweepSpec", "SweepResult", "run_sweep", "write_csv"]
@@ -65,6 +64,8 @@ class SweepSpec:
             raise ConfigError(f"sweep.metric: unknown metric {self.metric!r}")
         if self.method not in METHODS:
             raise ConfigError(f"sweep.method: unknown method {self.method!r}")
+        if self.mc_seed < 0:
+            raise ConfigError(f"sweep.mc.seed: must be >= 0, got {self.mc_seed}")
         if self.mc_n < 1000:
             raise ConfigError(f"sweep.mc.n: need at least 1000 samples, got {self.mc_n}")
         if self.metric in ("p_hearing", "p_damage") and self.mc_n < kpi.MIN_SAMPLES:
@@ -75,9 +76,7 @@ class SweepSpec:
     def from_dict(cls, doc: dict) -> "SweepSpec":
         if not isinstance(doc, dict):
             raise ConfigError("sweep: expected a JSON object")
-        unknown = set(doc) - {"axis1", "axis2", "metric", "method", "mc"}
-        if unknown:
-            raise ConfigError(f"sweep.{sorted(unknown)[0]}: unknown field")
+        _reject_unknown(doc, {"axis1", "axis2", "metric", "method", "mc"}, "sweep")
 
         def axis(key: str, required: bool) -> SweepAxis | None:
             node = doc.get(key)
@@ -92,18 +91,20 @@ class SweepSpec:
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
             ):
                 raise ConfigError(f"sweep.{key}.values: expected a list of numbers")
-            return SweepAxis(path=str(node["path"]), values=tuple(float(v) for v in values))
+            return SweepAxis(path=str(node["path"]),
+                             values=tuple(_finite(v, f"sweep.{key}.values") for v in values))
 
         mc = doc.get("mc", {})
         if not isinstance(mc, dict):
             raise ConfigError("sweep.mc: expected an object")
+        counts = {f"mc_{key}": _number(mc, key, "sweep.mc", integer=True)
+                  for key in ("n", "seed") if key in mc}
         return cls(
             axis1=axis("axis1", required=True),
             axis2=axis("axis2", required=False),
             metric=str(doc.get("metric", "mean_flux")),
             method=str(doc.get("method", "quadrature")),
-            mc_n=int(mc.get("n", 100_000)),
-            mc_seed=int(mc.get("seed", 1234)),
+            **counts,
         )
 
     @classmethod
@@ -123,15 +124,8 @@ class SweepResult:
 
 
 def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, est=None) -> dict[str, Any]:
-    """One grid point: value/err/method/ci fields for the metric (flux from ``est`` if given)."""
-    out: dict[str, Any] = {
-        "value": "",
-        "err_bound": "",
-        "method": "",
-        "n_samples": "",
-        "seed": "",
-        "error": "",
-    }
+    """One grid point's metric fields (flux from ``est`` if given); one left unset is empty."""
+    out: dict[str, Any] = {}
     metric = spec.metric
     if metric in ("mean_flux", "link_budget"):
         if est is None:
@@ -218,20 +212,11 @@ def _build_point(base_cfg: LinkConfig, spec: SweepSpec, axes: list, values: tupl
     return point, cfg
 
 
-def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
-
-
 def write_csv(result: SweepResult, path: str | Path) -> None:
     """RFC-4180 CSV, LF endings, shortest round-trip float formatting."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")  # floats as str(): shortest round trip
         writer.writerow(result.columns)
-        for row in result.rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(result.rows)

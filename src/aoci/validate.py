@@ -208,11 +208,11 @@ def check_pointing_average(quick: bool) -> CheckResult:
         geom = channel.BeamGeometry(
             theta=math.radians(theta_deg), beta=beta_mm * 1e-3, sigma_s=sigma_mm * 1e-3
         )
-        delta = delta_mm * 1e-3
-        stats = channel.beam_stats(geom, delta)
+        stats = channel.beam_stats(geom, delta_mm * 1e-3)
         sigma = geom.sigma_s
         value, _ = integrate_semi_infinite(
-            lambda r: channel.pointing_gain(geom, delta, r) * channel.rayleigh_pdf(sigma, r),
+            lambda r: (channel.pointing_gain(stats.a0, stats.w_eq, r)
+                       * channel.rayleigh_pdf(sigma, r)),
             sigma,
             breakpoints=(sigma,),
         )

@@ -108,12 +108,12 @@ class TestPointingGain:
     def test_peak_at_zero(self):
         geom = make_geom()
         stats = beam_stats(geom, 6e-3)
-        assert pointing_gain(geom, 6e-3, 0.0) == stats.a0
+        assert pointing_gain(stats.a0, stats.w_eq, 0.0) == stats.a0
 
     def test_equivalent_beamwidth_point(self):
         geom = make_geom()
         stats = beam_stats(geom, 6e-3)
-        got = pointing_gain(geom, 6e-3, stats.w_eq / math.sqrt(2.0))
+        got = pointing_gain(stats.a0, stats.w_eq, stats.w_eq / math.sqrt(2.0))
         assert got == pytest.approx(stats.a0 / math.e, rel=1e-12)
 
     def test_spec_numeric_point(self):
@@ -130,17 +130,17 @@ class TestPointingGain:
         stats = beam_stats(geom, delta)
         assert stats.a0 == pytest.approx(target_a0, abs=1e-4)
         assert stats.w_eq == pytest.approx(target_weq, rel=1e-4)
-        assert pointing_gain(geom, delta, 1e-3) == pytest.approx(0.2489, abs=1e-3)
+        assert pointing_gain(stats.a0, stats.w_eq, 1e-3) == pytest.approx(0.2489, abs=1e-3)
 
     def test_monotone_decreasing(self):
-        geom = make_geom()
+        stats = beam_stats(make_geom(), 6e-3)
         rs = np.linspace(0.0, 5e-3, 50)
-        gains = [pointing_gain(geom, 6e-3, float(r)) for r in rs]
+        gains = [pointing_gain(stats.a0, stats.w_eq, float(r)) for r in rs]
         assert all(b < a for a, b in zip(gains, gains[1:]))
 
     def test_rejects_negative_displacement(self):
         with pytest.raises(ValueError):
-            pointing_gain(make_geom(), 6e-3, -1e-4)
+            pointing_gain(1.0, 1e-3, -1e-4)
 
 
 class TestRayleighPdf:
@@ -174,7 +174,7 @@ class TestPointingRayleighIdentity:
         stats = beam_stats(geom, delta)
         sigma = geom.sigma_s
         value, _ = integrate.quad(
-            lambda r: pointing_gain(geom, delta, r) * rayleigh_pdf(sigma, r),
+            lambda r: pointing_gain(stats.a0, stats.w_eq, r) * rayleigh_pdf(sigma, r),
             0.0,
             12.0 * sigma,
         )

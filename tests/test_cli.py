@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, determinism of emitted artifacts."""
 
+import csv
 import json
 import os
 import subprocess
@@ -86,6 +87,37 @@ class TestEval:
         assert main(["eval", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: config.mpe") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("path,value", [
+        ("skin.mu_a_per_mm", float("nan")),
+        ("fiber.n_fbg", float("inf")),
+        ("fiber.n_fbg", 1.5),
+        ("numerics.series.max_terms_per_index", 400.5),
+    ])
+    def test_non_finite_or_fractional_leaf_exits_2_with_one_line(
+            self, baseline_doc, tmp_path, capsys, path, value):
+        baseline_doc["numerics"] = {"series": {}}
+        *parents, leaf = path.split(".")
+        node = baseline_doc
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(baseline_doc))
+        assert main(["eval", "--config", str(config), "--samples", "10000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config.{path}: expected ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_eval_csv_keeps_seed_zero(self, config_path, tmp_path, capsys):
+        main(["eval", "--config", config_path, "--method", "mc", "--samples", "10000",
+              "--seed", "0", "--out", str(tmp_path)])
+        capsys.readouterr()
+        with open(tmp_path / "eval.csv", encoding="utf-8", newline="") as fh:
+            rows = {row["quantity"]: row for row in csv.DictReader(fh)}
+        for quantity in ("mean_flux_per_s", "link_budget_counts", "p_hearing", "p_damage"):
+            assert (rows[quantity]["n_samples"], rows[quantity]["seed"]) == ("10000", "0")
+        assert rows["p_false_hearing_literal"]["seed"] == ""
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["eval", "--config", "/nonexistent/link.json"]) == 2
@@ -177,6 +209,15 @@ class TestSweep:
         assert main(["sweep", "--config", config_path, "--sweep", sweep_path,
                      "--out", str(tmp_path / "out")]) == 2
         assert "sweep.mc.n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mc", [{"n": "x"}, {"n": None}, {"n": 20000.7}, {"seed": -1}])
+    def test_bad_mc_count_or_seed_exits_2_with_one_line(self, config_path, tmp_path, capsys, mc):
+        sweep_path = self.make_sweep(tmp_path, method="mc", mc=mc)
+        assert main(["sweep", "--config", config_path, "--sweep", sweep_path,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep.mc.{next(iter(mc))}: ")
+        assert err.count("\n") == 1
 
 
 class TestFigure:

@@ -1,11 +1,13 @@
 """Configuration ingestion: conversions, validation, round trip, hashing."""
 
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
 
+from aoci import photometry
 from aoci.config import ConfigError, LinkConfig, load_config
 from aoci.figures import load_preset, preset_path
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
@@ -115,6 +117,41 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             LinkConfig.from_dict(baseline_doc)
         assert "config.mpe" in str(err.value)
+
+    @pytest.mark.parametrize("path,value", [
+        ("fiber.n_fbg", 1.5),
+        ("numerics.series.max_terms_per_index", 400.5),
+        ("numerics.quad.max_subdivisions", 2000.5),
+    ])
+    def test_count_fields_are_integers(self, baseline_doc, path, value):
+        baseline_doc["numerics"] = {"series": {}, "quad": {}}
+        cfg = LinkConfig.from_dict(baseline_doc)
+        with pytest.raises(ConfigError, match=rf"^config\.{path}: expected an integer"):
+            LinkConfig.from_dict(_edited(cfg, {path: value}))
+        whole = LinkConfig.from_dict(_edited(cfg, {path: float(round(value))}))
+        count = {"fiber.n_fbg": whole.fiber.n_fbg,
+                 "numerics.series.max_terms_per_index": whole.series_ctl.max_terms_per_index,
+                 "numerics.quad.max_subdivisions": whole.quad_ctl.max_subdivisions}[path]
+        assert type(count) is int and count == round(value)
+
+    @pytest.mark.parametrize("numerics,message", [
+        ({"series": {"max_terms": 500}}, "config.numerics.series.max_terms: unknown field"),
+        ({"quad": "fast"}, "config.numerics.quad: expected an object"),
+        ({"quad": {"tail_cutoff_sigmas": math.inf}},
+         "config.numerics.quad.tail_cutoff_sigmas: expected a finite number, got inf"),
+        ({"series": {"rel_tol": None}},
+         "config.numerics.series.rel_tol: expected a number, got None"),
+    ])
+    def test_numerics_refusals_name_the_field(self, baseline_doc, numerics, message):
+        baseline_doc["numerics"] = numerics
+        with pytest.raises(ConfigError) as err:
+            LinkConfig.from_dict(baseline_doc)
+        assert str(err.value) == message
+
+    def test_an_integer_beyond_the_float_range_is_refused(self, baseline_doc):
+        baseline_doc["skin"]["delta_mm"] = 10**400
+        with pytest.raises(ConfigError, match=r"^config\.skin\.delta_mm: expected a finite"):
+            LinkConfig.from_dict(baseline_doc)
 
     def test_thresholds_must_order(self, baseline_doc):
         baseline_doc["neural"]["d_th_photons"] = 1.0
@@ -261,3 +298,53 @@ class TestWithValueEqualsFromDict:
     ])
     def test_two_paths_across_two_sections(self, paths):
         _assert_same_as_from_dict(load_preset("default"), paths)
+
+
+# Each preset with an explicit numerics section: every leaf of both is a number read
+# from outside, set in turn to each value below.
+NUMERICS = {
+    "series": {"rel_tol": 1e-10, "abs_tol": 1e-300, "max_terms_per_index": 400},
+    "quad": {"rel_tol": 1e-9, "abs_tol": 1e-300, "max_subdivisions": 2000,
+             "tail_cutoff_sigmas": 10.0},
+}
+FUZZ_VALUES = ["x", None, True, math.nan, math.inf, -math.inf, -1, 0, 1e300, [], {}]
+# Finite extremes that pass the config and then break the chain (CHANGES.md, FOUND):
+# beam_stats refuses the overflowing w_eq, and lambda / (h c) overflows to inf.
+EXTREMES_PAST_THE_CONFIG = {"beam.beta_mm", "skin.delta_mm", "source.lambda_nm"}
+
+
+def _fuzz_cases():
+    for name in PRESETS:
+        doc = {**load_preset(name).to_dict(), "numerics": NUMERICS}
+        for path in _numeric_leaves(doc):
+            for value in FUZZ_VALUES:
+                marks = [pytest.mark.xfail(strict=True, reason="overflows past the config")
+                         ] if value == 1e300 and path in EXTREMES_PAST_THE_CONFIG else []
+                yield pytest.param(name, path, value, marks=marks,
+                                   id=f"{name}-{path}-{value!r}")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # study-range notices
+@pytest.mark.parametrize("name,path,value", list(_fuzz_cases()))
+def test_a_number_from_outside_is_finite_or_refused(name, path, value):
+    """Every leaf of every preset, set to each fuzz value: the result is a ConfigError or
+    a config whose numbers and derived state are finite (but a null damage threshold)
+    and whose counts are ints; ``with_value`` gives what ``from_dict`` gives."""
+    cfg = LinkConfig.from_dict({**load_preset(name).to_dict(), "numerics": NUMERICS})
+    _assert_same_as_from_dict(cfg, {path: value})
+    try:
+        cfg = cfg.with_value(path, value)
+    except ConfigError:
+        return
+    numbers = list(dataclasses.astuple(photometry.derive_state(cfg)))
+    numbers += [cfg.mpe_skin, cfg.mpe_neuron, cfg.skin_spot_radius]
+    null_d_th = cfg.raw["neural"]["d_th_photons"] is None
+    for part in ("source", "skin", "beam", "mem", "coupling", "fiber", "neural",
+                 "series_ctl", "quad_ctl"):
+        numbers += [getattr(getattr(cfg, part), f.name)
+                    for f in dataclasses.fields(getattr(cfg, part))
+                    if not (f.name == "d_th" and null_d_th)]
+    assert all(math.isfinite(v) for v in numbers), numbers
+    counts = (cfg.fiber.n_fbg, cfg.series_ctl.max_terms_per_index,
+              cfg.quad_ctl.max_subdivisions)
+    assert all(type(count) is int for count in counts), counts

@@ -1,6 +1,7 @@
 """Sweep engine: grids, CSV schema and bytes, failure tolerance."""
 
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,27 @@ class TestSpecValidation:
             SweepSpec.from_dict(spec_doc(metric=metric, mc={"n": 2000}))
         assert SweepSpec.from_dict(spec_doc(metric=metric, mc={"n": 10_000})).mc_n == 10_000
         assert SweepSpec.from_dict(spec_doc(mc={"n": 2000})).mc_n == 2000  # flux MC: 1000
+
+    @pytest.mark.parametrize("values", [[0.05, math.inf], [math.nan], [-math.inf, 0.1]])
+    def test_axis_values_are_finite(self, values):
+        with pytest.raises(ConfigError, match=r"^sweep\.axis1\.values: expected a finite"):
+            SweepSpec.from_dict(spec_doc(axis1={"path": "beam.sigma_s_mm", "values": values}))
+
+    @pytest.mark.parametrize("mc,message", [
+        ({"n": "x"}, "sweep.mc.n: expected a number, got 'x'"),
+        ({"n": None}, "sweep.mc.n: expected a number, got None"),
+        ({"n": 20000.7}, "sweep.mc.n: expected an integer, got 20000.7"),
+        ({"seed": -1}, "sweep.mc.seed: must be >= 0, got -1"),
+    ])
+    def test_mc_counts_are_integers_and_the_seed_nonnegative(self, mc, message):
+        with pytest.raises(ConfigError) as err:
+            SweepSpec.from_dict(spec_doc(mc=mc))
+        assert str(err.value) == message
+
+    def test_integral_float_counts_read_as_ints(self):
+        spec = SweepSpec.from_dict(spec_doc(mc={"n": 20000.0, "seed": 0.0}))
+        assert (spec.mc_n, spec.mc_seed) == (20000, 0)
+        assert type(spec.mc_n) is int and type(spec.mc_seed) is int
 
 
 class TestRunSweep:
