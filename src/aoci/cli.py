@@ -84,7 +84,7 @@ def _mw_per_mm2(v: float) -> str:
 
 def _cmd_eval(args) -> int:
     cfg = LinkConfig.from_file(args.config)
-    state = photometry.derive_state(cfg)
+    state = cfg.state
 
     print(f"config: {args.config} (hash {cfg.config_hash()})")
     print("derived channel state:")

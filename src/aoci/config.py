@@ -5,11 +5,12 @@ explicitly (``delta_mm``, ``lambda_nm``, ``power_mw``, ...). Conversion to
 SI happens exactly once, here; everything downstream works in meters, watts
 and seconds. Each top-level key has one builder in ``_BUILDERS`` that
 validates it and returns the ``LinkConfig`` fields it owns; ``from_dict``
-runs them all, ``with_value`` only those its paths touch. Every number is
-read by ``_finite`` (finite; an int for counts). The raw document is
-retained verbatim, read-only, as the round-trip source of truth; the
-provenance hash is computed over it from canonical JSON fragments of its
-top-level keys, taken when the config is built.
+runs them all, ``with_value`` only those its paths touch, each through a
+bounded memo of section patches. Every number is read by ``_finite``
+(finite; an int for counts), and a config whose fields give no finite
+channel state is refused. The stored document is the canonical JSON
+fragment of each top-level key: the provenance hash is taken over their
+join, ``raw`` is a parse of it and ``to_dict`` a fresh one.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from aoci import photometry
 from aoci.channel import BeamGeometry, SkinParams
 from aoci.optics import CouplingParams, FiberLoss, MemParams
-from aoci.photometry import NeuralParams, SourceParams
+from aoci.photometry import ChannelState, NeuralParams, SourceParams
 from aoci.specfun import QuadControl, SeriesControl
 
 __all__ = ["ConfigError", "LinkConfig", "load_config"]
@@ -42,17 +44,6 @@ _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field path."""
-
-
-def _copy_tree(node: Any) -> Any:
-    """A copy of a JSON tree: fresh dicts and lists, the immutable leaves shared."""
-    if isinstance(node, dict):
-        node = node.copy()
-        for key, value in node.items():
-            if isinstance(value, (dict, list)):
-                node[key] = _copy_tree(value)
-        return node
-    return [_copy_tree(value) for value in node] if isinstance(node, list) else node
 
 
 def _require(section: dict, key: str, path: str) -> Any:
@@ -233,9 +224,63 @@ _BUILDERS: dict[str, _Builder] = {
 }
 
 
+# with_value's section patches: (key, its old fragment, the assigned (path, type, repr)
+# triples, so that 6, 6.0, True and -0.0 stay apart, and the wavelength for coupling)
+# -> (new fragment, builder output). A 2-D sweep grid repeats each patch along its other
+# axis. A refusal is not kept. Emptied when full: each step is one atomic dict call.
+SECTION_PATCHES = 256
+_patches: dict[tuple, tuple[str, dict]] = {}
+
+
+def _patch(key: str, fragment: str, assigned: list, source: SourceParams) -> tuple[str, dict]:
+    """Top-level ``key`` (canonical ``fragment``) with the ``assigned`` (path, value) pairs
+    set: its new fragment and builder output, from the memo or built and validated now."""
+    memo = (key, fragment, tuple((path, type(new), repr(new)) for path, new in assigned),
+            source.lam if key == "coupling" else None)
+    patch = _patches.get(memo)
+    if patch is None:
+        doc = {key: json.loads(fragment)}
+        for dotted, new in assigned:
+            node, leaf = _numeric_field(doc, dotted)
+            node[leaf] = new
+        patch = _canonical(doc[key]), _BUILDERS[key](doc, {"source": source})
+        if len(_patches) >= SECTION_PATCHES:
+            _patches.clear()
+        _patches[memo] = patch
+    return patch
+
+
+# The config fields each quantity of the channel state is derived from, and the keys
+# whose fields derive_state reads (a new wavelength rebuilds the coupling too).
+_BEAM = "config.beam.theta_deg, config.beam.beta_mm, config.skin.delta_mm"
+_STATE_INPUTS = dict(h_l="config.skin", w_delta=_BEAM, upsilon=_BEAM, w_eq=_BEAM, a0=_BEAM,
+                     g_c="config.mem", k="config.fiber", photons_per_joule="config.source.lambda_nm",
+                     coupling_argument="config.coupling, config.source.lambda_nm")
+_STATE_KEYS = frozenset({"skin", "beam", "mem", "coupling", "fiber"})
+
+
+def _checked_state(cfg: "LinkConfig") -> ChannelState:
+    """``derive_state(cfg)``, or a ConfigError naming the fields of a quantity it cannot
+    derive, or derives non-finite (or, for the coupling argument, not > 0)."""
+    try:
+        state = photometry.derive_state(cfg)
+    except ValueError as exc:  # beam_stats refuses an overflowing w_eq
+        raise ConfigError(f"{_BEAM}: {exc}") from exc
+    except ArithmeticError as exc:  # w_delta or z0 / f of two extreme fields underflows to 0
+        raise ConfigError(f"{_BEAM}, config.mem: {exc}") from exc
+    for name, fields in _STATE_INPUTS.items():
+        value = getattr(state, name)
+        if not (math.isfinite(value) and (value > 0.0 or name != "coupling_argument")):
+            raise ConfigError(f"{fields}: the derived {name} is {value!r}")
+    return state
+
+
 @dataclass(frozen=True)
 class LinkConfig:
-    """One validated link instance, all fields SI."""
+    """One validated link instance, all fields SI, with its derived channel ``state``.
+
+    The document is stored only as ``_fragments``; ``raw`` is parsed from them once.
+    """
 
     source: SourceParams
     skin: SkinParams
@@ -249,8 +294,7 @@ class LinkConfig:
     mpe_skin: float  # W/m^2
     mpe_neuron: float  # W/m^2
     skin_spot_radius: float  # m
-    raw: dict = field(repr=False, compare=False)  # read-only
-    # The canonical JSON of each top-level key of ``raw``, for ``config_hash``.
+    # The canonical JSON of each top-level key of the document: the stored document.
     _fragments: dict = field(repr=False, compare=False)
 
     @classmethod
@@ -261,8 +305,9 @@ class LinkConfig:
         built: dict = {}
         for build in _BUILDERS.values():
             built.update(build(doc, built))
-        raw = _copy_tree(doc)
-        return cls(**built, raw=raw, _fragments={key: _canonical(raw[key]) for key in raw})
+        cfg = cls(**built, _fragments={key: _canonical(doc[key]) for key in doc})
+        cfg.state  # derived and checked now: a config with no finite state is refused here
+        return cfg
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LinkConfig":
@@ -272,46 +317,58 @@ class LinkConfig:
             raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(doc)
 
+    def _document(self) -> str:
+        """``json.dumps(document, sort_keys=True, separators=(",", ":"))``, from the fragments."""
+        return "{" + ",".join(
+            f'"{key}":{self._fragments[key]}' for key in sorted(self._fragments)) + "}"
+
+    @functools.cached_property
+    def raw(self) -> dict:
+        """The unit-suffixed document (keys sorted), parsed once; read-only."""
+        return json.loads(self._document())
+
+    @functools.cached_property
+    def state(self) -> ChannelState:
+        """``photometry.derive_state`` of this config, checked when the config is built."""
+        return _checked_state(self)
+
     def to_dict(self) -> dict:
-        """The raw unit-suffixed document this config was ingested from."""
-        return _copy_tree(self.raw)
+        """A fresh parse of the unit-suffixed document this config was ingested from."""
+        return json.loads(self._document())
 
     def config_hash(self) -> str:
-        """Provenance hash over the canonical raw document.
-
-        The canonical document, ``json.dumps(raw, sort_keys=True, separators=(",", ":"))``,
-        is joined from the fragments of its top-level keys taken when the config was
-        built, so ``raw`` must not be mutated.
-        """
-        canonical = "{" + ",".join(
-            f'"{key}":{self._fragments[key]}' for key in sorted(self._fragments)) + "}"
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        """Provenance hash over the canonical raw document."""
+        return hashlib.sha256(self._document().encode("utf-8")).hexdigest()[:16]
 
     def with_value(self, path: str | Mapping[str, Any], value: Any = None) -> "LinkConfig":
         """A new config with raw numeric (or null) fields replaced, validated once.
 
         ``path`` is a dotted path (like 'beam.sigma_s_mm') set to ``value``, or a mapping
         of paths to values, all set before validation (so fields valid only together can
-        change together). Only the builders of the top-level keys the paths touch run
-        (and coupling's, when ``source.lambda_nm`` changes), each validating its key as
-        ``from_dict`` does; every other field, already validated, is taken from ``self``,
-        and only the touched keys' hash fragments are re-encoded. The new ``raw`` is a
-        fresh copy, so the two configs share no mutable node.
+        change together). Each top-level key the paths touch (and coupling, when
+        ``source.lambda_nm`` changes) takes its fragment and fields from ``_patch``, which
+        validates it as ``from_dict`` does; every other field and fragment, and the state
+        when no key it reads changes, is shared with ``self``.
         """
-        doc, touched, rebuild = _copy_tree(self.raw), set(), set()
+        assigned: dict[str, list] = {}
         for dotted, new in path.items() if isinstance(path, Mapping) else [(path, value)]:
-            node, key = _numeric_field(doc, dotted)
-            node[key] = new
-            touched.add(dotted.partition(".")[0])
+            _numeric_field(self.raw, dotted)  # every path is checked before any build
+            assigned.setdefault(dotted.partition(".")[0], []).append((dotted, new))
             if dotted == "source.lambda_nm":  # CouplingParams.lam is the wavelength
-                rebuild.add("coupling")
-        rebuild |= touched
-        built = {"source": self.source}  # what coupling reads when the source is untouched
-        for key, build in _BUILDERS.items():
-            if key in rebuild:
-                built.update(build(doc, built))
-        fragments = {**self._fragments, **{key: _canonical(doc[key]) for key in touched}}
-        return dataclasses.replace(self, **built, raw=doc, _fragments=fragments)
+                assigned.setdefault("coupling", [])
+        fields = {**self.__dict__, "_fragments": dict(self._fragments)}
+        for key in _BUILDERS:  # in builder order: coupling reads the source built before it
+            if key in assigned:
+                fields["_fragments"][key], built = _patch(
+                    key, self._fragments[key], assigned[key], fields["source"])
+                fields.update(built)
+        fields.pop("raw", None)
+        state = fields.pop("state", None)
+        cfg = type(self)(**fields)
+        if state is not None and _STATE_KEYS.isdisjoint(assigned):
+            cfg.__dict__["state"] = state  # the cached_property's slot: no key it reads changed
+        cfg.state  # derived and checked now, unless shared with self
+        return cfg
 
     def resolve(self, path: str) -> float:
         """Read a raw numeric field by dotted path; a null field reads as inf."""

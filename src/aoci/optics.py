@@ -214,6 +214,14 @@ def coupling_eta_integrals(cps, rs, ctl: QuadControl | None = None) -> list[floa
     return etas
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes``-point Gauss-Legendre rule on [-1, 1], read-only: kernels share it."""
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    xi.flags.writeable = wi.flags.writeable = False
+    return xi, wi
+
+
 class _CouplingKernel:
     """Piecewise polynomial interpolant of eta(s), s = r / w0, for one coupling argument a.
 
@@ -228,7 +236,7 @@ class _CouplingKernel:
 
     def __init__(self, a: float):
         self.c = 2.0 * math.sqrt(a)
-        self.xi, self.wi = np.polynomial.legendre.leggauss(64 + 24 * int(math.sqrt(a)))
+        self.xi, self.wi = _gauss_legendre(64 + 24 * int(math.sqrt(a)))
         probe = np.abs(self._chebyshev(np.arange(4), 40)).max(axis=0) > 1e-15
         self.degree = int(np.flatnonzero(probe).max())
         self.to_power = np.eye(self.degree + 1)  # row i: T_i's coefficients of 1, x, x^2, ...

@@ -213,7 +213,7 @@ def received_flux_batch(
     every displacement (the series route is not). A caller that already holds
     ``coupling_eta_batch(cfg.coupling, r)`` passes it as ``eta``.
     """
-    state = derive_state(cfg)
+    state = cfg.state
     r = np.asarray(r, dtype=np.float64)
     if eta is None:
         eta = optics.coupling_eta_batch(cfg.coupling, r)
@@ -246,7 +246,7 @@ def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> Flu
     regime.
     """
     ctl = ctl or cfg.series_ctl
-    state = derive_state(cfg)
+    state = cfg.state
     cp = cfg.coupling
     s_rate = _exposure_rate(cfg, state)
     y = (1.0 / (cp.omega0 * cp.omega0)) / s_rate
@@ -283,11 +283,14 @@ def mean_flux_quadrature_batch(
 ) -> list[FluxEstimate | QuadratureExhaustedError]:
     """``mean_flux_quadrature`` of many configs in one adaptive quadrature.
 
-    Each node carries the index of its config, which selects that config's
-    beam and Rayleigh constants; eta comes from one ``coupling_eta_batch`` call per
-    distinct ``CouplingParams`` per pass, at most ``optics.COUPLING_KERNELS`` of them
-    a batch, so no kernel is evicted and rebuilt mid-batch. Each point gets bitwise
-    its lone estimate, or the ``QuadratureExhaustedError`` its lone call raises.
+    ``Phi(r)`` is the point's ``_deterministic_prefactor`` times an integrand fixed by
+    (coupling, sigma_s, a0, w_eq, quad_ctl), so each distinct integrand is integrated
+    once (a power axis adds none) and scaled by each point's own prefactor. Each node
+    carries the index of its integrand, which selects its beam and Rayleigh constants;
+    eta comes from one ``coupling_eta_batch`` call per distinct ``CouplingParams`` per
+    pass, at most ``optics.COUPLING_KERNELS`` of them a batch, so no kernel is evicted
+    and rebuilt mid-batch. Each point gets bitwise its lone estimate, or the
+    ``QuadratureExhaustedError`` its lone call raises.
     """
     index: dict = {}
     kernel = np.array([index.setdefault(cfg.coupling, len(index)) for cfg in cfgs], dtype=np.intp)
@@ -297,26 +300,30 @@ def mean_flux_quadrature_batch(
         ests = {i: est for at in groups
                 for i, est in zip(at, mean_flux_quadrature_batch([cfgs[i] for i in at]))}
         return [ests[i] for i in range(len(cfgs))]
-    states = [derive_state(cfg) for cfg in cfgs]
-    sigma, a0, w_eq = np.array([(c.beam.sigma_s, s.a0, s.w_eq)  # (0, 3) for no configs
-                                for c, s in zip(cfgs, states)]).reshape(-1, 3).T
+    keys = [(c.coupling, c.beam.sigma_s, c.state.a0, c.state.w_eq, c.quad_ctl) for c in cfgs]
+    first: dict = {}  # integrand -> the index of its first config
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    distinct, distinct_kernel = [cfgs[i] for i in first.values()], kernel[list(first.values())]
+    sigma, a0, w_eq = np.array([(c.beam.sigma_s, c.state.a0, c.state.w_eq)  # (0, 3) for none
+                                for c in distinct]).reshape(-1, 3).T
 
     def integrand(r: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        eta, codes = np.empty_like(r), kernel[owner]
+        eta, codes = np.empty_like(r), distinct_kernel[owner]
         for k in np.flatnonzero(np.bincount(codes, minlength=len(couplings))):
             at = codes == k
             eta[at] = optics.coupling_eta_batch(couplings[k], r[at])
         h_p = channel.pointing_gain(a0[owner], w_eq[owner], r)
         return eta * h_p * channel.rayleigh_pdf(sigma[owner], r)
 
-    breakpoints = [(1.0 / math.sqrt(_exposure_rate(cfg, state)), s, 2.0 * s)
-                   for cfg, state, s in zip(cfgs, states, sigma.tolist())]
-    results = integrate_semi_infinite_batch(
-        integrand, sigma.tolist(), [cfg.quad_ctl for cfg in cfgs], breakpoints)
-    prefactors = [_deterministic_prefactor(cfg, state) for cfg, state in zip(cfgs, states)]
+    breakpoints = [(1.0 / math.sqrt(_exposure_rate(cfg, cfg.state)), s, 2.0 * s)
+                   for cfg, s in zip(distinct, sigma.tolist())]
+    integrals = dict(zip(first, integrate_semi_infinite_batch(
+        integrand, sigma.tolist(), [cfg.quad_ctl for cfg in distinct], breakpoints)))
+    prefactors = [_deterministic_prefactor(cfg, cfg.state) for cfg in cfgs]
     return [result if isinstance(result, QuadratureExhaustedError) else FluxEstimate(
         value=max(p * result[0], 0.0), method="quadrature", err_bound=abs(p) * result[1])
-        for p, result in zip(prefactors, results)]
+        for p, result in zip(prefactors, map(integrals.__getitem__, keys))]
 
 
 def _draw_block(

@@ -4,9 +4,10 @@ A sweep varies one or two raw config fields (dotted paths into the
 unit-suffixed document, e.g. ``beam.sigma_s_mm``) over explicit value lists
 and evaluates one metric per grid point. Each point's config is built with
 all its axis values set at once and validated once, by ``with_value``, which
-rebuilds only the config sections the axes touch. Quadrature flux points
-(``mean_flux`` / ``link_budget``) go ``BATCH_POINTS`` at a time through one
-quadrature, bitwise as lone evaluations. Rows are written in grid order:
+takes the config sections the axes touch from a memo of section patches.
+Quadrature flux points (``mean_flux`` / ``link_budget``) go ``BATCH_POINTS``
+at a time through one quadrature, one integral per distinct integrand (power
+only scales it), bitwise as lone evaluations. Rows are written in grid order:
 axis2 outer, axis1 inner, so axis1 is the natural x-axis of a plotted curve
 family. Per-point numerical failures are recorded in the ``error`` column
 and the run continues.
@@ -97,6 +98,7 @@ class SweepSpec:
         mc = doc.get("mc", {})
         if not isinstance(mc, dict):
             raise ConfigError("sweep.mc: expected an object")
+        _reject_unknown(mc, {"n", "seed"}, "sweep.mc")
         counts = {f"mc_{key}": _number(mc, key, "sweep.mc", integer=True)
                   for key in ("n", "seed") if key in mc}
         return cls(

@@ -109,6 +109,19 @@ class TestEval:
         assert captured.err.startswith(f"config error: config.{path}: expected ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # study-range notices
+    @pytest.mark.parametrize("path", ["beam.beta_mm", "skin.delta_mm", "source.lambda_nm"])
+    def test_finite_extreme_with_no_channel_state_exits_2(
+            self, baseline_doc, tmp_path, capsys, path):
+        section, key = path.split(".")
+        baseline_doc[section][key] = 1e300
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(baseline_doc))
+        assert main(["eval", "--config", str(config), "--samples", "10000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert f"config.{path}" in captured.err and captured.out == ""
+
     def test_eval_csv_keeps_seed_zero(self, config_path, tmp_path, capsys):
         main(["eval", "--config", config_path, "--method", "mc", "--samples", "10000",
               "--seed", "0", "--out", str(tmp_path)])
@@ -210,7 +223,8 @@ class TestSweep:
                      "--out", str(tmp_path / "out")]) == 2
         assert "sweep.mc.n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mc", [{"n": "x"}, {"n": None}, {"n": 20000.7}, {"seed": -1}])
+    @pytest.mark.parametrize("mc", [{"n": "x"}, {"n": None}, {"n": 20000.7}, {"seed": -1},
+                                    {"sed": 5}])
     def test_bad_mc_count_or_seed_exits_2_with_one_line(self, config_path, tmp_path, capsys, mc):
         sweep_path = self.make_sweep(tmp_path, method="mc", mc=mc)
         assert main(["sweep", "--config", config_path, "--sweep", sweep_path,

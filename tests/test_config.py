@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 
 import pytest
 
-from aoci import photometry
+from aoci import config, photometry
 from aoci.config import ConfigError, LinkConfig, load_config
 from aoci.figures import load_preset, preset_path
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
@@ -220,6 +222,13 @@ class TestMutation:
         doc["skin"]["delta_mm"] = 8.0
         assert other.config_hash() == LinkConfig.from_dict(doc).config_hash()
 
+    def test_with_value_keeps_the_class_and_its_init(self, baseline_doc):
+        class Sub(LinkConfig):
+            pass
+
+        other = Sub.from_dict(baseline_doc).with_value("beam.sigma_s_mm", 0.2)
+        assert type(other) is Sub and other.beam.sigma_s == pytest.approx(2e-4)
+
     def test_with_value_sets_several_paths_before_validating(self, baseline_cfg):
         # y_th above the old d_th is valid only together with the new d_th.
         other = baseline_cfg.with_value(
@@ -251,6 +260,101 @@ class TestMutation:
         result = run_sweep(cfg, spec)
         errors = [row[result.columns.index("error")] for row in result.rows]
         assert errors == ["", ""]
+
+
+class TestSectionPatches:
+    """``with_value`` takes a touched key's fragment and fields from a memo of section
+    patches; no hit may hand one point's value to another or skip a refusal."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        config._patches.clear()  # each case starts from no patches
+
+    @pytest.mark.parametrize("first,then", [(6, 6.0), (6.0, 6), (-0.0, 0.0), (0.0, -0.0)])
+    def test_equal_values_of_other_spelling_hash_apart(self, baseline_cfg, first, then):
+        baseline_cfg.with_value("source.power_mw", first)
+        got = baseline_cfg.with_value("source.power_mw", then)
+        want = LinkConfig.from_dict(_edited(baseline_cfg, {"source.power_mw": then}))
+        assert got.config_hash() == want.config_hash()
+        assert json.dumps(got.raw["source"]["power_mw"]) == json.dumps(then)
+
+    def test_a_bool_stays_refused_after_its_int_is_accepted(self, baseline_cfg):
+        assert baseline_cfg.with_value("fiber.n_fbg", 1).fiber.n_fbg == 1
+        with pytest.raises(ConfigError, match=r"^config\.fiber\.n_fbg: expected a number"):
+            baseline_cfg.with_value("fiber.n_fbg", True)
+
+    @pytest.mark.filterwarnings("ignore:wavelength:UserWarning")
+    @pytest.mark.parametrize("path,value", [("beam.sigma_s_mm", -1.0),
+                                            ("source.lambda_nm", 1e300)])
+    def test_a_refused_value_is_refused_on_every_call(self, baseline_cfg, path, value):
+        # The wavelength's sections are valid and memoized; its channel state is not.
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ConfigError) as err:
+                baseline_cfg.with_value(path, value)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_mutating_raw_or_to_dict_changes_neither_hash_nor_with_value(self, baseline_cfg):
+        want = baseline_cfg.with_value("beam.sigma_s_mm", 0.2).config_hash()
+        before = baseline_cfg.config_hash()
+        for doc in (baseline_cfg.raw, baseline_cfg.to_dict()):
+            doc["beam"]["sigma_s_mm"] = 0.3
+            doc["skin"]["delta_mm"] = 9.0
+            assert baseline_cfg.config_hash() == before
+            assert baseline_cfg.with_value("beam.sigma_s_mm", 0.2).config_hash() == want
+        assert baseline_cfg.to_dict()["skin"]["delta_mm"] == 6.0
+
+    def test_concurrent_points_get_their_own_patches(self, baseline_cfg, monkeypatch):
+        # A small memo, emptied often, under many threads and a short switch interval.
+        monkeypatch.setattr(config, "SECTION_PATCHES", 4)
+        values = [0.05 + 0.01 * i for i in range(12)]
+        want = {v: LinkConfig.from_dict(_edited(baseline_cfg, {"beam.sigma_s_mm": v}))
+                .config_hash() for v in values}
+        wrong = []
+
+        def work(offset):
+            try:
+                for i in range(60):
+                    v = values[(offset + i) % len(values)]
+                    if baseline_cfg.with_value("beam.sigma_s_mm", v).config_hash() != want[v]:
+                        wrong.append(v)
+            except Exception as exc:  # reported by the assertion below, not lost in the thread
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_the_memo_is_bounded(self, baseline_cfg):
+        sizes = set()
+        for i in range(config.SECTION_PATCHES + 10):
+            baseline_cfg.with_value("beam.sigma_s_mm", 0.1 + i * 1e-4)
+            sizes.add(len(config._patches))
+        assert max(sizes) == config.SECTION_PATCHES
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # study-range notices
+@pytest.mark.parametrize("path,field", [
+    ("beam.beta_mm", "config.beam.beta_mm"),  # beam_stats: w_eq overflows
+    ("skin.delta_mm", "config.skin.delta_mm"),  # the same, from the other section
+    ("source.lambda_nm", "config.source.lambda_nm"),  # a = 0 and lambda / (h c) = inf
+])
+def test_a_config_with_no_finite_channel_state_is_refused(baseline_doc, path, field):
+    section, key = path.split(".")
+    baseline_doc[section][key] = 1e300
+    with pytest.raises(ConfigError) as err:
+        LinkConfig.from_dict(baseline_doc)
+    assert field in str(err.value).partition(": ")[0]
 
 
 @pytest.mark.filterwarnings("ignore:wavelength:UserWarning")
@@ -308,9 +412,6 @@ NUMERICS = {
              "tail_cutoff_sigmas": 10.0},
 }
 FUZZ_VALUES = ["x", None, True, math.nan, math.inf, -math.inf, -1, 0, 1e300, [], {}]
-# Finite extremes that pass the config and then break the chain (CHANGES.md, FOUND):
-# beam_stats refuses the overflowing w_eq, and lambda / (h c) overflows to inf.
-EXTREMES_PAST_THE_CONFIG = {"beam.beta_mm", "skin.delta_mm", "source.lambda_nm"}
 
 
 def _fuzz_cases():
@@ -318,10 +419,7 @@ def _fuzz_cases():
         doc = {**load_preset(name).to_dict(), "numerics": NUMERICS}
         for path in _numeric_leaves(doc):
             for value in FUZZ_VALUES:
-                marks = [pytest.mark.xfail(strict=True, reason="overflows past the config")
-                         ] if value == 1e300 and path in EXTREMES_PAST_THE_CONFIG else []
-                yield pytest.param(name, path, value, marks=marks,
-                                   id=f"{name}-{path}-{value!r}")
+                yield pytest.param(name, path, value, id=f"{name}-{path}-{value!r}")
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # study-range notices

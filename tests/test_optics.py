@@ -269,6 +269,16 @@ class TestCouplingKernel:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("a", [1.2566, 300.0])
+    def test_kernels_share_one_read_only_gauss_legendre_rule(self, a):
+        # Arguments with one floor(sqrt(a)) share the rule; it is leggauss's, bit for bit.
+        optics._coupling_kernel.cache_clear()
+        first, second = optics._CouplingKernel(a), optics._CouplingKernel(a + 0.1)
+        xi, wi = np.polynomial.legendre.leggauss(64 + 24 * int(math.sqrt(a)))
+        assert first.xi is second.xi and first.wi is second.wi
+        assert np.array_equal(first.xi, xi) and np.array_equal(first.wi, wi)
+        assert not first.xi.flags.writeable and not first.wi.flags.writeable
+
     def test_rejects_negative_misalignment(self):
         cp = cp_for(1.2566)
         with pytest.raises(ValueError):

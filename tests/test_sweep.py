@@ -75,6 +75,7 @@ class TestSpecValidation:
         ({"n": None}, "sweep.mc.n: expected a number, got None"),
         ({"n": 20000.7}, "sweep.mc.n: expected an integer, got 20000.7"),
         ({"seed": -1}, "sweep.mc.seed: must be >= 0, got -1"),
+        ({"n": 20000, "sed": 5}, "sweep.mc.sed: unknown field"),  # a typo of seed
     ])
     def test_mc_counts_are_integers_and_the_seed_nonnegative(self, mc, message):
         with pytest.raises(ConfigError) as err:
@@ -179,9 +180,16 @@ class TestBatchedQuadrature:
     """Quadrature flux points run in batches; each row is its lone evaluation."""
 
     @pytest.mark.parametrize("number", [3, 4, 5, 6])
-    def test_figure_rows_equal_lone_quadrature(self, number):
+    def test_figure_rows_equal_lone_quadrature(self, number, monkeypatch):
+        # Power only scales the prefactor: figures 4 and 6 integrate once per skin
+        # thickness (13) and per jitter (4), figures 3 and 5 once per point.
+        integrals, batch = [], photometry.integrate_semi_infinite_batch
+        monkeypatch.setattr(photometry, "integrate_semi_infinite_batch",
+                            lambda f, scales, *rest: integrals.append(len(scales)) or batch(
+                                f, scales, *rest))
         fig, cfg = FIGURES[number], load_preset(f"fig{number}")
         result = run_sweep(cfg, SweepSpec(fig.axis1, fig.axis2, "mean_flux"))
+        assert sum(integrals) == {3: 143, 4: 13, 5: 92, 6: 4}[number]
         for record in _records(result):
             est = mean_flux_quadrature(_point(cfg, record))
             assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
@@ -200,12 +208,30 @@ class TestBatchedQuadrature:
                 expected = est.value * gain + point.neural.mean_background, est.err_bound * gain
             assert (record["value"], record["err_bound"]) == expected
 
+    def test_wavelength_and_coupling_sweep_uses_each_points_kernel(self, baseline_cfg):
+        # Points built by from_dict, not with_value: a coupling patch memoized without
+        # its wavelength would give a point another point's coupling argument.
+        spec = SweepSpec(SweepAxis("coupling.focal_length_mm", (10.0, 20.0, 30.0)),
+                         SweepAxis("source.lambda_nm", (594.0, 650.0)), "mean_flux")
+        records = _records(run_sweep(baseline_cfg, spec))
+        for record in records:
+            doc = baseline_cfg.to_dict()
+            doc["coupling"]["focal_length_mm"] = record["axis1_value"]
+            doc["source"]["lambda_nm"] = record["axis2_value"]
+            point = LinkConfig.from_dict(doc)
+            est = mean_flux_quadrature(point)
+            assert record["config_hash"] == point.config_hash()
+            assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
+        assert len({record["value"] for record in records}) == 6
+
     def test_exhausted_points_carry_the_lone_error(self):
         doc = load_preset("fig5").to_dict()
         doc["numerics"] = {"quad": {"max_subdivisions": 10}}
         cfg = LinkConfig.from_dict(doc)
         sigmas = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
-        result = run_sweep(cfg, SweepSpec(SweepAxis("beam.sigma_s_mm", sigmas), None,
+        # Both powers share each jitter's integral, and its error when it exhausts.
+        result = run_sweep(cfg, SweepSpec(SweepAxis("beam.sigma_s_mm", sigmas),
+                                          SweepAxis("source.power_mw", (20.0, 40.0)),
                                           "mean_flux"))
         failed = 0
         for record in _records(result):
@@ -218,7 +244,7 @@ class TestBatchedQuadrature:
             else:
                 assert record["error"] == ""
                 assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
-        assert 0 < failed < len(sigmas)
+        assert 0 < failed < 2 * len(sigmas) and failed % 2 == 0
 
     def test_batch_of_invalid_points_records_each_config_error(self, baseline_cfg, monkeypatch):
         # The second batch holds only invalid points; the first batch's rows survive.
