@@ -17,7 +17,7 @@ from aoci.optics import (
     CouplingParams,
     coupling_eta_batch,
     coupling_eta_closed,
-    coupling_eta_integral,
+    coupling_eta_integrals,
     peak_coupling,
 )
 
@@ -51,7 +51,7 @@ for a in (0.1, 0.5, a_star, 3.0):
     for rr in (0.0, 1.0, 2.0):
         r = rr * OMEGA0
         closed = coupling_eta_closed(cp, r)
-        integral = coupling_eta_integral(cp, r)
+        integral = coupling_eta_integrals([cp], [r])[0]
         rel = abs(closed - integral) / integral
         print(f"{a:8.4f} {rr:6.1f} {closed:14.8f} {integral:17.8f} {rel:10.2e}")
 
@@ -66,7 +66,7 @@ print(f"main lobe ends near r = {r_lobe * 1e3:.4f} mm "
 rs = np.linspace(0.0, 6.0 * OMEGA0, 400)
 etas = coupling_eta_batch(cp, rs)
 print(f"eta at r = 0           : {etas[0]:.4f}")
-print(f"eta at the lobe edge   : {coupling_eta_integral(cp, r_lobe):.3e}")
+print(f"eta at the lobe edge   : {coupling_eta_integrals([cp], [r_lobe])[0]:.3e}")
 ring = etas[rs > r_lobe]
 print(f"shoulder/ring maximum  : {ring.max():.3e}  "
       f"({ring.max() / etas[0]:.1e} of the peak; the far tail decays like r^-3,"

@@ -102,8 +102,9 @@ def beam_stats(geom: BeamGeometry, delta: float) -> BeamStats:
 
     For upsilon -> 0 the ratio tends to 1 and w_eq -> w_delta; for large
     upsilon (aperture much wider than the beam) w_eq grows like
-    exp(upsilon^2 / 2), so w_eq is evaluated in log space and a ValueError is
-    raised if it would exceed the double range.
+    exp(upsilon^2 / 2), so w_eq is evaluated in log space and a ValueError,
+    naming whichever of upsilon^2 and log(w_delta^2) dominates, is raised if
+    it would exceed the double range.
     """
     if not (delta > 0.0):
         raise ValueError(f"delta must be > 0, got {delta}")
@@ -118,10 +119,12 @@ def beam_stats(geom: BeamGeometry, delta: float) -> BeamStats:
         + upsilon * upsilon
     )
     if log_weq_sq >= _LOG_MAX_DOUBLE:
+        cause = ("the aperture is far wider than the beam"
+                 if upsilon * upsilon > 2.0 * math.log(w_delta)
+                 else f"the beam radius w_delta={w_delta:.3g} m is far too wide")
         raise ValueError(
             f"equivalent beamwidth overflows for upsilon={upsilon:.3g}; "
-            "the aperture is far wider than the beam and the misalignment "
-            "model is degenerate"
+            f"{cause} and the misalignment model is degenerate"
         )
     w_eq = math.exp(0.5 * log_weq_sq)
     return BeamStats(w_delta=w_delta, upsilon=upsilon, w_eq=w_eq, a0=a0)

@@ -17,15 +17,18 @@ nondecreasing in transmit power.
 Common random numbers also make the draws reusable. A block's displacements
 r, their coupling efficiencies eta(r) and its background counts depend only
 on (seed, block, block size) and on sigma_s and the coupling geometry, or on
-the mean background B; power, skin, threshold and gain enter afterwards, as
-factors of eta(r) and the comparison. So every exceedance call keeps them in
-two least-recently-used caches, ``(seed, block, count, sigma_s, coupling) ->
-(r, eta(r))`` and ``(seed, block, count, B) -> counts``, of
-``DRAW_CACHE_ENTRIES`` = 64 entries each: at most 1 MiB per (r, eta) entry
-and 0.5 MiB per counts entry, 96 MiB in all. A power sweep, figure 7 (10
-sigma_s x up to 6 blocks) or the dynamic range of ``safety_check`` then
-draws and evaluates the coupling kernel once per block, bit-identical to
-drawing afresh.
+the mean background B; its pointing gains h_p(r) = A0 exp(-2 r^2 / w_eq^2)
+depend on r and the beam geometry's (A0, w_eq) alone. Power, threshold and
+gain enter afterwards, as factors of eta(r) h_p(r) and the comparison. So
+every exceedance call keeps them in three least-recently-used caches,
+``(seed, block, count, sigma_s, coupling) -> (r, eta(r))``, ``(seed, block,
+count, sigma_s, coupling, A0, w_eq) -> h_p(r)`` and ``(seed, block, count, B)
+-> counts``, of ``DRAW_CACHE_ENTRIES`` = 64 entries each: at most 1 MiB per
+(r, eta) entry and 0.5 MiB per h_p or counts entry, 128 MiB in all. A power
+sweep, figure 7 (10 sigma_s x up to 6 blocks), figure 8 (one h_p per skin
+thickness) or the dynamic range of ``safety_check`` then draws, evaluates
+the coupling kernel and the pointing gain once per block and geometry,
+bit-identical to drawing afresh.
 
 ``p_false_hearing`` exposes two numbers on purpose: the survival probability
 ``Pr(N >= y_th)`` that matches the verbal definition of a false trigger, and
@@ -45,8 +48,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from aoci import optics
-from aoci.photometry import (
+from aoci import channel, optics
+from aoci.photometry import (  # derive_state stays importable for bench/tracing.py
     MC_BLOCK_SIZE,
     NeuralParams,
     _draw_block,
@@ -119,13 +122,25 @@ def _block_background(seed: int, block: int, count: int, b_mean: float) -> np.nd
     return counts
 
 
+@functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)
+def _block_pointing(seed: int, block: int, count: int, sigma_s: float,
+                    coupling: optics.CouplingParams, a0: float, w_eq: float) -> np.ndarray:
+    """Block ``block``'s h_p(r) at (a0, w_eq), read-only, on ``_block_displacements``' r."""
+    r, _ = _block_displacements(seed, block, count, sigma_s, coupling)
+    h_p = channel.pointing_gain(a0, w_eq, r)
+    h_p.flags.writeable = False
+    return h_p
+
+
 def _blocks(cfg: "LinkConfig", n: int, seed: int):
-    """Each block's (index, r, eta(r)) for n samples at ``cfg``'s sigma_s and coupling, cached."""
+    """Each block's (index, r, eta(r), h_p(r)) for n samples at ``cfg``'s geometry, cached."""
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    sigma, cp = cfg.beam.sigma_s, cfg.coupling
-    return ((block, *_block_displacements(seed, block, min(MC_BLOCK_SIZE, n - start), sigma, cp))
-            for block, start in enumerate(range(0, n, MC_BLOCK_SIZE)))
+    drawn, pointing = (cfg.beam.sigma_s, cfg.coupling), (cfg.state.a0, cfg.state.w_eq)
+    counts = [min(MC_BLOCK_SIZE, n - start) for start in range(0, n, MC_BLOCK_SIZE)]
+    return ((block, *_block_displacements(seed, block, count, *drawn),
+             _block_pointing(seed, block, count, *drawn, *pointing))
+            for block, count in enumerate(counts))
 
 
 def _exceedance(
@@ -143,13 +158,13 @@ def _exceedance(
     are pathwise comparable across parameter values.
 
     The draws come from the per-block caches of the module docstring: (r,
-    eta(r)) under (seed, block, count, sigma_s, coupling), the counts under
-    (seed, block, count, B), each bounded at ``DRAW_CACHE_ENTRIES`` entries.
-    A stream is a pure function of its (seed, id), so a cached block is the
-    block a fresh draw would give, and each call still evaluates
-    ``(prefactor eta) h_p gain + N >= threshold`` in the same order. With
-    ``signal_shot_noise`` the count's Poisson mean holds the signal, so its
-    draw is made per call; only (r, eta) come from the cache.
+    eta(r)) under (seed, block, count, sigma_s, coupling), h_p(r) under those
+    and (A0, w_eq), the counts under (seed, block, count, B), each bounded at
+    ``DRAW_CACHE_ENTRIES`` entries. A stream is a pure function of its (seed,
+    id), so a cached block is the block a fresh draw would give, and each call
+    still evaluates ``(prefactor eta) h_p gain + N >= threshold`` in the same
+    order. With ``signal_shot_noise`` the count's Poisson mean holds the
+    signal, so its draw is made per call; only (r, eta, h_p) come from the cache.
     """
     blocks = _blocks(cfg, n, seed)
     if threshold < 0.0:
@@ -159,9 +174,9 @@ def _exceedance(
     b_mean = cfg.neural.mean_background
 
     hits = 0
-    for block, r, eta in blocks:
+    for block, r, eta, h_p in blocks:
         count = r.size
-        signal_counts = received_flux_batch(r, cfg, eta=eta) * gain
+        signal_counts = received_flux_batch(r, cfg, eta=eta, h_p=h_p) * gain
         if signal_shot_noise:
             # Extension beyond the additive model: the whole count is Poisson
             # with the signal folded into the mean.
@@ -239,7 +254,7 @@ class KpiReport:
 
 def _fiber_output_power(cfg: "LinkConfig") -> float:
     """Optical power leaving the fiber at perfect alignment (worst case)."""
-    state = derive_state(cfg)
+    state = cfg.state
     eta0 = optics.coupling_eta_closed(cfg.coupling, 0.0, cfg.series_ctl)
     return cfg.source.power_tx * state.h_l * state.a0 * state.g_c * eta0 * state.k
 
@@ -283,9 +298,9 @@ def safety_check(
     y_th, b_mean = cfg.neural.y_th, cfg.neural.mean_background
     gain = response_window_gain(cfg.neural.tau)
     powers = []
-    for block, r, eta in blocks:
+    for block, r, eta, h_p in blocks:  # at_1w differs from cfg in power alone: same h_p
         short = y_th - _block_background(seed, block, r.size, b_mean)  # count the signal must add
-        per_watt = received_flux_batch(r, at_1w, eta=eta) * gain
+        per_watt = received_flux_batch(r, at_1w, eta=eta, h_p=h_p) * gain
         x = np.where(short > 0.0, np.inf, 0.0)  # a zero flux needs infinite power
         with np.errstate(over="ignore"):  # and a near-zero flux overflows to the same verdict
             np.divide(short, per_watt, out=x, where=(short > 0.0) & (per_watt > 0.0))

@@ -6,9 +6,10 @@ available through three routes that must agree:
 * ``coupling_eta_closed`` -- closed form built on the Humbert Psi2 series,
   with the focused field's Airy scale entering through the dimensionless
   coupling argument ``a = 3.83^2 D^2 w0^2 / (1.22^2 lambda^2 F^2)``;
-* ``coupling_eta_integral`` -- direct adaptive quadrature of the Bessel x
+* ``coupling_eta_integrals`` -- direct adaptive quadrature of the Bessel x
   Gaussian x modified-Bessel overlap integrand the closed form was derived
-  from, which serves as the oracle for the closed form and the kernel;
+  from, at many points in one batch, which serves as the oracle for the
+  closed form and the kernel;
 * ``coupling_eta_batch`` -- a cached piecewise polynomial interpolant of that
   integral on unit panels in ``s = r / w0``, one per coupling argument, valid
   at every displacement and evaluated on arrays by Horner's rule; it serves
@@ -45,7 +46,6 @@ __all__ = [
     "FiberLoss",
     "collimation_gain",
     "coupling_eta_closed",
-    "coupling_eta_integral",
     "coupling_eta_integrals",
     "coupling_eta_batch",
     "peak_coupling",
@@ -139,7 +139,7 @@ def coupling_eta_closed(
     value oscillates near zero instead of decaying monotonically.
 
     Raises the specfun series errors when r^2/w0^2 is too large for the
-    series route; ``coupling_eta_integral`` covers that regime.
+    series route; ``coupling_eta_integrals`` covers that regime.
     """
     if r < 0.0:
         raise ValueError(f"radial misalignment must be >= 0, got {r}")
@@ -168,24 +168,14 @@ def _overlap_amplitude_integrand(c: float, w0: float, r, rho):
     )
 
 
-def coupling_eta_integral(
-    cp: CouplingParams, r: float, ctl: QuadControl | None = None
-) -> float:
-    """Coupling efficiency by adaptive quadrature of the overlap integral.
+def coupling_eta_integrals(cps, rs, ctl: QuadControl | None = None) -> list[float]:
+    """Coupling efficiencies at the points ``(cps[i], rs[i])`` by adaptive quadrature.
 
     ``eta = (8 / w0^2) * J^2`` where J is the overlap amplitude integral of
     ``_overlap_amplitude_integrand``. Valid for all r >= 0; this is the
-    independent oracle for ``coupling_eta_closed``. ``coupling_eta_integrals``
-    of one point.
-    """
-    return coupling_eta_integrals([cp], [r], ctl)[0]
-
-
-def coupling_eta_integrals(cps, rs, ctl: QuadControl | None = None) -> list[float]:
-    """``coupling_eta_integral`` at the points ``(cps[i], rs[i])``, in one quadrature batch.
-
-    The integrand is called once per refinement pass for all the points, and
-    each value is bitwise the one a lone call gives.
+    independent oracle for ``coupling_eta_closed``. The integrand is called
+    once per refinement pass for all the points, and each value is bitwise
+    the one a one-point call gives.
     """
     if not all(r >= 0.0 for r in rs):
         raise ValueError(f"radial misalignments must be >= 0, got {min(rs)}")
@@ -284,7 +274,7 @@ def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
     """Vectorized coupling efficiency over an array of misalignments.
 
     Evaluates the cached piecewise kernel of the overlap integral, which
-    matches ``coupling_eta_integral`` to roundoff at every displacement.
+    matches ``coupling_eta_integrals`` to roundoff at every displacement.
     """
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if not np.all((r >= 0.0) & (r < math.inf)):

@@ -204,20 +204,23 @@ def received_flux_at(r: float, cfg: "LinkConfig") -> float:
 
 
 def received_flux_batch(
-    r: np.ndarray, cfg: "LinkConfig", eta: np.ndarray | None = None
+    r: np.ndarray, cfg: "LinkConfig", eta: np.ndarray | None = None,
+    h_p: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized ``Phi(r)`` over an array of displacements.
 
     Takes the coupling efficiency from the cached piecewise kernel of the
     overlap integral (``optics.coupling_eta_batch``), which is valid for
     every displacement (the series route is not). A caller that already holds
-    ``coupling_eta_batch(cfg.coupling, r)`` passes it as ``eta``.
+    ``coupling_eta_batch(cfg.coupling, r)`` passes it as ``eta``, and one that
+    holds ``channel.pointing_gain(cfg.state.a0, cfg.state.w_eq, r)`` as ``h_p``.
     """
     state = cfg.state
     r = np.asarray(r, dtype=np.float64)
     if eta is None:
         eta = optics.coupling_eta_batch(cfg.coupling, r)
-    h_p = channel.pointing_gain(state.a0, state.w_eq, r)
+    if h_p is None:
+        h_p = channel.pointing_gain(state.a0, state.w_eq, r)
     return _deterministic_prefactor(cfg, state) * eta * h_p
 
 

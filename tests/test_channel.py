@@ -99,6 +99,17 @@ class TestBeamStats:
         with pytest.raises(ValueError):
             beam_stats(geom, 4e-3)
 
+    @pytest.mark.parametrize("beta_mm, delta, cause, not_cause", [
+        # upsilon^2 dominates log(w_eq^2)
+        (1e300, 6e-3, "the aperture is far wider than the beam", "w_delta="),
+        # log(w_delta^2) dominates: upsilon = 1.42e-299, the beam is the wide one
+        (2.0, 1e297, "the beam radius w_delta=1.76e+296 m is far too wide", "aperture"),
+    ])
+    def test_overflow_names_the_dominant_term(self, beta_mm, delta, cause, not_cause):
+        with pytest.raises(ValueError, match="equivalent beamwidth overflows") as err:
+            beam_stats(make_geom(beta_mm=beta_mm), delta)
+        assert cause in str(err.value) and not_cause not in str(err.value)
+
     def test_outputs_finite(self):
         stats = beam_stats(make_geom(beta_mm=3.0, theta_deg=5.0), 1e-2)
         assert all(math.isfinite(v) for v in stats)

@@ -357,6 +357,21 @@ def test_a_config_with_no_finite_channel_state_is_refused(baseline_doc, path, fi
     assert field in str(err.value).partition(": ")[0]
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # study-range notices
+@pytest.mark.parametrize("path,cause,not_cause", [
+    ("beam.beta_mm", "the aperture is far wider than the beam", "w_delta="),
+    ("skin.delta_mm", "the beam radius w_delta=1.76e+296 m is far too wide", "aperture"),
+])
+def test_an_overflowing_beamwidth_names_its_cause(baseline_doc, path, cause, not_cause):
+    section, key = path.split(".")
+    baseline_doc[section][key] = 1e300
+    with pytest.raises(ConfigError) as err:
+        LinkConfig.from_dict(baseline_doc)
+    message = str(err.value).partition(": ")[2]
+    assert message.startswith("equivalent beamwidth overflows")
+    assert cause in message and not_cause not in message
+
+
 @pytest.mark.filterwarnings("ignore:wavelength:UserWarning")
 class TestWithValueEqualsFromDict:
     """``with_value`` rebuilds only the sections it touches; the result must be the

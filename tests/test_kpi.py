@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
-from aoci import kpi
+from aoci import channel, kpi
 from aoci.config import LinkConfig
-from aoci.figures import POWER_GRID_FIG8_MW, SIGMA_GRID_FIG7_MM
+from aoci.figures import DELTA_CURVES_MM, POWER_GRID_FIG8_MW, SIGMA_GRID_FIG7_MM, load_preset
 from aoci.kpi import (
     DRAW_CACHE_ENTRIES,
     MIN_SAMPLES,
@@ -300,6 +300,27 @@ class TestKpiReport:
         assert report.dynamic_range_w is not None
         assert report.dynamic_range_w == safety_check(cfg, n=20_000, seed=4)[4]  # same draws
 
+    def test_reads_the_config_state(self, baseline_doc, monkeypatch):
+        # The built config holds its checked state; kpi derives none of its own.
+        # Expected values: the estimator before it read cfg.state, same (n, seed).
+        baseline_doc["beam"]["sigma_s_mm"] = 0.02
+        cfg = LinkConfig.from_dict(baseline_doc)
+
+        def refuse(cfg):
+            raise AssertionError("kpi called derive_state")
+
+        monkeypatch.setattr(kpi, "derive_state", refuse)
+        irradiances = (11204.583288469128, 44923.66261003034, True, True)
+        assert safety_check(cfg, n=10_000, seed=2) == (
+            *irradiances, (0.03405542673791258, 0.06677995127071797))
+        report = kpi_report(cfg, n=10_000, seed=4)
+        assert report.p_hearing == (0.9838, 0.9811333929583878, 0.9860950502181455, 10_000, 4)
+        assert report.p_damage == (0.0, 0.0, 0.00038399837067659573, 10_000, 4)
+        assert report.p_false_hearing == (0.0, 1.0)
+        assert (report.skin_irradiance, report.neuron_irradiance, report.mpe_skin_ok,
+                report.mpe_neuron_ok, report.dynamic_range_w) == (
+            *irradiances, (0.03406464275174843, 0.06677995127071797))
+
 
 def bisection_edge(cfg, target, n, seed, x_max):
     """The lowest power meeting the target by 40 halvings of [0, x_max], None if x_max misses."""
@@ -318,6 +339,7 @@ def bisection_edge(cfg, target, n, seed, x_max):
 
 def clear_draw_caches():
     kpi._block_displacements.cache_clear()
+    kpi._block_pointing.cache_clear()
     kpi._block_background.cache_clear()
 
 
@@ -416,39 +438,105 @@ class TestDrawCache:
     def test_cached_arrays_are_read_only(self, baseline_cfg):
         clear_draw_caches()
         p_hearing(baseline_cfg, n=10_000, seed=5)
-        r, eta = kpi._block_displacements(5, 0, 10_000, baseline_cfg.beam.sigma_s,
-                                          baseline_cfg.coupling)
+        beam = baseline_cfg.beam.sigma_s, baseline_cfg.coupling
+        r, eta = kpi._block_displacements(5, 0, 10_000, *beam)
+        h_p = kpi._block_pointing(5, 0, 10_000, *beam, baseline_cfg.state.a0,
+                                  baseline_cfg.state.w_eq)
         counts = kpi._block_background(5, 0, 10_000, baseline_cfg.neural.mean_background)
-        for array in (r, eta, counts):
+        assert kpi._block_pointing.cache_info().misses == 1  # the call above was a hit
+        for array in (r, eta, h_p, counts):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
 
     def test_bounded(self, baseline_cfg):
         cp, sigma, b_mean = baseline_cfg.coupling, baseline_cfg.beam.sigma_s, 1.5
+        geometry = baseline_cfg.state.a0, baseline_cfg.state.w_eq
         clear_draw_caches()
         for seed in range(DRAW_CACHE_ENTRIES + 5):
             kpi._block_displacements(seed, 0, 16, sigma, cp)
+            kpi._block_pointing(seed, 0, 16, sigma, cp, *geometry)
             kpi._block_background(seed, 0, 16, b_mean)
-        for cache in (kpi._block_displacements, kpi._block_background):
+        for cache in (kpi._block_displacements, kpi._block_pointing, kpi._block_background):
             info = cache.cache_info()
             assert info.maxsize == DRAW_CACHE_ENTRIES
             assert info.currsize == DRAW_CACHE_ENTRIES
-        # the per-entry sizes the stated byte bound (96 MiB) rests on
+        # the per-entry sizes the stated byte bound (128 MiB) rests on
         r, eta = kpi._block_displacements(1, 0, MC_BLOCK_SIZE, sigma, cp)
         assert r.nbytes + eta.nbytes == 1 << 20
+        assert kpi._block_pointing(1, 0, MC_BLOCK_SIZE, sigma, cp, *geometry).nbytes == 1 << 19
         assert kpi._block_background(1, 0, MC_BLOCK_SIZE, b_mean).nbytes == 1 << 19
-        assert DRAW_CACHE_ENTRIES * ((1 << 20) + (1 << 19)) == 96 << 20
+        assert DRAW_CACHE_ENTRIES * ((1 << 20) + 2 * (1 << 19)) == 128 << 20
         clear_draw_caches()
 
     def test_figure7_sweep_stays_warm(self, baseline_cfg):
         # Figure 7's inner loop runs over its 10 sigma_s values; at 300,000
         # samples each needs 5 blocks, so 50 keys cycle through the cache
         # once per power value, and every one must still be there the next time.
+        # Each block's first pointing-gain miss reads its r back (one more hit).
         spec = SweepSpec(SweepAxis("beam.sigma_s_mm", SIGMA_GRID_FIG7_MM),
                          SweepAxis("source.power_mw", (20.0, 30.0)), "p_hearing", mc_n=300_000)
         clear_draw_caches()
         run_sweep(baseline_cfg, spec)
         info = kpi._block_displacements.cache_info()
-        assert (info.misses, info.hits) == (50, 50)
+        assert (info.misses, info.hits) == (50, 100)
         clear_draw_caches()
+
+
+class TestPointingCache:
+    """h_p(r) is cached per (block draw, A0, w_eq): once per beam geometry, not per power."""
+
+    def test_figure8_grid_is_bitwise_fresh(self):
+        fig8 = load_preset("fig8")
+        cfgs = [fig8.with_value("skin.delta_mm", delta).with_value("source.power_mw", power)
+                for delta in DELTA_CURVES_MM for power in POWER_GRID_FIG8_MW]
+        expected = [(uncached_exceedance(c, c.neural.y_th, 10_000, 9, False),
+                     uncached_exceedance(c, c.neural.d_th, 10_000, 9, False)) for c in cfgs]
+        assert len({hearing for hearing, _ in expected}) > 10  # the grid crosses the threshold
+        assert any(damage > 0.0 for _, damage in expected)
+        clear_draw_caches()
+        for state in ("cold", "warm"):
+            got = [(p_hearing(c, n=10_000, seed=9).value, p_damage(c, n=10_000, seed=9).value)
+                   for c in cfgs]
+            assert got == expected, state
+        assert kpi._block_pointing.cache_info().misses == len(DELTA_CURVES_MM)
+        assert kpi._block_displacements.cache_info().misses == 1
+
+    def test_power_sweep_computes_pointing_once(self, baseline_cfg):
+        spec = SweepSpec(SweepAxis("source.power_mw", POWER_GRID_FIG8_MW), None, "p_hearing",
+                         mc_n=10_000)
+        clear_draw_caches()
+        run_sweep(baseline_cfg, spec)
+        assert kpi._block_pointing.cache_info().misses == 1
+        assert kpi._block_displacements.cache_info().misses == 1
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # 12 mm of skin: a study-range notice
+    def test_a_new_geometry_is_a_new_entry(self, baseline_cfg):
+        # Twice the skin and twice the aperture keep upsilon, so A0 is bitwise the
+        # same and only w_eq tells the two geometries apart.
+        scaled = baseline_cfg.with_value("skin.delta_mm", 12.0).with_value("beam.beta_mm", 4.0)
+        assert scaled.state.a0 == baseline_cfg.state.a0
+        assert scaled.state.w_eq != baseline_cfg.state.w_eq
+        variants = [baseline_cfg, baseline_cfg.with_value("skin.delta_mm", 8.0),
+                    baseline_cfg.with_value("beam.theta_deg", 25.0), scaled]
+        clear_draw_caches()
+        for misses, cfg in enumerate(variants, start=1):
+            fresh = uncached_exceedance(cfg, cfg.neural.y_th, 10_000, 5, False)
+            assert p_hearing(cfg, n=10_000, seed=5).value == fresh
+            assert kpi._block_pointing.cache_info().misses == misses
+        assert kpi._block_displacements.cache_info().misses == 1
+
+    def test_seed_and_sigma_never_alias(self, baseline_cfg):
+        variants = {"base": (baseline_cfg, 5), "seed": (baseline_cfg, 8),
+                    "sigma": (baseline_cfg.with_value("beam.sigma_s_mm", 0.2), 5)}
+        clear_draw_caches()
+        gains = {}
+        for name, (cfg, seed) in variants.items():
+            fresh = uncached_exceedance(cfg, cfg.neural.y_th, 10_000, seed, False)
+            assert p_hearing(cfg, n=10_000, seed=seed).value == fresh, name
+            (_, r, _, h_p), = kpi._blocks(cfg, 10_000, seed)
+            assert np.array_equal(h_p, channel.pointing_gain(cfg.state.a0, cfg.state.w_eq, r))
+            gains[name] = h_p
+        assert kpi._block_pointing.cache_info().misses == 3
+        assert not np.array_equal(gains["seed"], gains["base"])
+        assert not np.array_equal(gains["sigma"], gains["base"])

@@ -18,7 +18,7 @@ from aoci.optics import (
     collimation_gain,
     coupling_eta_batch,
     coupling_eta_closed,
-    coupling_eta_integral,
+    coupling_eta_integrals,
     fiber_efficiency,
     peak_coupling,
 )
@@ -98,7 +98,7 @@ class TestCouplingClosedForm:
         cp = cp_for(1.2564)
         peak = coupling_eta_closed(cp, 0.0)
         assert coupling_eta_closed(cp, 15 * cp.omega0) < 1e-4 * peak
-        assert coupling_eta_integral(cp, 80 * cp.omega0) < 1e-6 * peak
+        assert coupling_eta_integrals([cp], [80 * cp.omega0])[0] < 1e-6 * peak
 
     def test_decreasing_within_main_lobe(self):
         # Monotone up to the first ring null of the focused field, located
@@ -129,26 +129,26 @@ class TestCouplingIntegralOracle:
             cp = cp_for(float(a))
             for rr in np.linspace(0.0, 3.0, 8):
                 ec = coupling_eta_closed(cp, float(rr) * cp.omega0)
-                ei = coupling_eta_integral(cp, float(rr) * cp.omega0)
+                ei = coupling_eta_integrals([cp], [float(rr) * cp.omega0])[0]
                 worst = max(worst, abs(ec - ei) / ei)
         assert worst <= 1e-6
 
     def test_lens_shrinks_to_nothing(self):
         cp = CouplingParams(lens_diameter=1e-9, focal_length=4.7e-2, omega0=1e-4, lam=LAMBDA)
-        assert coupling_eta_integral(cp, 0.0) < 1e-8
+        assert coupling_eta_integrals([cp], [0.0])[0] < 1e-8
 
     def test_datasheet_component_values_at_optimum(self):
         # D = 0.1 mm, w0 = 0.1 mm, lambda = 594 nm, F solved for a*.
         a_star, eta_star = peak_coupling()
         cp = cp_for(a_star, omega0=1e-4, lens_diameter=1e-4)
-        assert coupling_eta_integral(cp, 0.0) == pytest.approx(0.8145, abs=1e-3)
-        assert coupling_eta_integral(cp, 0.0) == pytest.approx(eta_star, rel=1e-9)
+        assert coupling_eta_integrals([cp], [0.0])[0] == pytest.approx(0.8145, abs=1e-3)
+        assert coupling_eta_integrals([cp], [0.0])[0] == pytest.approx(eta_star, rel=1e-9)
 
     def test_points_in_one_batch_equal_lone_integrals(self):
         # Two couplings, on-axis to deep in the rings: the batch is bitwise the lone calls.
         cps = [cp_for(0.05), cp_for(5.0, omega0=5e-5)]
         points = [(cp, k * cp.omega0) for cp in cps for k in (0.0, 0.7, 3.0, 40.0, 200.0)]
-        lone = [coupling_eta_integral(cp, r) for cp, r in points]
+        lone = [coupling_eta_integrals([cp], [r])[0] for cp, r in points]
         assert optics.coupling_eta_integrals(*zip(*points)) == lone
         with pytest.raises(ValueError):
             optics.coupling_eta_integrals(cps, [0.0, -1e-6])
@@ -163,7 +163,7 @@ class TestCouplingIntegralOracle:
             batch = coupling_eta_batch(cp, rs)
             scale = batch.max()
             for i, r in enumerate(rs):
-                adaptive = coupling_eta_integral(cp, float(r))
+                adaptive = coupling_eta_integrals([cp], [float(r)])[0]
                 assert batch[i] == pytest.approx(adaptive, rel=1e-8, abs=1e-9 * scale)
 
 
