@@ -8,7 +8,8 @@ validates it and returns the ``LinkConfig`` fields it owns; ``from_dict``
 runs them all, ``with_value`` only those its paths touch, each through a
 bounded memo of section patches. Every number is read by ``_finite``
 (finite; an int for counts), and a config whose fields give no finite
-channel state is refused. The stored document is the canonical JSON
+channel state is refused; checked states come from a bounded memo keyed by
+the fields ``derive_state`` reads. The stored document is the canonical JSON
 fragment of each top-level key: the provenance hash is taken over their
 join, ``raw`` is a parse of it and ``to_dict`` a fresh one.
 """
@@ -250,18 +251,29 @@ def _patch(key: str, fragment: str, assigned: list, source: SourceParams) -> tup
     return patch
 
 
-# The config fields each quantity of the channel state is derived from, and the keys
-# whose fields derive_state reads (a new wavelength rebuilds the coupling too).
+# The config fields each quantity of the channel state is derived from.
 _BEAM = "config.beam.theta_deg, config.beam.beta_mm, config.skin.delta_mm"
 _STATE_INPUTS = dict(h_l="config.skin", w_delta=_BEAM, upsilon=_BEAM, w_eq=_BEAM, a0=_BEAM,
                      g_c="config.mem", k="config.fiber", photons_per_joule="config.source.lambda_nm",
                      coupling_argument="config.coupling, config.source.lambda_nm")
-_STATE_KEYS = frozenset({"skin", "beam", "mem", "coupling", "fiber"})
+
+
+# Checked channel states, keyed by the values derive_state reads: a power or sigma_s
+# axis shares one, and a figure 8 grid derives one per skin thickness. Equal inputs give
+# bitwise equal states (a -0.0 among them reaches every factor as +0.0 would). A refusal
+# is not kept. Emptied when full, like the section patches.
+CHANNEL_STATES = 256
+_states: dict[tuple, ChannelState] = {}
 
 
 def _checked_state(cfg: "LinkConfig") -> ChannelState:
     """``derive_state(cfg)``, or a ConfigError naming the fields of a quantity it cannot
     derive, or derives non-finite (or, for the coupling argument, not > 0)."""
+    memo = (cfg.skin, cfg.beam.theta, cfg.beam.beta, cfg.mem, cfg.fiber, cfg.coupling,
+            cfg.source.lam)
+    state = _states.get(memo)
+    if state is not None:
+        return state
     try:
         state = photometry.derive_state(cfg)
     except ValueError as exc:  # beam_stats refuses an overflowing w_eq
@@ -272,6 +284,9 @@ def _checked_state(cfg: "LinkConfig") -> ChannelState:
         value = getattr(state, name)
         if not (math.isfinite(value) and (value > 0.0 or name != "coupling_argument")):
             raise ConfigError(f"{fields}: the derived {name} is {value!r}")
+    if len(_states) >= CHANNEL_STATES:
+        _states.clear()
+    _states[memo] = state
     return state
 
 
@@ -347,8 +362,8 @@ class LinkConfig:
         of paths to values, all set before validation (so fields valid only together can
         change together). Each top-level key the paths touch (and coupling, when
         ``source.lambda_nm`` changes) takes its fragment and fields from ``_patch``, which
-        validates it as ``from_dict`` does; every other field and fragment, and the state
-        when no key it reads changes, is shared with ``self``.
+        validates it as ``from_dict`` does; every other field and fragment is shared with
+        ``self``, and the state comes from the memo of ``_checked_state``.
         """
         assigned: dict[str, list] = {}
         for dotted, new in path.items() if isinstance(path, Mapping) else [(path, value)]:
@@ -363,11 +378,9 @@ class LinkConfig:
                     key, self._fragments[key], assigned[key], fields["source"])
                 fields.update(built)
         fields.pop("raw", None)
-        state = fields.pop("state", None)
+        fields.pop("state", None)
         cfg = type(self)(**fields)
-        if state is not None and _STATE_KEYS.isdisjoint(assigned):
-            cfg.__dict__["state"] = state  # the cached_property's slot: no key it reads changed
-        cfg.state  # derived and checked now, unless shared with self
+        cfg.state  # checked now: from the memo when no field derive_state reads changed
         return cfg
 
     def resolve(self, path: str) -> float:

@@ -28,7 +28,9 @@ count, sigma_s, coupling, A0, w_eq) -> h_p(r)`` and ``(seed, block, count, B)
 sweep, figure 7 (10 sigma_s x up to 6 blocks), figure 8 (one h_p per skin
 thickness) or the dynamic range of ``safety_check`` then draws, evaluates
 the coupling kernel and the pointing gain once per block and geometry,
-bit-identical to drawing afresh.
+bit-identical to drawing afresh. A cached (r, eta) block is filled from the
+chunks of 2^13 samples that ``mean_flux_mc`` streams through, drawn from one
+generator on the block's stream, so a block is the same drawn either way.
 
 ``p_false_hearing`` exposes two numbers on purpose: the survival probability
 ``Pr(N >= y_th)`` that matches the verbal definition of a false trigger, and

@@ -13,7 +13,9 @@ three mutually validating routes:
 * ``mean_flux_series``     -- closed form via the quadruple hypergeometric
                               series (fails loudly outside its
                               convergence envelope);
-* ``mean_flux_mc``         -- seeded Monte Carlo over displacement samples.
+* ``mean_flux_mc``         -- seeded Monte Carlo over displacement samples,
+                              in blocks of 2^16 streamed through chunks of
+                              2^13 drawn from one generator per block.
 
 ``mean_flux`` runs exactly the route it is asked for: a route that cannot
 deliver raises its ``NumericalError`` instead of handing over to another.
@@ -43,7 +45,7 @@ from aoci.specfun import (  # integrate_semi_infinite stays importable for bench
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
 )
-from aoci.stochastics import RngStream, sample_rayleigh
+from aoci.stochastics import RngStream, rayleigh_chunks
 
 if TYPE_CHECKING:
     from aoci.config import LinkConfig
@@ -72,6 +74,7 @@ PLANCK_CONSTANT = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m / s
 
 MC_BLOCK_SIZE = 1 << 16
+MC_CHUNK = 1 << 13  # samples a block streams through at once: 64 KiB float64 temporaries
 
 
 @dataclass(frozen=True)
@@ -329,12 +332,27 @@ def mean_flux_quadrature_batch(
         for p, result in zip(prefactors, map(integrals.__getitem__, keys))]
 
 
+def _block_chunks(
+    seed: int, block: int, count: int, sigma_s: float, coupling: optics.CouplingParams
+):
+    """Block ``block``'s displacements r and eta(r), ``MC_CHUNK`` samples at a time.
+
+    Yields (the chunk's slice of the block, r, eta(r)). One generator on stream
+    (seed, 2 block) draws the chunks, so r of all of them is bit for bit
+    ``sample_rayleigh(RngStream(seed, 2 block), sigma_s, count)``.
+    """
+    chunks = rayleigh_chunks(RngStream(seed, 2 * block), sigma_s, count, MC_CHUNK)
+    for start, r in zip(range(0, count, MC_CHUNK), chunks):
+        yield slice(start, start + r.size), r, optics.coupling_eta_batch(coupling, r)
+
+
 def _draw_block(
     seed: int, block: int, count: int, sigma_s: float, coupling: optics.CouplingParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Block ``block``'s displacements r (stream (seed, 2 block)) and eta(r), read-only."""
-    r = sample_rayleigh(RngStream(seed, 2 * block), sigma_s, count)
-    eta = optics.coupling_eta_batch(coupling, r)
+    """Block ``block``'s r and eta(r), read-only: ``_block_chunks`` gathered in two arrays."""
+    r, eta = np.empty(count), np.empty(count)
+    for at, r_chunk, eta_chunk in _block_chunks(seed, block, count, sigma_s, coupling):
+        r[at], eta[at] = r_chunk, eta_chunk
     r.flags.writeable = eta.flags.writeable = False
     return r, eta
 
@@ -342,11 +360,13 @@ def _draw_block(
 def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
     """Average flux by seeded Monte Carlo over Rayleigh displacements.
 
-    Samples come in fixed blocks of 2^16 from ``_draw_block`` (uncached: no
-    caller repeats a request), the blocks the exceedance estimator draws, so
-    the estimate does not depend on how workers split the blocks. err_bound
-    is one standard error of the mean, from per-block centred sums of squares
-    merged by Chan, Golub and LeVeque's update.
+    Samples come in fixed blocks of 2^16, the blocks the exceedance estimator
+    draws, so the estimate does not depend on how workers split the blocks.
+    Each block streams through ``_block_chunks`` (uncached: no caller repeats a
+    request), and each chunk's Phi goes into one block-sized buffer allocated
+    once per call, so every temporary is a 64 KiB chunk the heap recycles.
+    err_bound is one standard error of the mean, from per-block centred sums of
+    squares merged by Chan, Golub and LeVeque's update.
     """
     ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, seed))
     if not (ints and n >= 1000 and seed >= 0):
@@ -357,18 +377,20 @@ def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
     running_mean = 0.0
     sum_sq_dev = 0.0
     produced = 0
+    buffer = np.empty(min(n, MC_BLOCK_SIZE))
     for block, start in enumerate(range(0, n, MC_BLOCK_SIZE)):
         count = min(MC_BLOCK_SIZE, n - start)
-        r, eta = _draw_block(seed, block, count, cfg.beam.sigma_s, cfg.coupling)
-        phi = received_flux_batch(r, cfg, eta=eta)
-        del r, eta  # not held through the next block's draw
+        phi = buffer[:count]
+        for at, r, eta in _block_chunks(seed, block, count, cfg.beam.sigma_s, cfg.coupling):
+            phi[at] = received_flux_batch(r, cfg, eta=eta)
         block_total = float(np.sum(phi))
         total += block_total
         block_mean = block_total / count
         delta = block_mean - running_mean
         merged = produced + count
         running_mean += delta * count / merged
-        sum_sq_dev += float(np.sum((phi - block_mean) ** 2))
+        phi -= block_mean
+        sum_sq_dev += float(np.sum(np.square(phi, out=phi)))
         sum_sq_dev += delta * delta * produced * count / merged
         produced = merged
 

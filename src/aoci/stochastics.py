@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStream", "sample_rayleigh", "sample_poisson"]
+__all__ = ["RngStream", "sample_rayleigh", "rayleigh_chunks", "sample_poisson"]
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,18 @@ class RngStream:
         """n uniforms on the half-open interval (0, 1]."""
         return 1.0 - self.generator().random(n)
 
+    def uniform_chunks(self, n: int, size: int):
+        """``uniforms(n)`` as successive arrays of at most ``size``, from one generator."""
+        generator = self.generator()
+        return (1.0 - generator.random(min(size, n - start)) for start in range(0, n, size))
+
+
+def _rayleigh(sigma_s: float, u: np.ndarray) -> np.ndarray:
+    """The Rayleigh transform ``sigma_s sqrt(-2 ln u)`` of uniforms u on (0, 1]."""
+    if not (sigma_s > 0.0):
+        raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
+    return sigma_s * np.sqrt(-2.0 * np.log(u))
+
 
 def sample_rayleigh(stream: RngStream, sigma_s: float, n: int | None = None):
     """Rayleigh radial displacements ``r = sigma_s sqrt(-2 ln u)``, u ~ U(0, 1].
@@ -40,11 +52,15 @@ def sample_rayleigh(stream: RngStream, sigma_s: float, n: int | None = None):
     Scalar when ``n`` is None, else an array of the stream's first n samples.
     Every sample is finite and >= 0: u never equals 0, and u = 1 gives r = 0.
     """
-    if not (sigma_s > 0.0):
-        raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
-    u = stream.uniforms(1 if n is None else n)
-    r = sigma_s * np.sqrt(-2.0 * np.log(u))
+    r = _rayleigh(sigma_s, stream.uniforms(1 if n is None else n))
     return float(r[0]) if n is None else r
+
+
+def rayleigh_chunks(stream: RngStream, sigma_s: float, n: int, size: int):
+    """``sample_rayleigh(stream, sigma_s, n)`` as successive arrays of at most ``size``
+    samples from one generator: concatenated, they are that array bit for bit. A bad
+    sigma_s is refused as the first chunk is drawn."""
+    return (_rayleigh(sigma_s, u) for u in stream.uniform_chunks(n, size))
 
 
 def sample_poisson(stream: RngStream, mean, n: int | None = None):

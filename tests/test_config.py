@@ -11,7 +11,7 @@ import pytest
 
 from aoci import config, photometry
 from aoci.config import ConfigError, LinkConfig, load_config
-from aoci.figures import load_preset, preset_path
+from aoci.figures import DELTA_CURVES_MM, POWER_GRID_FIG8_MW, load_preset, preset_path
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 
 PRESETS = sorted(path.stem for path in preset_path("default.json").parent.glob("*.json"))
@@ -341,6 +341,101 @@ class TestSectionPatches:
             baseline_cfg.with_value("beam.sigma_s_mm", 0.1 + i * 1e-4)
             sizes.add(len(config._patches))
         assert max(sizes) == config.SECTION_PATCHES
+
+
+def _bits(state):
+    return tuple(float(v).hex() for v in dataclasses.astuple(state))
+
+
+class TestStateMemo:
+    """A config's checked state comes from a memo keyed by the values ``derive_state``
+    reads; a hit must be bitwise the state a fresh derivation gives."""
+
+    @pytest.fixture()
+    def derived(self, monkeypatch):
+        config._states.clear()  # each case starts from no states
+        calls = []
+
+        def derive_state(cfg):
+            calls.append(cfg)
+            return fresh(cfg)
+
+        fresh = photometry.derive_state
+        monkeypatch.setattr(photometry, "derive_state", derive_state)
+        return calls
+
+    def test_the_figure8_grid_derives_one_state_per_skin_thickness(self, derived):
+        base = load_preset("default")
+        config._states.clear()
+        for want in (len(DELTA_CURVES_MM), 0):  # cold, then warm
+            derived.clear()
+            cfgs = [base.with_value({"source.power_mw": p, "skin.delta_mm": d})
+                    for d in DELTA_CURVES_MM for p in POWER_GRID_FIG8_MW]
+            assert len(derived) == want
+        for cfg in cfgs:
+            assert _bits(cfg.state) == _bits(photometry.derive_state(cfg))
+
+    def test_a_divergence_change_is_a_new_entry(self, derived, baseline_cfg):
+        before = len(config._states)
+        sigma = baseline_cfg.with_value("beam.sigma_s_mm", 0.3)  # shares the state
+        theta = baseline_cfg.with_value("beam.theta_deg", 21.0)
+        assert sigma.state is baseline_cfg.state and theta.state is not baseline_cfg.state
+        assert len(config._states) == before + 1 and derived[-1] is theta
+
+    @pytest.mark.parametrize("path", ["skin.mu_a_per_mm", "skin.mu_s_per_mm", "mem.d_in_mm",
+                                      "fiber.bend_db_per_90deg", "fiber.n_quarter_turns",
+                                      "fiber.fbg_fraction_lost"])
+    @pytest.mark.parametrize("first,then", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zeros_share_a_bitwise_equal_state(self, derived, baseline_cfg, path,
+                                                      first, then):
+        before = len(derived)
+        a = baseline_cfg.with_value(path, first)
+        b = baseline_cfg.with_value(path, then)
+        assert len(derived) == before + 1 and b.state is a.state
+        for cfg in (a, b):
+            assert _bits(cfg.state) == _bits(photometry.derive_state(cfg))
+
+    def test_concurrent_points_get_their_own_states(self, baseline_cfg, monkeypatch):
+        # A small memo, emptied often, under many threads and a short switch interval.
+        monkeypatch.setattr(config, "CHANNEL_STATES", 4)
+        values = [5.0 + 0.1 * i for i in range(12)]
+        want = {v: _bits(photometry.derive_state(baseline_cfg.with_value("skin.delta_mm", v)))
+                for v in values}
+        wrong = []
+
+        def work(offset):
+            try:
+                for i in range(60):
+                    v = values[(offset + i) % len(values)]
+                    if _bits(baseline_cfg.with_value("skin.delta_mm", v).state) != want[v]:
+                        wrong.append(v)
+            except Exception as exc:  # reported by the assertion below, not lost in the thread
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_a_refusal_is_not_kept_and_the_memo_is_bounded(self, derived, baseline_cfg):
+        before = len(derived), len(config._states)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                baseline_cfg.with_value("beam.beta_mm", 1e300)
+        assert (len(derived), len(config._states)) == (before[0] + 2, before[1])
+        sizes = set()
+        for i in range(config.CHANNEL_STATES + 10):
+            baseline_cfg.with_value("skin.delta_mm", 5.0 + i * 1e-3)
+            sizes.add(len(config._states))
+        assert max(sizes) == config.CHANNEL_STATES
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # study-range notices

@@ -1,6 +1,7 @@
 """Flux chain: conversion constants, the three averaging routes, link budget."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from aoci.figures import load_preset
 from aoci.optics import coupling_eta_batch
 from aoci.photometry import (
     MC_BLOCK_SIZE,
+    MC_CHUNK,
     FluxEstimate,
     NeuralParams,
     SourceParams,
@@ -99,13 +101,14 @@ class TestMeanFluxRoutes:
         def draw(*args):
             raise AssertionError("drew samples for a bad request")
 
-        monkeypatch.setattr(photometry, "sample_rayleigh", draw)
+        monkeypatch.setattr(photometry, "_block_chunks", draw)
         with pytest.raises(ValueError):
             mean_flux_mc(baseline_cfg, n=n, seed=seed)
 
-    def test_mc_is_the_block_loop_over_even_streams(self, baseline_cfg):
-        # 150,000 samples: two full blocks and a part, block b from stream (seed, 2b)
-        n, seed, sigma = 150_000, 6, baseline_cfg.beam.sigma_s
+    @pytest.mark.parametrize("n", [1000, 8193, 65536, 65537, 150_000, 1 << 18])
+    def test_mc_is_the_block_loop_over_even_streams(self, baseline_cfg, n):
+        # Whole blocks and a part (150,000 is two and a part), block b from stream (seed, 2b)
+        seed, sigma = 6, baseline_cfg.beam.sigma_s
         before = kpi._block_displacements.cache_info()
         est = mean_flux_mc(baseline_cfg, n=n, seed=seed)
         assert kpi._block_displacements.cache_info() == before
@@ -125,8 +128,34 @@ class TestMeanFluxRoutes:
             sum_sq_dev += float(np.sum((phi - block_total / count) ** 2))
             sum_sq_dev += delta * delta * produced * count / (produced + count)
             produced += count
-        assert produced == n and block == 2
+        assert produced == n and block == (n - 1) // MC_BLOCK_SIZE
         assert (est.value, est.err_bound) == (total / n, math.sqrt(sum_sq_dev / n / n))
+
+    @pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 10_000, 65536])
+    def test_block_chunks_are_the_block_draw(self, baseline_cfg, count):
+        sigma, cp = baseline_cfg.beam.sigma_s, baseline_cfg.coupling
+        at, r, eta = zip(*photometry._block_chunks(6, 3, count, sigma, cp))
+        starts = range(0, count, MC_CHUNK)
+        assert at == tuple(slice(i, min(i + MC_CHUNK, count)) for i in starts)
+        r, eta = np.concatenate(r), np.concatenate(eta)
+        want = sample_rayleigh(RngStream(6, 6), sigma, count)
+        assert r.tobytes() == want.tobytes()
+        assert eta.tobytes() == coupling_eta_batch(cp, want).tobytes()
+        drawn = photometry._draw_block(6, 3, count, sigma, cp)
+        assert drawn[0].tobytes() == r.tobytes() and drawn[1].tobytes() == eta.tobytes()
+
+    def test_mc_temporaries_stay_small(self):
+        # Chunks of 2^13 samples and one 512 KiB block buffer: the peak stays near 1 MiB,
+        # where 512 KiB temporaries per block would reach 3.5 MiB.
+        cfg = load_preset("default")
+        mean_flux_mc(cfg, n=1 << 18, seed=2)  # the kernel is built beforehand
+        tracemalloc.start()
+        try:
+            mean_flux_mc(cfg, n=1 << 18, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (1 << 20)
 
     def test_mc_returns_python_numbers_for_numpy_ints(self, baseline_cfg):
         plain = mean_flux_mc(baseline_cfg, n=5000, seed=4)

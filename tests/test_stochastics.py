@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aoci.stochastics import RngStream, sample_poisson, sample_rayleigh
+from aoci.stochastics import RngStream, rayleigh_chunks, sample_poisson, sample_rayleigh
 
 
 class TestReproducibility:
@@ -66,6 +66,14 @@ class TestRayleigh:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             sample_rayleigh(RngStream(0, 0), 0.0)
+        with pytest.raises(ValueError):
+            next(rayleigh_chunks(RngStream(0, 0), 0.0, 10, 4))
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 10_000, 65536])
+    def test_chunks_from_one_generator_are_the_whole_draw(self, n):
+        chunks = list(rayleigh_chunks(RngStream(3, 4), 0.7, n, 8192))
+        assert [c.size for c in chunks] == [min(8192, n - i) for i in range(0, n, 8192)]
+        assert np.concatenate(chunks).tobytes() == sample_rayleigh(RngStream(3, 4), 0.7, n).tobytes()
 
 
 class TestPoisson:
