@@ -3,16 +3,17 @@
 Each entry of ``FIGURES`` is a two-axis sweep over a shipped preset config
 (see ``aoci/presets/*.json`` and the calibration notes beside them), its
 metrics, plot labels, curve-label template, config-derived marker lines and
-trend-check function. ``run_figure`` sweeps each metric, writes the CSV (the
-metrics' rows concatenated), draws the SVG and returns the checks; scales and
-provenance follow from the metric. The checks are ratio-based, so they are
-insensitive to the multiplicative calibration constants.
+trend-check function. ``run_figure`` sweeps all the metrics over one grid,
+writes the CSV (one metric's rows after another), draws the SVG and returns
+the checks; scales and provenance follow from the metric. The checks are
+ratio-based, so they are insensitive to the multiplicative calibration
+constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -21,7 +22,7 @@ import numpy as np
 
 from aoci import photometry, svgplot
 from aoci.config import LinkConfig
-from aoci.sweep import SweepAxis, SweepResult, SweepSpec, run_sweep, write_csv
+from aoci.sweep import EXCEEDANCES, SweepAxis, SweepResult, SweepSpec, run_sweep, write_csv
 
 __all__ = ["FIGURES", "FIGURE_NUMBERS", "curve", "grid_values", "load_preset", "preset_path",
            "run_figure", "sweep_heatmap"]
@@ -31,9 +32,7 @@ THETA_GRID_DEG = tuple(round(5.0 + 2.5 * i, 1) for i in range(11))
 DELTA_CURVES_MM = (4.0, 6.0, 8.0, 10.0)
 SIGMA_CURVES_MM = (0.01, 0.05, 0.1, 0.5)
 
-# Metrics drawn on a logarithmic scale, and those estimated by Monte Carlo.
-_LOG_SCALE = ("mean_flux", "link_budget")
-_MONTE_CARLO = ("p_hearing", "p_damage")
+_LOG_SCALE = ("mean_flux", "link_budget")  # metrics drawn on a logarithmic scale
 
 
 def _log_grid(lo: float, hi: float, n: int, include: tuple[float, ...] = ()) -> tuple[float, ...]:
@@ -70,12 +69,15 @@ def load_preset(name: str) -> LinkConfig:
     return LinkConfig.from_file(preset_path(f"{name}.json"))
 
 
-def grid_values(result: SweepResult) -> dict[tuple, float]:
+def grid_values(result: SweepResult, metric: str | None = None) -> dict[tuple, float]:
     """Value of each grid point that did not fail, keyed ``(axis1, axis2)`` in row
-    order; the axis-2 value is None for a one-axis sweep."""
+    order; the axis-2 value is None for a one-axis sweep. Only ``metric``'s rows
+    are read, every row when it is None (a one-metric sweep)."""
     values = {}
     for row in result.rows:
         record = dict(zip(result.columns, row))
+        if metric not in (None, record["metric"]):
+            continue
         if not record["error"] and record["value"] != "":
             key = (float(record["axis1_value"]), record.get("axis2_value"))
             values[key] = float(record["value"])
@@ -95,7 +97,7 @@ def sweep_heatmap(result: SweepResult, path: str | Path, xlabel: str, ylabel: st
     xs, ys = sorted(result.spec.axis1.values), sorted(result.spec.axis2.values)
     grid = [[values.get((x, y), math.nan) for x in xs] for y in ys]
     svgplot.heatmap(path, xs, ys, grid, xlabel, ylabel, title,
-                    log_values=result.spec.metric in _LOG_SCALE, provenance=provenance)
+                    log_values=result.spec.metrics[0] in _LOG_SCALE, provenance=provenance)
 
 
 def _trend(name: str, ys: list[float], sign: int, fmt: str = ".3e") -> TrendCheck:
@@ -229,17 +231,16 @@ def run_figure(number: int, out_dir: str | Path, cfg: LinkConfig | None = None,
         cfg = load_preset(f"fig{number}")
     out = Path(out_dir)
 
-    results = [run_sweep(cfg, SweepSpec(fig.axis1, fig.axis2, m, mc_n=mc_n, mc_seed=seed))
-               for m in fig.metrics]
-    rows = tuple(row for result in results for row in result.rows)
-    write_csv(replace(results[0], rows=rows), out / f"fig{number}.csv")
+    result = run_sweep(cfg, SweepSpec(fig.axis1, fig.axis2, fig.metrics, mc_n=mc_n,
+                                      mc_seed=seed))
+    write_csv(result, out / f"fig{number}.csv")
 
-    grids = [grid_values(result) for result in results]
-    mc = f" seed {seed} n {mc_n}" if fig.metrics[0] in _MONTE_CARLO else ""
+    grids = [grid_values(result, metric) for metric in fig.metrics]
+    mc = f" seed {seed} n {mc_n}" if fig.metrics[0] in EXCEEDANCES else ""
     provenance = f"config {cfg.config_hash()}{mc}"
     svg_path = out / f"fig{number}.svg"
     if fig.curve is None:
-        sweep_heatmap(results[0], svg_path, fig.xlabel, fig.ylabel, fig.title, provenance)
+        sweep_heatmap(result, svg_path, fig.xlabel, fig.ylabel, fig.title, provenance)
     else:
         series = [(fig.curve.format(m=metric.removeprefix("p_"), v=v), *curve(grid, v))
                   for metric, grid in zip(fig.metrics, grids) for v in fig.axis2.values]

@@ -12,7 +12,10 @@ intervals. One estimator serves both thresholds and all parameter
 comparisons are run under common random numbers (same seed, same block
 structure), which makes the monotonicity relations exact per seed:
 ``p_damage <= p_hearing`` whenever ``d_th >= y_th``, and ``p_hearing`` is
-nondecreasing in transmit power.
+nondecreasing in transmit power. Since both thresholds meet the same totals,
+``p_hearing_and_damage`` counts one pass's totals against both: figure 8's
+sweep and ``kpi_report`` form each block's totals once, and each estimate is
+bitwise the one ``p_hearing`` or ``p_damage`` alone gives.
 
 Common random numbers also make the draws reusable. A block's displacements
 r, their coupling efficiencies eta(r) and its background counts depend only
@@ -26,9 +29,9 @@ count, sigma_s, coupling, A0, w_eq) -> h_p(r)`` and ``(seed, block, count, B)
 -> counts``, of ``DRAW_CACHE_ENTRIES`` = 64 entries each: at most 1 MiB per
 (r, eta) entry and 0.5 MiB per h_p or counts entry, 128 MiB in all. A power
 sweep, figure 7 (10 sigma_s x up to 6 blocks), figure 8 (one h_p per skin
-thickness) or the dynamic range of ``safety_check`` then draws, evaluates
-the coupling kernel and the pointing gain once per block and geometry,
-bit-identical to drawing afresh. A cached (r, eta) block is filled from the
+thickness, one pass per grid point) or the dynamic range of ``safety_check``
+then draws, evaluates the coupling kernel and the pointing gain once per
+block and geometry, bit-identical to drawing afresh. A cached (r, eta) block is filled from the
 chunks of 2^13 samples that ``mean_flux_mc`` streams through, drawn from one
 generator on the block's stream, so a block is the same drawn either way.
 
@@ -73,6 +76,7 @@ __all__ = [
     "p_hearing",
     "p_false_hearing",
     "p_damage",
+    "p_hearing_and_damage",
     "safety_check",
     "kpi_report",
 ]
@@ -147,48 +151,56 @@ def _blocks(cfg: "LinkConfig", n: int, seed: int):
 
 def _exceedance(
     cfg: "LinkConfig",
-    threshold: float,
+    thresholds: tuple[float, ...],
     n: int,
     seed: int,
     signal_shot_noise: bool,
-) -> ProbabilityEstimate:
-    """Pr(total count over one window >= threshold), common-random-number MC.
+) -> tuple[ProbabilityEstimate, ...]:
+    """Pr(total count over one window >= t) for each threshold t, common-random-number MC.
 
     Block b draws its displacements from stream (seed, 2b) and its background
     counts from stream (seed, 2b+1), so two calls with the same (n, seed) see
     identical randomness regardless of threshold or transmit power: estimates
-    are pathwise comparable across parameter values.
+    are pathwise comparable across parameter values, and one pass counted
+    against several thresholds gives each the estimate of a pass of its own.
 
     The draws come from the per-block caches of the module docstring: (r,
     eta(r)) under (seed, block, count, sigma_s, coupling), h_p(r) under those
     and (A0, w_eq), the counts under (seed, block, count, B), each bounded at
     ``DRAW_CACHE_ENTRIES`` entries. A stream is a pure function of its (seed,
-    id), so a cached block is the block a fresh draw would give, and each call
-    still evaluates ``(prefactor eta) h_p gain + N >= threshold`` in the same
-    order. With ``signal_shot_noise`` the count's Poisson mean holds the
-    signal, so its draw is made per call; only (r, eta, h_p) come from the cache.
+    id), so a cached block is the block a fresh draw would give. Each block's
+    totals ``(prefactor eta) h_p gain + N`` are formed once, in that order, in
+    the array ``received_flux_batch`` returns. With ``signal_shot_noise`` the
+    count's Poisson mean holds the signal, so its draw is made per call; only
+    (r, eta, h_p) come from the cache. An infinite threshold (damage
+    disabled) is never reached: (0, 0, 0), with no pass for it.
     """
+    never = ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
+    hits = dict.fromkeys((t for t in thresholds if t < math.inf), 0)
+    if not hits:
+        return (never,) * len(thresholds)
     blocks = _blocks(cfg, n, seed)
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if min(hits) < 0.0:
+        raise ValueError(f"threshold must be >= 0, got {min(hits)}")
 
     gain = response_window_gain(cfg.neural.tau)
     b_mean = cfg.neural.mean_background
 
-    hits = 0
     for block, r, eta, h_p in blocks:
-        count = r.size
-        signal_counts = received_flux_batch(r, cfg, eta=eta, h_p=h_p) * gain
+        totals = received_flux_batch(r, cfg, eta=eta, h_p=h_p)
+        totals *= gain
         if signal_shot_noise:
             # Extension beyond the additive model: the whole count is Poisson
             # with the signal folded into the mean.
-            totals = sample_poisson(RngStream(seed, 2 * block + 1), signal_counts + b_mean, count)
+            totals += b_mean
+            totals = sample_poisson(RngStream(seed, 2 * block + 1), totals, r.size)
         else:
-            totals = signal_counts + _block_background(seed, block, count, b_mean)
-        hits += int(np.count_nonzero(totals >= threshold))
+            totals += _block_background(seed, block, r.size, b_mean)
+        for threshold in hits:
+            hits[threshold] += int(np.count_nonzero(totals >= threshold))
 
-    lo, hi = wilson_interval(hits, n)
-    return ProbabilityEstimate(value=hits / n, ci_low=lo, ci_high=hi, n_samples=n, seed=seed)
+    return tuple(ProbabilityEstimate(hits[t] / n, *wilson_interval(hits[t], n), n, seed)
+                 if t in hits else never for t in thresholds)
 
 
 def p_hearing(
@@ -198,7 +210,7 @@ def p_hearing(
     signal_shot_noise: bool = False,
 ) -> ProbabilityEstimate:
     """Probability that a transmitted stimulus excites the neurons."""
-    return _exceedance(cfg, cfg.neural.y_th, n, seed, signal_shot_noise)
+    return _exceedance(cfg, (cfg.neural.y_th,), n, seed, signal_shot_noise)[0]
 
 
 def p_damage(
@@ -211,11 +223,20 @@ def p_damage(
 
     Same estimator and randomness as ``p_hearing`` with the higher threshold;
     the background-only branch is dropped since the background count is
-    negligible against any damage threshold.
+    negligible against any damage threshold. A disabled threshold (d_th =
+    inf) gives (0, 0, 0) without drawing.
     """
-    if math.isinf(cfg.neural.d_th):
-        return ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
-    return _exceedance(cfg, cfg.neural.d_th, n, seed, signal_shot_noise)
+    return _exceedance(cfg, (cfg.neural.d_th,), n, seed, signal_shot_noise)[0]
+
+
+def p_hearing_and_damage(
+    cfg: "LinkConfig",
+    n: int = 100_000,
+    seed: int = 1234,
+    signal_shot_noise: bool = False,
+) -> tuple[ProbabilityEstimate, ProbabilityEstimate]:
+    """``(p_hearing, p_damage)`` from one pass over the draws, each bitwise its own call's."""
+    return _exceedance(cfg, (cfg.neural.y_th, cfg.neural.d_th), n, seed, signal_shot_noise)
 
 
 def p_false_hearing(neural: NeuralParams) -> FalseHearing:
@@ -310,8 +331,8 @@ def safety_check(
     k = math.ceil(hearing_target * n)
     edge = float(np.partition(np.concatenate(powers), k - 1)[k - 1])
     while edge <= x_max and _exceedance(
-        cfg.with_value("source.power_mw", edge * 1e3), y_th, n, seed, False
-    ).value < hearing_target:
+        cfg.with_value("source.power_mw", edge * 1e3), (y_th,), n, seed, False
+    )[0].value < hearing_target:
         edge = math.nextafter(edge, math.inf)
     dynamic_range = (edge, x_max) if edge <= x_max else None
     return skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok, dynamic_range
@@ -323,12 +344,15 @@ def kpi_report(
     seed: int = 1234,
     signal_shot_noise: bool = False,
 ) -> KpiReport:
-    """Every indicator for one configuration, the dynamic range on the same (n, seed) draws."""
+    """Every indicator for one configuration: p_hearing and p_damage from one pass, and
+    the dynamic range, on the same (n, seed) draws."""
     skin_irr, neuron_irr, skin_ok, neuron_ok, dyn = safety_check(cfg, n=n, seed=seed)
+    hearing, damage = p_hearing_and_damage(cfg, n=n, seed=seed,
+                                           signal_shot_noise=signal_shot_noise)
     return KpiReport(
-        p_hearing=p_hearing(cfg, n=n, seed=seed, signal_shot_noise=signal_shot_noise),
+        p_hearing=hearing,
         p_false_hearing=p_false_hearing(cfg.neural),
-        p_damage=p_damage(cfg, n=n, seed=seed, signal_shot_noise=signal_shot_noise),
+        p_damage=damage,
         skin_irradiance=skin_irr,
         neuron_irradiance=neuron_irr,
         mpe_skin_ok=skin_ok,

@@ -277,10 +277,12 @@ def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
     matches ``coupling_eta_integrals`` to roundoff at every displacement.
     """
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if not np.all((r >= 0.0) & (r < math.inf)):
+    r_max = r.max(initial=0.0)
+    if not (r.min(initial=math.inf) >= 0.0 and r_max < math.inf):  # NaN fails both
         raise ValueError("radial misalignments must be finite and >= 0")
     s = r / cp.omega0
-    table = _coupling_kernel(cp.coupling_argument).cover(float(s.max(initial=0.0)))
+    # Division by w0 > 0 is monotone, so this is s.max() without another pass.
+    table = _coupling_kernel(cp.coupling_argument).cover(float(r_max / cp.omega0))
     k = s.astype(np.intp)
     x = 2.0 * (s - k) - 1.0
     eta = table[-1][k]

@@ -217,6 +217,7 @@ def received_flux_batch(
     every displacement (the series route is not). A caller that already holds
     ``coupling_eta_batch(cfg.coupling, r)`` passes it as ``eta``, and one that
     holds ``channel.pointing_gain(cfg.state.a0, cfg.state.w_eq, r)`` as ``h_p``.
+    The result is a new array, which the caller may overwrite.
     """
     state = cfg.state
     r = np.asarray(r, dtype=np.float64)

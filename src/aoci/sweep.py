@@ -2,15 +2,17 @@
 
 A sweep varies one or two raw config fields (dotted paths into the
 unit-suffixed document, e.g. ``beam.sigma_s_mm``) over explicit value lists
-and evaluates one metric per grid point. Each point's config is built with
-all its axis values set at once and validated once, by ``with_value``, which
-takes the config sections the axes touch from a memo of section patches.
-Quadrature flux points (``mean_flux`` / ``link_budget``) go ``BATCH_POINTS``
-at a time through one quadrature, one integral per distinct integrand (power
-only scales it), bitwise as lone evaluations. Rows are written in grid order:
-axis2 outer, axis1 inner, so axis1 is the natural x-axis of a plotted curve
-family. Per-point numerical failures are recorded in the ``error`` column
-and the run continues.
+and evaluates one or more metrics per grid point. Each point's config is
+built with all its axis values set at once and validated once, by
+``with_value``, which takes the config sections the axes touch from a memo
+of section patches; the config and its hash serve every metric, and
+``p_hearing`` with ``p_damage`` come from one exceedance pass. Quadrature
+flux points (``mean_flux`` / ``link_budget``) go ``BATCH_POINTS`` at a time
+through one quadrature, one integral per distinct integrand (power only
+scales it), bitwise as lone evaluations. Rows are written metric by metric,
+each in grid order: axis2 outer, axis1 inner, so axis1 is the natural x-axis
+of a plotted curve family. Per-point numerical failures are recorded in the
+``error`` column and the run continues.
 
 CSV is RFC-4180 with LF line endings, '.' decimal separator, UTF-8; floats
 are written with shortest round-trip repr, so re-running an identical sweep
@@ -35,6 +37,7 @@ __all__ = ["SweepAxis", "SweepSpec", "SweepResult", "run_sweep", "write_csv"]
 
 METRICS = ("mean_flux", "p_hearing", "p_false_hearing", "p_damage", "link_budget")
 METHODS = ("quadrature", "series", "mc")
+EXCEEDANCES = ("p_hearing", "p_damage")  # kpi's Monte Carlo probabilities
 BATCH_POINTS = 256  # points built and evaluated together; ~25 KB of temporaries each
 
 
@@ -53,25 +56,35 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """``metric`` is one metric name, or a tuple of distinct names evaluated over one grid."""
+
     axis1: SweepAxis
     axis2: SweepAxis | None
-    metric: str
+    metric: str | tuple[str, ...]
     method: str = "quadrature"
     mc_n: int = 100_000
     mc_seed: int = 1234
 
     def __post_init__(self) -> None:
-        if self.metric not in METRICS:
-            raise ConfigError(f"sweep.metric: unknown metric {self.metric!r}")
+        for metric in self.metrics:
+            if metric not in METRICS:
+                raise ConfigError(f"sweep.metric: unknown metric {metric!r}")
+        if not self.metrics or len(set(self.metrics)) < len(self.metrics):
+            raise ConfigError(f"sweep.metric: need distinct metrics, got {self.metric!r}")
         if self.method not in METHODS:
             raise ConfigError(f"sweep.method: unknown method {self.method!r}")
         if self.mc_seed < 0:
             raise ConfigError(f"sweep.mc.seed: must be >= 0, got {self.mc_seed}")
         if self.mc_n < 1000:
             raise ConfigError(f"sweep.mc.n: need at least 1000 samples, got {self.mc_n}")
-        if self.metric in ("p_hearing", "p_damage") and self.mc_n < kpi.MIN_SAMPLES:
-            raise ConfigError(f"sweep.mc.n: {self.metric} needs at least {kpi.MIN_SAMPLES} "
-                              f"samples, got {self.mc_n}")
+        for metric in EXCEEDANCES:
+            if metric in self.metrics and self.mc_n < kpi.MIN_SAMPLES:
+                raise ConfigError(f"sweep.mc.n: {metric} needs at least {kpi.MIN_SAMPLES} "
+                                  f"samples, got {self.mc_n}")
+
+    @property
+    def metrics(self) -> tuple[str, ...]:
+        return (self.metric,) if isinstance(self.metric, str) else tuple(self.metric)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
@@ -125,37 +138,42 @@ class SweepResult:
     spec: SweepSpec
 
 
-def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, est=None) -> dict[str, Any]:
-    """One grid point's metric fields (flux from ``est`` if given); one left unset is empty."""
-    out: dict[str, Any] = {}
-    metric = spec.metric
-    if metric in ("mean_flux", "link_budget"):
-        if est is None:
-            est = photometry.mean_flux(cfg, method=spec.method, n=spec.mc_n, seed=spec.mc_seed)
-        gain = photometry.response_window_gain(cfg.neural.tau)
-        if metric == "mean_flux":
-            out["value"], out["err_bound"] = est.value, est.err_bound
-        else:
-            out["value"] = photometry.link_budget(cfg, est)
-            out["err_bound"] = est.err_bound * gain
-        out["method"] = est.method
-        if est.method == "monte_carlo":
-            out["n_samples"], out["seed"] = est.n_samples, est.seed
-    elif metric in ("p_hearing", "p_damage"):
-        fn = kpi.p_hearing if metric == "p_hearing" else kpi.p_damage
-        est = fn(cfg, n=spec.mc_n, seed=spec.mc_seed)
-        out["value"] = est.value
-        out["err_bound"] = 0.5 * (est.ci_high - est.ci_low)
-        out["ci_low"], out["ci_high"] = est.ci_low, est.ci_high
-        out["method"] = "monte_carlo"
-        out["n_samples"], out["seed"] = est.n_samples, est.seed
-    elif metric == "p_false_hearing":
-        fh = kpi.p_false_hearing(cfg.neural)
-        out["value"] = fh.literal
-        out["err_bound"] = 0.0
-        out["cdf_closed_form"] = fh.cdf_closed_form
-        out["method"] = "closed_form"
-    return out
+def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, est=None) -> list[dict[str, Any]]:
+    """One grid point's fields for each metric of ``spec`` (flux from ``est`` if given,
+    both exceedances from one pass if it names both); a field left unset is empty."""
+    mc = {"n": spec.mc_n, "seed": spec.mc_seed}
+    both = set(EXCEEDANCES) <= set(spec.metrics)
+    pair = dict(zip(EXCEEDANCES, kpi.p_hearing_and_damage(cfg, **mc))) if both else {}
+    fields = []
+    for metric in spec.metrics:
+        out: dict[str, Any] = {}
+        if metric in ("mean_flux", "link_budget"):
+            if est is None:
+                est = photometry.mean_flux(cfg, method=spec.method, **mc)
+            gain = photometry.response_window_gain(cfg.neural.tau)
+            if metric == "mean_flux":
+                out["value"], out["err_bound"] = est.value, est.err_bound
+            else:
+                out["value"] = photometry.link_budget(cfg, est)
+                out["err_bound"] = est.err_bound * gain
+            out["method"] = est.method
+            if est.method == "monte_carlo":
+                out["n_samples"], out["seed"] = est.n_samples, est.seed
+        elif metric in EXCEEDANCES:
+            p = pair[metric] if both else getattr(kpi, metric)(cfg, **mc)
+            out["value"] = p.value
+            out["err_bound"] = 0.5 * (p.ci_high - p.ci_low)
+            out["ci_low"], out["ci_high"] = p.ci_low, p.ci_high
+            out["method"] = "monte_carlo"
+            out["n_samples"], out["seed"] = p.n_samples, p.seed
+        elif metric == "p_false_hearing":
+            fh = kpi.p_false_hearing(cfg.neural)
+            out["value"] = fh.literal
+            out["err_bound"] = 0.0
+            out["cdf_closed_form"] = fh.cdf_closed_form
+            out["method"] = "closed_form"
+        fields.append(out)
+    return fields
 
 
 def _columns_for(spec: SweepSpec) -> tuple[str, ...]:
@@ -163,29 +181,31 @@ def _columns_for(spec: SweepSpec) -> tuple[str, ...]:
     if spec.axis2 is not None:
         cols += ["axis2_path", "axis2_value"]
     cols += ["metric", "value", "err_bound", "method", "n_samples", "seed"]
-    if spec.metric in ("p_hearing", "p_damage"):
+    if any(m in EXCEEDANCES for m in spec.metrics):
         cols += ["ci_low", "ci_high"]
-    if spec.metric == "p_false_hearing":
+    if "p_false_hearing" in spec.metrics:
         cols += ["cdf_closed_form"]
     cols += ["config_hash", "error"]
     return tuple(cols)
 
 
 def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
-    """Evaluate the metric over the full grid, tolerating per-point failures.
+    """Evaluate every metric of ``spec`` over the full grid, tolerating per-point failures.
 
     ``BATCH_POINTS`` points at a time (bounded memory): their configs first, then
     their quadrature flux together by ``photometry.mean_flux_quadrature_batch``.
+    A point's config, and its error if it fails, serve every metric's row.
     """
     axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
     for axis in axes:  # every path must resolve before any evaluation starts
         base_cfg.resolve(axis.path)
     grid = [combo[::-1] for combo in itertools.product(*(a.values for a in axes[::-1]))]
-    batched = spec.metric in ("mean_flux", "link_budget") and spec.method == "quadrature"
+    batched = spec.method == "quadrature" and any(
+        m in ("mean_flux", "link_budget") for m in spec.metrics)
     columns = _columns_for(spec)
-    rows: list[tuple] = []
+    rows: list[list[tuple]] = [[] for _ in spec.metrics]
     for start in range(0, len(grid), BATCH_POINTS):
-        points, cfgs = zip(*(_build_point(base_cfg, spec, axes, values)
+        points, cfgs = zip(*(_build_point(base_cfg, axes, values)
                              for values in grid[start:start + BATCH_POINTS]))
         valid = [cfg for cfg in cfgs if isinstance(cfg, LinkConfig)]
         estimates = iter(photometry.mean_flux_quadrature_batch(valid) if batched else ())
@@ -194,16 +214,18 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
                 est = cfg if isinstance(cfg, ConfigError) else next(estimates, None)
                 if isinstance(est, (ConfigError, NumericalError)):
                     raise est
-                point.update(_evaluate_point(cfg, spec, est))
+                fields = _evaluate_point(cfg, spec, est)
             except (ConfigError, NumericalError) as exc:
-                point["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(tuple(point.get(c, "") for c in columns))
-    return SweepResult(columns=columns, rows=tuple(rows), spec=spec)
+                fields = [{"error": f"{type(exc).__name__}: {exc}"}] * len(spec.metrics)
+            for metric_rows, metric, out in zip(rows, spec.metrics, fields):
+                row = {**point, "metric": metric, **out}
+                metric_rows.append(tuple(row.get(c, "") for c in columns))
+    return SweepResult(columns=columns, rows=tuple(itertools.chain(*rows)), spec=spec)
 
 
-def _build_point(base_cfg: LinkConfig, spec: SweepSpec, axes: list, values: tuple) -> tuple:
+def _build_point(base_cfg: LinkConfig, axes: list, values: tuple) -> tuple:
     """A grid point's row fields and its config, or the ConfigError refusing it."""
-    point: dict[str, Any] = {"metric": spec.metric, "config_hash": "", "error": ""}
+    point: dict[str, Any] = {"config_hash": "", "error": ""}
     for i, (axis, value) in enumerate(zip(axes, values), 1):
         point[f"axis{i}_path"], point[f"axis{i}_value"] = axis.path, value
     try:

@@ -297,10 +297,9 @@ def check_monotonicity(quick: bool) -> CheckResult:
         failures.append("hearing probability not nonincreasing in jitter")
 
     for p in (40.0, 2000.0, 20000.0):
-        test_cfg = cfg.with_value("source.power_mw", p)
-        if kpi.p_damage(test_cfg, n=n, seed=55).value > kpi.p_hearing(
-            test_cfg, n=n, seed=55
-        ).value:
+        hearing, damage = kpi.p_hearing_and_damage(cfg.with_value("source.power_mw", p), n=n,
+                                                   seed=55)
+        if damage.value > hearing.value:
             failures.append(f"damage exceeds hearing at {p} mW")
 
     return CheckResult(

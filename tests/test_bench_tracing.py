@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from aoci import figures
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -30,3 +32,18 @@ def test_every_traced_name_is_where_the_tracer_looks(location, attr):
     owner = tracing._resolve(location)
     assert attr in owner.__dict__, f"{location} no longer defines {attr}"
     assert callable(owner.__dict__[attr])
+
+
+def test_figure8_counts_under_the_tracer(tmp_path):
+    """One sweep of figure 8 still reports its 136 rows (68 points x 2 metrics) as the
+    tracer's points, and builds each of the 68 points' configs once."""
+    tracer = tracing.Tracer("figure8")
+    tracer.install()
+    try:
+        figures.run_figure(8, tmp_path, mc_n=10_000)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(rounds=1)
+    assert metrics["sweep.run_sweep.points"] == 136
+    assert metrics["sweep.run_sweep.calls"] == 1
+    assert metrics["config.with_value.calls"] == 68

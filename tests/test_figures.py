@@ -39,3 +39,13 @@ def test_point_hashes_match_the_committed_demo_output(number, tmp_path):
     want = provenance(DEMO_OUTPUT / f"fig{number}.csv")
     assert len(want) > 1
     assert provenance(tmp_path / f"fig{number}.csv") == want
+
+
+@pytest.mark.parametrize("number", [7, 8])
+def test_monte_carlo_figures_match_the_committed_demo_output(number, tmp_path):
+    """Figures 7 and 8 (the demo's mc_n and seed) rewrite demos/output byte for byte:
+    figure 8's two metrics from one sweep give the rows two sweeps gave."""
+    run_figure(number, tmp_path, mc_n=10_000, seed=1234)
+    for suffix in ("csv", "svg"):
+        name = f"fig{number}.{suffix}"
+        assert (tmp_path / name).read_bytes() == (DEMO_OUTPUT / name).read_bytes(), name

@@ -9,7 +9,13 @@ import pytest
 import _oracles as oracles
 from aoci import channel, kpi
 from aoci.config import LinkConfig
-from aoci.figures import DELTA_CURVES_MM, POWER_GRID_FIG8_MW, SIGMA_GRID_FIG7_MM, load_preset
+from aoci.figures import (
+    DELTA_CURVES_MM,
+    POWER_GRID_FIG8_MW,
+    SIGMA_GRID_FIG7_MM,
+    load_preset,
+    run_figure,
+)
 from aoci.kpi import (
     DRAW_CACHE_ENTRIES,
     MIN_SAMPLES,
@@ -18,6 +24,7 @@ from aoci.kpi import (
     p_damage,
     p_false_hearing,
     p_hearing,
+    p_hearing_and_damage,
     safety_check,
     wilson_interval,
 )
@@ -47,7 +54,7 @@ class TestWilsonInterval:
 
 class TestHearingProbability:
     def test_zero_threshold_always_heard(self, baseline_cfg):
-        est = _exceedance(baseline_cfg, 0.0, 10_000, seed=1, signal_shot_noise=False)
+        (est,) = _exceedance(baseline_cfg, (0.0,), 10_000, seed=1, signal_shot_noise=False)
         assert est.value == 1.0
 
     def test_strong_signal_tight_pointing(self, baseline_doc):
@@ -300,6 +307,24 @@ class TestKpiReport:
         assert report.dynamic_range_w is not None
         assert report.dynamic_range_w == safety_check(cfg, n=20_000, seed=4)[4]  # same draws
 
+    @pytest.mark.parametrize("shot", [False, True])
+    @pytest.mark.parametrize("d_th", [3.2e17, None])
+    def test_both_probabilities_from_one_pass(self, baseline_doc, monkeypatch, shot, d_th):
+        baseline_doc["beam"]["sigma_s_mm"] = 0.02
+        baseline_doc["neural"]["d_th_photons"] = d_th
+        cfg = LinkConfig.from_dict(baseline_doc)
+        hearing = p_hearing(cfg, n=10_000, seed=4, signal_shot_noise=shot)
+        damage = p_damage(cfg, n=10_000, seed=4, signal_shot_noise=shot)
+        assert 0.0 < hearing.value < 1.0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kpi_report ran a lone exceedance")
+
+        monkeypatch.setattr(kpi, "p_hearing", refuse)
+        monkeypatch.setattr(kpi, "p_damage", refuse)
+        report = kpi_report(cfg, n=10_000, seed=4, signal_shot_noise=shot)
+        assert (report.p_hearing, report.p_damage) == (hearing, damage)
+
     def test_reads_the_config_state(self, baseline_doc, monkeypatch):
         # The built config holds its checked state; kpi derives none of its own.
         # Expected values: the estimator before it read cfg.state, same (n, seed).
@@ -540,3 +565,53 @@ class TestPointingCache:
         assert kpi._block_pointing.cache_info().misses == 3
         assert not np.array_equal(gains["seed"], gains["base"])
         assert not np.array_equal(gains["sigma"], gains["base"])
+
+
+class TestSharedPass:
+    """p_hearing and p_damage from one pass over the draws, each bitwise its lone estimate."""
+
+    @pytest.mark.parametrize("shot", [False, True])
+    def test_figure8_grid_equals_fresh_draws_at_both_thresholds(self, shot):
+        fig8 = load_preset("fig8")
+        cfgs = [fig8.with_value({"skin.delta_mm": delta, "source.power_mw": power})
+                for delta in DELTA_CURVES_MM for power in POWER_GRID_FIG8_MW]
+        clear_draw_caches()
+        got = [p_hearing_and_damage(c, n=10_000, seed=9, signal_shot_noise=shot) for c in cfgs]
+        expected = [(uncached_exceedance(c, c.neural.y_th, 10_000, 9, shot),
+                     uncached_exceedance(c, c.neural.d_th, 10_000, 9, shot)) for c in cfgs]
+        assert [(h.value, d.value) for h, d in got] == expected
+        assert len({hearing for hearing, _ in expected}) > 10  # the grid crosses both thresholds
+        assert any(damage > 0.0 for _, damage in expected)
+        for cfg, pair in zip(cfgs, got):
+            assert pair == (p_hearing(cfg, n=10_000, seed=9, signal_shot_noise=shot),
+                            p_damage(cfg, n=10_000, seed=9, signal_shot_noise=shot))
+
+    def test_disabled_damage_threshold_is_never_reached(self, baseline_doc):
+        baseline_doc["neural"]["d_th_photons"] = None
+        cfg = LinkConfig.from_dict(baseline_doc)
+        hearing, damage = p_hearing_and_damage(cfg, n=10_000, seed=1)
+        assert damage == (0.0, 0.0, 0.0, 10_000, 1) == p_damage(cfg, n=10_000, seed=1)
+        assert hearing == p_hearing(cfg, n=10_000, seed=1)
+        # as before, no draw and so no sample floor for a disabled threshold alone
+        assert p_damage(cfg, n=500, seed=1) == (0.0, 0.0, 0.0, 500, 1)
+        with pytest.raises(ValueError):
+            p_hearing_and_damage(cfg, n=500, seed=1)
+
+    def test_figure8_builds_and_passes_each_point_once(self, tmp_path, monkeypatch):
+        calls = {"with_value": 0, "pass": 0}
+        with_value, exceedance = LinkConfig.with_value, kpi._exceedance
+
+        def counted_with_value(self, *args, **kwargs):
+            calls["with_value"] += 1
+            return with_value(self, *args, **kwargs)
+
+        def counted_exceedance(*args, **kwargs):
+            calls["pass"] += 1
+            return exceedance(*args, **kwargs)
+
+        monkeypatch.setattr(LinkConfig, "with_value", counted_with_value)
+        monkeypatch.setattr(kpi, "_exceedance", counted_exceedance)
+        run_figure(8, tmp_path, mc_n=10_000)
+        points = len(DELTA_CURVES_MM) * len(POWER_GRID_FIG8_MW)
+        assert points == 68
+        assert calls == {"with_value": points, "pass": points}

@@ -226,6 +226,17 @@ class TestCouplingKernel:
         scalar = np.array([coupling_eta_batch(cp, float(r))[0] for r in rs])
         assert np.max(np.abs(scalar - array)) <= 1e-15
 
+    @pytest.mark.parametrize("rs", [[math.nan], [0.1, math.nan], [math.inf], [0.1, -math.inf],
+                                    [-1e-300], [0.2, -0.5, 1.0]])
+    def test_refuses_nan_inf_and_negative_misalignments(self, rs):
+        cp = cp_for(1.2566)
+        with pytest.raises(ValueError, match="radial misalignments must be finite and >= 0"):
+            coupling_eta_batch(cp, np.array(rs) * cp.omega0)
+
+    def test_empty_input_gives_an_empty_array(self):
+        eta = coupling_eta_batch(cp_for(1.2566), np.empty(0))
+        assert eta.shape == (0,) and eta.dtype == np.float64
+
     def test_power_sweep_builds_one_table(self):
         cfg = load_preset("default")
         spec = SweepSpec(

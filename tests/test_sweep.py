@@ -82,6 +82,20 @@ class TestSpecValidation:
             SweepSpec.from_dict(spec_doc(mc=mc))
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("metric,message", [
+        ((), "need distinct metrics"),
+        (("p_hearing", "p_hearing"), "need distinct metrics"),
+        (("p_hearing", "snr"), "unknown metric 'snr'"),
+    ])
+    def test_several_metrics_are_known_and_distinct(self, metric, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepSpec(SweepAxis("source.power_mw", (1.0,)), None, metric, mc_n=10_000)
+
+    def test_several_metrics_keep_the_exceedance_sample_floor(self):
+        with pytest.raises(ConfigError, match="p_damage needs at least 10000"):
+            SweepSpec(SweepAxis("source.power_mw", (1.0,)), None, ("mean_flux", "p_damage"),
+                      mc_n=2000)
+
     def test_integral_float_counts_read_as_ints(self):
         spec = SweepSpec.from_dict(spec_doc(mc={"n": 20000.0, "seed": 0.0}))
         assert (spec.mc_n, spec.mc_seed) == (20000, 0)
@@ -156,6 +170,23 @@ class TestRunSweep:
         result = run_sweep(baseline_cfg, spec)
         records = [dict(zip(result.columns, r)) for r in result.rows]
         assert all(r["value"] > 0 for r in records)
+
+    @pytest.mark.parametrize("metrics", [
+        ("p_hearing", "p_damage"), ("p_damage", "p_hearing"),
+        ("link_budget", "p_hearing", "p_false_hearing", "mean_flux", "p_damage"),
+    ])
+    def test_several_metrics_give_each_metrics_lone_rows(self, baseline_cfg, metrics):
+        # sigma_s = -1 fails its points for every metric; the rows come metric by metric
+        axes = (SweepAxis("source.power_mw", (20.0, 400.0, 5000.0)),
+                SweepAxis("beam.sigma_s_mm", (-1.0, 0.05, 0.1)))
+        records = _records(run_sweep(baseline_cfg, SweepSpec(*axes, metrics, mc_n=10_000,
+                                                             mc_seed=3)))
+        assert len(records) == 9 * len(metrics)
+        for i, metric in enumerate(metrics):
+            lone = run_sweep(baseline_cfg, SweepSpec(*axes, metric, mc_n=10_000, mc_seed=3))
+            rows = records[9 * i:9 * (i + 1)]
+            assert [{c: row[c] for c in lone.columns} for row in rows] == _records(lone)
+            assert all(row[c] == "" for row in rows for c in row if c not in lone.columns)
 
     def test_two_axis_point_validated_on_the_grid_only(self):
         # (1.6e17, 3.2e17) is valid; the off-grid (y_th 1.6e17, d_th 8e16) is not.
