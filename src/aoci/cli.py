@@ -197,8 +197,8 @@ def _cmd_sweep(args) -> int:
                 provenance=provenance,
             )
         else:
-            sweep_heatmap(result, svg_path, spec.axis1.path, spec.axis2.path, spec.metric,
-                          provenance)
+            sweep_heatmap(result, grid_values(result), svg_path, spec.axis1.path,
+                          spec.axis2.path, spec.metric, provenance)
         print(f"wrote {svg_path}")
     return EXIT_OK
 

@@ -6,12 +6,14 @@ SI happens exactly once, here; everything downstream works in meters, watts
 and seconds. Each top-level key has one builder in ``_BUILDERS`` that
 validates it and returns the ``LinkConfig`` fields it owns; ``from_dict``
 runs them all, ``with_value`` only those its paths touch, each through a
-bounded memo of section patches. Every number is read by ``_finite``
-(finite; an int for counts), and a config whose fields give no finite
-channel state is refused; checked states come from a bounded memo keyed by
-the fields ``derive_state`` reads. The stored document is the canonical JSON
-fragment of each top-level key: the provenance hash is taken over their
-join, ``raw`` is a parse of it and ``to_dict`` a fresh one.
+bounded memo of section patches read before anything is built (a hit proves
+its paths exist; a miss's are checked in the document). Every number is read
+by ``_finite`` (finite; an int for counts), and a config whose fields give no
+finite channel state is refused; checked states come from a bounded memo
+keyed by the numbers ``derive_state`` reads. The stored document is the
+canonical JSON fragment of each top-level key, keys sorted: the provenance
+hash is taken over their join, ``raw`` is a parse of it and ``to_dict`` a
+fresh one.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,16 +231,22 @@ _BUILDERS: dict[str, _Builder] = {
 # with_value's section patches: (key, its old fragment, the assigned (path, type, repr)
 # triples, so that 6, 6.0, True and -0.0 stay apart, and the wavelength for coupling)
 # -> (new fragment, builder output). A 2-D sweep grid repeats each patch along its other
-# axis. A refusal is not kept. Emptied when full: each step is one atomic dict call.
+# axis. A refusal is not kept, so a hit proves its paths exist in its fragment. Emptied
+# when full: each step is one atomic dict call.
 SECTION_PATCHES = 256
 _patches: dict[tuple, tuple[str, dict]] = {}
+
+
+def _memo(key: str, fragment: str | None, assigned: list, lam: float) -> tuple:
+    """The ``_patches`` key of ``key``'s ``fragment`` with ``assigned`` set, at ``lam``."""
+    return (key, fragment, tuple([(path, type(new), repr(new)) for path, new in assigned]),
+            lam if key == "coupling" else None)
 
 
 def _patch(key: str, fragment: str, assigned: list, source: SourceParams) -> tuple[str, dict]:
     """Top-level ``key`` (canonical ``fragment``) with the ``assigned`` (path, value) pairs
     set: its new fragment and builder output, from the memo or built and validated now."""
-    memo = (key, fragment, tuple((path, type(new), repr(new)) for path, new in assigned),
-            source.lam if key == "coupling" else None)
+    memo = _memo(key, fragment, assigned, source.lam)
     patch = _patches.get(memo)
     if patch is None:
         doc = {key: json.loads(fragment)}
@@ -258,19 +267,21 @@ _STATE_INPUTS = dict(h_l="config.skin", w_delta=_BEAM, upsilon=_BEAM, w_eq=_BEAM
                      coupling_argument="config.coupling, config.source.lambda_nm")
 
 
-# Checked channel states, keyed by the values derive_state reads: a power or sigma_s
-# axis shares one, and a figure 8 grid derives one per skin thickness. Equal inputs give
-# bitwise equal states (a -0.0 among them reaches every factor as +0.0 would). A refusal
-# is not kept. Emptied when full, like the section patches.
+# Checked channel states, keyed by the numbers derive_state reads (one flat tuple, cheap
+# to hash): a power or sigma_s axis shares one, and a figure 8 grid derives one per skin
+# thickness. Equal inputs give bitwise equal states (a -0.0 among them reaches every
+# factor as +0.0 would). A refusal is not kept. Emptied when full, like the patches.
 CHANNEL_STATES = 256
 _states: dict[tuple, ChannelState] = {}
+_state_inputs = operator.attrgetter("beam.theta", "beam.beta", "source.lam", *(
+    f"{name}.{f.name}" for name, cls in zip(("skin", "mem", "fiber", "coupling"), (
+        SkinParams, MemParams, FiberLoss, CouplingParams)) for f in dataclasses.fields(cls)))
 
 
 def _checked_state(cfg: "LinkConfig") -> ChannelState:
     """``derive_state(cfg)``, or a ConfigError naming the fields of a quantity it cannot
     derive, or derives non-finite (or, for the coupling argument, not > 0)."""
-    memo = (cfg.skin, cfg.beam.theta, cfg.beam.beta, cfg.mem, cfg.fiber, cfg.coupling,
-            cfg.source.lam)
+    memo = _state_inputs(cfg)
     state = _states.get(memo)
     if state is not None:
         return state
@@ -309,7 +320,7 @@ class LinkConfig:
     mpe_skin: float  # W/m^2
     mpe_neuron: float  # W/m^2
     skin_spot_radius: float  # m
-    # The canonical JSON of each top-level key of the document: the stored document.
+    # The canonical JSON of each top-level key of the document, keys sorted: the document.
     _fragments: dict = field(repr=False, compare=False)
 
     @classmethod
@@ -320,7 +331,7 @@ class LinkConfig:
         built: dict = {}
         for build in _BUILDERS.values():
             built.update(build(doc, built))
-        cfg = cls(**built, _fragments={key: _canonical(doc[key]) for key in doc})
+        cfg = cls(**built, _fragments={key: _canonical(doc[key]) for key in sorted(doc)})
         cfg.state  # derived and checked now: a config with no finite state is refused here
         return cfg
 
@@ -334,8 +345,7 @@ class LinkConfig:
 
     def _document(self) -> str:
         """``json.dumps(document, sort_keys=True, separators=(",", ":"))``, from the fragments."""
-        return "{" + ",".join(
-            f'"{key}":{self._fragments[key]}' for key in sorted(self._fragments)) + "}"
+        return "{" + ",".join([f'"{key}":{text}' for key, text in self._fragments.items()]) + "}"
 
     @functools.cached_property
     def raw(self) -> dict:
@@ -362,25 +372,38 @@ class LinkConfig:
         of paths to values, all set before validation (so fields valid only together can
         change together). Each top-level key the paths touch (and coupling, when
         ``source.lambda_nm`` changes) takes its fragment and fields from ``_patch``, which
-        validates it as ``from_dict`` does; every other field and fragment is shared with
-        ``self``, and the state comes from the memo of ``_checked_state``.
+        validates it as ``from_dict`` does. The memo is read first: the paths of a key that
+        misses are checked in ``raw`` before anything is built. Every other field and
+        fragment is shared with ``self``, and the state comes from ``_checked_state``.
         """
+        items = [(path, value)] if isinstance(path, str) else list(path.items())
         assigned: dict[str, list] = {}
-        for dotted, new in path.items() if isinstance(path, Mapping) else [(path, value)]:
-            _numeric_field(self.raw, dotted)  # every path is checked before any build
+        for dotted, new in items:
             assigned.setdefault(dotted.partition(".")[0], []).append((dotted, new))
             if dotted == "source.lambda_nm":  # CouplingParams.lam is the wavelength
                 assigned.setdefault("coupling", [])
-        fields = {**self.__dict__, "_fragments": dict(self._fragments)}
-        for key in _BUILDERS:  # in builder order: coupling reads the source built before it
-            if key in assigned:
-                fields["_fragments"][key], built = _patch(
-                    key, self._fragments[key], assigned[key], fields["source"])
-                fields.update(built)
-        fields.pop("raw", None)
-        fields.pop("state", None)
-        cfg = type(self)(**fields)
-        cfg.state  # checked now: from the memo when no field derive_state reads changed
+        fragments, lam = self._fragments, self.source.lam
+        patches = {key: _patches.get(_memo(key, fragments.get(key), assigned[key], lam))
+                   for key in _BUILDERS if key in assigned}  # in builder order
+        if "source" in patches and "coupling" in patches:  # the new source's wavelength
+            new_source = patches["source"]
+            patches["coupling"] = new_source and _patches.get(_memo(
+                "coupling", fragments["coupling"], assigned["coupling"],
+                new_source[1]["source"].lam))
+        if len(patches) < len(assigned) or None in patches.values():
+            for dotted, _ in items:  # every path of a miss is checked before any build
+                if patches.get(dotted.partition(".")[0]) is None:
+                    _numeric_field(self.raw, dotted)
+        cfg = object.__new__(type(self))
+        fields = cfg.__dict__  # the fields of self, and its state until replaced below
+        fields.update(self.__dict__)
+        fields.pop("raw", None)  # a parse of self's document, not of this one
+        fragments = fields["_fragments"] = fragments.copy()
+        for key, patch in patches.items():  # builder order: coupling reads the new source
+            fragments[key], built = patch or _patch(
+                key, fragments[key], assigned[key], fields["source"])
+            fields.update(built)
+        fields["state"] = _checked_state(cfg)  # the cached state, checked now
         return cfg
 
     def resolve(self, path: str) -> float:

@@ -73,15 +73,12 @@ def grid_values(result: SweepResult, metric: str | None = None) -> dict[tuple, f
     """Value of each grid point that did not fail, keyed ``(axis1, axis2)`` in row
     order; the axis-2 value is None for a one-axis sweep. Only ``metric``'s rows
     are read, every row when it is None (a one-metric sweep)."""
-    values = {}
-    for row in result.rows:
-        record = dict(zip(result.columns, row))
-        if metric not in (None, record["metric"]):
-            continue
-        if not record["error"] and record["value"] != "":
-            key = (float(record["axis1_value"]), record.get("axis2_value"))
-            values[key] = float(record["value"])
-    return values
+    at = {name: i for i, name in enumerate(result.columns)}
+    x, y, name, value, error = (at.get(column) for column in (
+        "axis1_value", "axis2_value", "metric", "value", "error"))
+    return {(float(row[x]), None if y is None else row[y]): float(row[value])
+            for row in result.rows
+            if metric in (None, row[name]) and not row[error] and row[value] != ""}
 
 
 def curve(values: dict[tuple, float], axis2_value=None) -> tuple[list[float], list[float]]:
@@ -90,10 +87,9 @@ def curve(values: dict[tuple, float], axis2_value=None) -> tuple[list[float], li
     return [x for x, _ in points], [v for _, v in points]
 
 
-def sweep_heatmap(result: SweepResult, path: str | Path, xlabel: str, ylabel: str,
-                  title: str, provenance: str = "") -> None:
-    """Heatmap of a two-axis sweep: failed points blank, flux on a log colour scale."""
-    values = grid_values(result)
+def sweep_heatmap(result: SweepResult, values: dict[tuple, float], path: str | Path,
+                  xlabel: str, ylabel: str, title: str, provenance: str = "") -> None:
+    """Heatmap of a two-axis sweep's ``grid_values``: failed points blank, flux on a log scale."""
     xs, ys = sorted(result.spec.axis1.values), sorted(result.spec.axis2.values)
     grid = [[values.get((x, y), math.nan) for x in xs] for y in ys]
     svgplot.heatmap(path, xs, ys, grid, xlabel, ylabel, title,
@@ -240,7 +236,7 @@ def run_figure(number: int, out_dir: str | Path, cfg: LinkConfig | None = None,
     provenance = f"config {cfg.config_hash()}{mc}"
     svg_path = out / f"fig{number}.svg"
     if fig.curve is None:
-        sweep_heatmap(result, svg_path, fig.xlabel, fig.ylabel, fig.title, provenance)
+        sweep_heatmap(result, grids[0], svg_path, fig.xlabel, fig.ylabel, fig.title, provenance)
     else:
         series = [(fig.curve.format(m=metric.removeprefix("p_"), v=v), *curve(grid, v))
                   for metric, grid in zip(fig.metrics, grids) for v in fig.axis2.values]

@@ -307,11 +307,11 @@ def mean_flux_quadrature_batch(
         ests = {i: est for at in groups
                 for i, est in zip(at, mean_flux_quadrature_batch([cfgs[i] for i in at]))}
         return [ests[i] for i in range(len(cfgs))]
-    keys = [(c.coupling, c.beam.sigma_s, c.state.a0, c.state.w_eq, c.quad_ctl) for c in cfgs]
-    first: dict = {}  # integrand -> the index of its first config
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    distinct, distinct_kernel = [cfgs[i] for i in first.values()], kernel[list(first.values())]
+    slots: dict = {}  # integrand, with its kernel code for the coupling -> its index
+    slot = [slots.setdefault((k, c.beam.sigma_s, c.state.a0, c.state.w_eq, c.quad_ctl),
+                             len(slots)) for k, c in zip(kernel.tolist(), cfgs)]
+    firsts = np.unique(slot, return_index=True)[1]  # each integrand's first config
+    distinct, distinct_kernel = [cfgs[i] for i in firsts], kernel[firsts]
     sigma, a0, w_eq = np.array([(c.beam.sigma_s, c.state.a0, c.state.w_eq)  # (0, 3) for none
                                 for c in distinct]).reshape(-1, 3).T
 
@@ -325,12 +325,12 @@ def mean_flux_quadrature_batch(
 
     breakpoints = [(1.0 / math.sqrt(_exposure_rate(cfg, cfg.state)), s, 2.0 * s)
                    for cfg, s in zip(distinct, sigma.tolist())]
-    integrals = dict(zip(first, integrate_semi_infinite_batch(
-        integrand, sigma.tolist(), [cfg.quad_ctl for cfg in distinct], breakpoints)))
+    integrals = integrate_semi_infinite_batch(
+        integrand, sigma.tolist(), [cfg.quad_ctl for cfg in distinct], breakpoints)
     prefactors = [_deterministic_prefactor(cfg, cfg.state) for cfg in cfgs]
     return [result if isinstance(result, QuadratureExhaustedError) else FluxEstimate(
         value=max(p * result[0], 0.0), method="quadrature", err_bound=abs(p) * result[1])
-        for p, result in zip(prefactors, map(integrals.__getitem__, keys))]
+        for p, result in zip(prefactors, map(integrals.__getitem__, slot))]
 
 
 def _block_chunks(

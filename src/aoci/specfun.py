@@ -519,21 +519,35 @@ def integrate_semi_infinite_batch(f, decay_scales, ctls, breakpoints) -> list:
     Returns per integral ``(value, err_est)`` or the ``QuadratureExhaustedError``
     that the lone call raises.
     """
-    edges = []
-    for scale, ctl, marks in zip(decay_scales, ctls, breakpoints, strict=True):
-        if not (scale > 0.0 and math.isfinite(scale)):
-            raise ValueError(f"decay_scale must be positive and finite, got {scale}")
-        cutoff = ctl.tail_cutoff_sigmas * scale
-        points = [0.0, *sorted({p for p in marks if 0.0 < p < cutoff}), cutoff]
-        edges.append(sorted(points + [0.5 * (a + b) for a, b in zip(points, points[1:])]))
-    n = len(edges)
+    n = len(decay_scales)
+    if not len(ctls) == len(breakpoints) == n:
+        raise ValueError("need one decay scale, control and breakpoint list per integral")
+    scale = np.array(decay_scales, dtype=np.float64)
+    bad = np.flatnonzero(~((scale > 0.0) & np.isfinite(scale)))
+    if bad.size:
+        raise ValueError(f"decay_scale must be positive and finite, got {decay_scales[bad[0]]}")
     results: list = [None] * n
     if not n:
         return results
-    rel_tol, abs_tol, cap = (np.array([getattr(c, name) for c in ctls])
-                             for name in ("rel_tol", "abs_tol", "max_subdivisions"))
-    owner = np.repeat(np.arange(n), [len(e) - 1 for e in edges])
-    lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    rel_tol, abs_tol, cap, tail = (np.array([getattr(c, name) for c in ctls]) for name in (
+        "rel_tol", "abs_tol", "max_subdivisions", "tail_cutoff_sigmas"))
+    # Integral i's points, one row each: 0, its breakpoints inside (0, cutoff) once each,
+    # the cutoff, sorted, NaN-padded. Its edges are those and every midpoint, sorted.
+    cutoff = tail * scale
+    marks = np.array(list(itertools.zip_longest(*breakpoints, fillvalue=math.nan)),
+                     dtype=np.float64).reshape(-1, n).T
+    marks[~((marks > 0.0) & (marks < cutoff[:, None]))] = math.nan
+    points = np.sort(np.column_stack([np.zeros(n), marks, cutoff]), axis=1)
+    keep = ~np.isnan(points)
+    keep[:, 1:] &= points[:, 1:] != points[:, :-1]
+    row, points = np.nonzero(keep)[0], points[keep]
+    inner = row[1:] == row[:-1]
+    edges = np.concatenate([points, 0.5 * (points[:-1] + points[1:])[inner]])
+    rows = np.concatenate([row, row[1:][inner]])
+    order = np.lexsort((edges, rows))
+    edges, rows = edges[order], rows[order]
+    inner = rows[1:] == rows[:-1]
+    owner, lo, hi = rows[1:][inner], edges[:-1][inner], edges[1:][inner]
     res, err = _gk21(lambda x: f(x, np.repeat(owner, 21)), lo, hi)
     while True:
         count = np.bincount(owner, minlength=n)

@@ -53,12 +53,7 @@ def _decade_ticks(lo: float, hi: float) -> list[float]:
 def _tick_label(v: float) -> str:
     if v == 0.0:
         return "0"
-    a = abs(v)
-    if 1e-3 <= a < 1e4:
-        s = f"{v:.6g}"
-    else:
-        s = f"{v:.1e}"
-    return s
+    return f"{v:.6g}" if 1e-3 <= abs(v) < 1e4 else f"{v:.1e}"
 
 
 class _Axis:
@@ -167,10 +162,8 @@ def line_plot(
     """
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys if y > 0.0 or not ylog]
-    for y_ref, _ in hlines or []:
-        ys_all.append(y_ref)
-    for x_ref, _ in vlines or []:
-        xs_all.append(x_ref)
+    ys_all += [y_ref for y_ref, _ in hlines or []]
+    xs_all += [x_ref for x_ref, _ in vlines or []]
     if not xs_all or not ys_all:
         raise ValueError("line_plot needs at least one finite point")
 
@@ -186,24 +179,18 @@ def line_plot(
                          [(ax_y(t), t) for t in ax_y.ticks()], xlabel, ylabel)
     for y_ref, label in hlines or []:
         py = ax_y(y_ref)
-        parts.append(
+        parts += [
             f'<line x1="{MARGIN_L}" y1="{_fmt(py)}" x2="{WIDTH - MARGIN_R}" y2="{_fmt(py)}" '
-            f'stroke="black" stroke-dasharray="6,4"/>'
-        )
-        parts.append(
+            f'stroke="black" stroke-dasharray="6,4"/>',
             f'<text x="{WIDTH - MARGIN_R - 4}" y="{_fmt(py - 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>']
     for x_ref, label in vlines or []:
         px = ax_x(x_ref)
-        parts.append(
+        parts += [
             f'<line x1="{_fmt(px)}" y1="{MARGIN_T}" x2="{_fmt(px)}" y2="{HEIGHT - MARGIN_B}" '
-            f'stroke="black" stroke-dasharray="6,4"/>'
-        )
-        parts.append(
+            f'stroke="black" stroke-dasharray="6,4"/>',
             f'<text x="{_fmt(px + 4)}" y="{MARGIN_T + 14}" '
-            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{_escape(label)}</text>']
     legend_y = MARGIN_T + 10
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -224,21 +211,22 @@ def line_plot(
     _write(path, parts)
 
 
+# A coarse five-anchor approximation of the viridis ramp: (fraction, rgb) anchors, and
+# each span between two as (f0, f1, its first colour, the step to the next).
+_ANCHORS = ((0.0, (68, 1, 84)), (0.25, (59, 82, 139)), (0.5, (33, 145, 140)),
+            (0.75, (94, 201, 98)), (1.0, (253, 231, 37)))
+_SPANS = tuple((f0, f1, c0, tuple(b - a for a, b in zip(c0, c1)))
+               for (f0, c0), (f1, c1) in zip(_ANCHORS, _ANCHORS[1:]))
+FAILED_FILL = "rgb(220,220,220)"  # a heatmap cell with no value on the colour scale
+
+
 def _viridis(frac: float) -> str:
-    """Coarse five-anchor approximation of the viridis ramp."""
-    anchors = [
-        (0.0, (68, 1, 84)),
-        (0.25, (59, 82, 139)),
-        (0.5, (33, 145, 140)),
-        (0.75, (94, 201, 98)),
-        (1.0, (253, 231, 37)),
-    ]
+    """The colour at ``frac`` (clamped to [0, 1]) of the viridis ramp."""
     frac = min(max(frac, 0.0), 1.0)
-    for (f0, c0), (f1, c1) in zip(anchors, anchors[1:]):
+    for f0, f1, (r, g, b), (dr, dg, db) in _SPANS:
         if frac <= f1:
             t = (frac - f0) / (f1 - f0)
-            rgb = tuple(round(a + t * (b - a)) for a, b in zip(c0, c1))
-            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+            return f"rgb({round(r + t * dr)},{round(g + t * dg)},{round(b + t * db)})"
     return "rgb(253,231,37)"
 
 
@@ -253,7 +241,8 @@ def heatmap(
     log_values: bool = False,
     provenance: str = "",
 ) -> None:
-    """Write a grid heatmap; values[j][i] corresponds to (xs[i], ys[j])."""
+    """Write a grid heatmap; values[j][i] corresponds to (xs[i], ys[j]). A cell off the
+    colour scale (not finite, or not > 0 with ``log_values``) is grey."""
     if len(values) != len(ys) or any(len(row) != len(xs) for row in values):
         raise ValueError("heatmap values must be shaped (len(ys), len(xs))")
     flat = [v for row in values for v in row if math.isfinite(v) and (v > 0.0 or not log_values)]
@@ -269,43 +258,30 @@ def heatmap(
     cell_h = plot_h / len(ys)
 
     parts = _svg_header(title, provenance)
-    for j, _ in enumerate(ys):
-        for i, _ in enumerate(xs):
-            v = values[j][i]
-            if not math.isfinite(v):
-                fill = "rgb(220,220,220)"
+    x_pix = [_fmt(MARGIN_L + i * cell_w) for i in range(len(xs))]
+    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
+    for j, row in enumerate(values):
+        y_pix = _fmt(HEIGHT - MARGIN_B - (j + 1) * cell_h)
+        for x, v in zip(x_pix, row):
+            if not math.isfinite(v) or (log_values and v <= 0.0):
+                fill = FAILED_FILL
             else:
                 vv = math.log10(max(v, 1e-300)) if log_values else v
-                frac = 0.5 if v_hi == v_lo else (vv - v_lo) / (v_hi - v_lo)
-                fill = _viridis(frac)
-            x_pix = MARGIN_L + i * cell_w
-            y_pix = HEIGHT - MARGIN_B - (j + 1) * cell_h
-            parts.append(
-                f'<rect x="{_fmt(x_pix)}" y="{_fmt(y_pix)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{fill}"/>'
-            )
+                fill = _viridis(0.5 if v_hi == v_lo else (vv - v_lo) / (v_hi - v_lo))
+            parts.append(f'<rect x="{x}" y="{y_pix}" {size} fill="{fill}"/>')
     # frame + edge tick labels, at the centres of the first and last cells
     parts += _axes_frame([(MARGIN_L + (i + 0.5) * cell_w, xs[i]) for i in (0, len(xs) - 1)],
                          [(HEIGHT - MARGIN_B - (j + 0.5) * cell_h, ys[j]) for j in (0, len(ys) - 1)],
                          xlabel, ylabel, marks=False)
-    # colorbar
-    bar_x, bar_w = WIDTH - MARGIN_R + 24, 18
-    steps = 24
+    # colorbar: 24 steps, and the values at its ends
+    bar_x, bar_w, steps = WIDTH - MARGIN_R + 24, 18, 24
+    size = f'width="{bar_w}" height="{_fmt(plot_h / steps + 0.5)}"'
     for s in range(steps):
-        frac = (s + 0.5) / steps
         y_pix = HEIGHT - MARGIN_B - (s + 1) * plot_h / steps
-        parts.append(
-            f'<rect x="{bar_x}" y="{_fmt(y_pix)}" width="{bar_w}" '
-            f'height="{_fmt(plot_h / steps + 0.5)}" fill="{_viridis(frac)}"/>'
-        )
-    lo_label = f"1e{v_lo:.1f}" if log_values else _tick_label(v_lo)
-    hi_label = f"1e{v_hi:.1f}" if log_values else _tick_label(v_hi)
-    parts.append(
-        f'<text x="{bar_x + bar_w + 4}" y="{HEIGHT - MARGIN_B}" font-family="sans-serif" '
-        f'font-size="10">{lo_label}</text>'
-    )
-    parts.append(
-        f'<text x="{bar_x + bar_w + 4}" y="{MARGIN_T + 10}" font-family="sans-serif" '
-        f'font-size="10">{hi_label}</text>'
-    )
+        parts.append(f'<rect x="{bar_x}" y="{_fmt(y_pix)}" {size} '
+                     f'fill="{_viridis((s + 0.5) / steps)}"/>')
+    for y_pix, v in ((HEIGHT - MARGIN_B, v_lo), (MARGIN_T + 10, v_hi)):
+        label = f"1e{v:.1f}" if log_values else _tick_label(v)
+        parts.append(f'<text x="{bar_x + bar_w + 4}" y="{y_pix}" font-family="sans-serif" '
+                     f'font-size="10">{label}</text>')
     _write(path, parts)

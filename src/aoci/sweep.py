@@ -9,10 +9,11 @@ of section patches; the config and its hash serve every metric, and
 ``p_hearing`` with ``p_damage`` come from one exceedance pass. Quadrature
 flux points (``mean_flux`` / ``link_budget``) go ``BATCH_POINTS`` at a time
 through one quadrature, one integral per distinct integrand (power only
-scales it), bitwise as lone evaluations. Rows are written metric by metric,
-each in grid order: axis2 outer, axis1 inner, so axis1 is the natural x-axis
-of a plotted curve family. Per-point numerical failures are recorded in the
-``error`` column and the run continues.
+scales it), bitwise as lone evaluations. A point's fixed cost is that config,
+its hash and one tuple per metric, laid out by column index. Rows are written
+metric by metric, each in grid order: axis2 outer, axis1 inner, so axis1 is
+the natural x-axis of a plotted curve family. Per-point numerical failures
+are recorded in the ``error`` column and the run continues.
 
 CSV is RFC-4180 with LF line endings, '.' decimal separator, UTF-8; floats
 are written with shortest round-trip repr, so re-running an identical sweep
@@ -25,9 +26,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from aoci import kpi, photometry
 from aoci.config import ConfigError, LinkConfig, _finite, _number, _reject_unknown
@@ -138,41 +139,36 @@ class SweepResult:
     spec: SweepSpec
 
 
-def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, est=None) -> list[dict[str, Any]]:
-    """One grid point's fields for each metric of ``spec`` (flux from ``est`` if given,
-    both exceedances from one pass if it names both); a field left unset is empty."""
+# The columns a metric can fill, in column order; a row leaves the others empty.
+METRIC_COLUMNS = ("value", "err_bound", "method", "n_samples", "seed", "ci_low", "ci_high",
+                  "cdf_closed_form")
+
+
+def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, metrics: tuple[str, ...],
+                    est=None) -> list[tuple]:
+    """One grid point's ``METRIC_COLUMNS`` for each of ``metrics`` ("" where unset; flux
+    from ``est`` if given, both exceedances from one pass if it names both)."""
     mc = {"n": spec.mc_n, "seed": spec.mc_seed}
-    both = set(EXCEEDANCES) <= set(spec.metrics)
+    both = len(metrics) > 1 and set(EXCEEDANCES) <= set(metrics)
     pair = dict(zip(EXCEEDANCES, kpi.p_hearing_and_damage(cfg, **mc))) if both else {}
     fields = []
-    for metric in spec.metrics:
-        out: dict[str, Any] = {}
+    for metric in metrics:
         if metric in ("mean_flux", "link_budget"):
             if est is None:
                 est = photometry.mean_flux(cfg, method=spec.method, **mc)
-            gain = photometry.response_window_gain(cfg.neural.tau)
-            if metric == "mean_flux":
-                out["value"], out["err_bound"] = est.value, est.err_bound
-            else:
-                out["value"] = photometry.link_budget(cfg, est)
-                out["err_bound"] = est.err_bound * gain
-            out["method"] = est.method
-            if est.method == "monte_carlo":
-                out["n_samples"], out["seed"] = est.n_samples, est.seed
+            value, err = est.value, est.err_bound
+            if metric == "link_budget":
+                value = photometry.link_budget(cfg, est)
+                err *= photometry.response_window_gain(cfg.neural.tau)
+            drawn = (est.n_samples, est.seed) if est.method == "monte_carlo" else ("", "")
+            fields.append((value, err, est.method, *drawn, "", "", ""))
         elif metric in EXCEEDANCES:
             p = pair[metric] if both else getattr(kpi, metric)(cfg, **mc)
-            out["value"] = p.value
-            out["err_bound"] = 0.5 * (p.ci_high - p.ci_low)
-            out["ci_low"], out["ci_high"] = p.ci_low, p.ci_high
-            out["method"] = "monte_carlo"
-            out["n_samples"], out["seed"] = p.n_samples, p.seed
-        elif metric == "p_false_hearing":
+            fields.append((p.value, 0.5 * (p.ci_high - p.ci_low), "monte_carlo", p.n_samples,
+                           p.seed, p.ci_low, p.ci_high, ""))
+        else:  # p_false_hearing
             fh = kpi.p_false_hearing(cfg.neural)
-            out["value"] = fh.literal
-            out["err_bound"] = 0.0
-            out["cdf_closed_form"] = fh.cdf_closed_form
-            out["method"] = "closed_form"
-        fields.append(out)
+            fields.append((fh.literal, 0.0, "closed_form", "", "", "", "", fh.cdf_closed_form))
     return fields
 
 
@@ -180,7 +176,7 @@ def _columns_for(spec: SweepSpec) -> tuple[str, ...]:
     cols = ["axis1_path", "axis1_value"]
     if spec.axis2 is not None:
         cols += ["axis2_path", "axis2_value"]
-    cols += ["metric", "value", "err_bound", "method", "n_samples", "seed"]
+    cols += ["metric", *METRIC_COLUMNS[:5]]
     if any(m in EXCEEDANCES for m in spec.metrics):
         cols += ["ci_low", "ci_high"]
     if "p_false_hearing" in spec.metrics:
@@ -194,46 +190,49 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
 
     ``BATCH_POINTS`` points at a time (bounded memory): their configs first, then
     their quadrature flux together by ``photometry.mean_flux_quadrature_batch``.
-    A point's config, and its error if it fails, serve every metric's row.
+    A point's config, and its error if it fails, serve every metric's row; each row
+    is laid out by column index: the axes, the metric, its columns, hash and error.
     """
     axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
     for axis in axes:  # every path must resolve before any evaluation starts
         base_cfg.resolve(axis.path)
+    paths = [axis.path for axis in axes]
     grid = [combo[::-1] for combo in itertools.product(*(a.values for a in axes[::-1]))]
+    metrics = spec.metrics
     batched = spec.method == "quadrature" and any(
-        m in ("mean_flux", "link_budget") for m in spec.metrics)
+        m in ("mean_flux", "link_budget") for m in metrics)
     columns = _columns_for(spec)
-    rows: list[list[tuple]] = [[] for _ in spec.metrics]
+    pick = operator.itemgetter(*(METRIC_COLUMNS.index(c) for c in columns
+                                 if c in METRIC_COLUMNS))
+    failed = ("",) * len(pick(METRIC_COLUMNS))
+    rows: list[list[tuple]] = [[] for _ in metrics]
     for start in range(0, len(grid), BATCH_POINTS):
-        points, cfgs = zip(*(_build_point(base_cfg, axes, values)
-                             for values in grid[start:start + BATCH_POINTS]))
+        points = grid[start:start + BATCH_POINTS]
+        cfgs = [_build_point(base_cfg, paths, values) for values in points]
         valid = [cfg for cfg in cfgs if isinstance(cfg, LinkConfig)]
         estimates = iter(photometry.mean_flux_quadrature_batch(valid) if batched else ())
-        for point, cfg in zip(points, cfgs):
+        for values, cfg in zip(points, cfgs):
+            head = tuple(itertools.chain.from_iterable(zip(paths, values)))
+            config_hash = "" if isinstance(cfg, ConfigError) else cfg.config_hash()
             try:
                 est = cfg if isinstance(cfg, ConfigError) else next(estimates, None)
                 if isinstance(est, (ConfigError, NumericalError)):
                     raise est
-                fields = _evaluate_point(cfg, spec, est)
+                fields = [pick(out) for out in _evaluate_point(cfg, spec, metrics, est)]
+                error = ""
             except (ConfigError, NumericalError) as exc:
-                fields = [{"error": f"{type(exc).__name__}: {exc}"}] * len(spec.metrics)
-            for metric_rows, metric, out in zip(rows, spec.metrics, fields):
-                row = {**point, "metric": metric, **out}
-                metric_rows.append(tuple(row.get(c, "") for c in columns))
+                fields, error = [failed] * len(metrics), f"{type(exc).__name__}: {exc}"
+            for metric_rows, metric, out in zip(rows, metrics, fields):
+                metric_rows.append((*head, metric, *out, config_hash, error))
     return SweepResult(columns=columns, rows=tuple(itertools.chain(*rows)), spec=spec)
 
 
-def _build_point(base_cfg: LinkConfig, axes: list, values: tuple) -> tuple:
-    """A grid point's row fields and its config, or the ConfigError refusing it."""
-    point: dict[str, Any] = {"config_hash": "", "error": ""}
-    for i, (axis, value) in enumerate(zip(axes, values), 1):
-        point[f"axis{i}_path"], point[f"axis{i}_value"] = axis.path, value
+def _build_point(base_cfg: LinkConfig, paths: list, values: tuple) -> LinkConfig | ConfigError:
+    """A grid point's config, or the ConfigError refusing it."""
     try:
-        cfg = base_cfg.with_value({axis.path: v for axis, v in zip(axes, values)})
+        return base_cfg.with_value(dict(zip(paths, values)))
     except ConfigError as exc:
-        return point, exc
-    point["config_hash"] = cfg.config_hash()
-    return point, cfg
+        return exc
 
 
 def write_csv(result: SweepResult, path: str | Path) -> None:

@@ -22,6 +22,7 @@ the suite can fail and is used by the test suite.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -263,38 +264,28 @@ def check_monotonicity(quick: bool) -> CheckResult:
     cfg = load_preset("default")
     n = 10_000 if quick else 20_000
     grid = 3 if quick else 5
-    failures: list[str] = []
 
-    deltas = np.linspace(4.0, 10.0, grid)
-    flux_delta = [
-        photometry.mean_flux_quadrature(cfg.with_value("skin.delta_mm", float(d))).value
-        for d in deltas
-    ]
-    if not all(b < a for a, b in zip(flux_delta, flux_delta[1:])):
-        failures.append("flux not strictly decreasing in skin thickness")
+    def flux(path: str, values) -> list[float]:
+        return [photometry.mean_flux_quadrature(cfg.with_value(path, float(v))).value
+                for v in values]
+
+    def hearing(path: str, values) -> list[float]:
+        return [kpi.p_hearing(cfg.with_value(path, float(v)), n=n, seed=77).value
+                for v in values]
 
     sigmas = np.logspace(math.log10(0.02), math.log10(1.0), grid)
-    flux_sigma = [
-        photometry.mean_flux_quadrature(cfg.with_value("beam.sigma_s_mm", float(s))).value
-        for s in sigmas
-    ]
-    if not all(b < a for a, b in zip(flux_sigma, flux_sigma[1:])):
-        failures.append("flux not strictly decreasing in pointing jitter")
-
     powers = np.logspace(math.log10(5.0), math.log10(400.0), grid)
-    ph_power = [
-        kpi.p_hearing(cfg.with_value("source.power_mw", float(p)), n=n, seed=77).value
-        for p in powers
+    orderings = [  # (the failure, the values in axis order, what each neighbour pair holds)
+        ("flux not strictly decreasing in skin thickness",
+         flux("skin.delta_mm", np.linspace(4.0, 10.0, grid)), operator.gt),
+        ("flux not strictly decreasing in pointing jitter", flux("beam.sigma_s_mm", sigmas),
+         operator.gt),
+        ("hearing probability not nondecreasing in power", hearing("source.power_mw", powers),
+         operator.le),
+        ("hearing probability not nonincreasing in jitter", hearing("beam.sigma_s_mm", sigmas),
+         operator.ge),
     ]
-    if not all(b >= a for a, b in zip(ph_power, ph_power[1:])):
-        failures.append("hearing probability not nondecreasing in power")
-
-    ph_sigma = [
-        kpi.p_hearing(cfg.with_value("beam.sigma_s_mm", float(s)), n=n, seed=77).value
-        for s in sigmas
-    ]
-    if not all(b <= a for a, b in zip(ph_sigma, ph_sigma[1:])):
-        failures.append("hearing probability not nonincreasing in jitter")
+    failures = [name for name, ys, holds in orderings if not all(map(holds, ys, ys[1:]))]
 
     for p in (40.0, 2000.0, 20000.0):
         hearing, damage = kpi.p_hearing_and_damage(cfg.with_value("source.power_mw", p), n=n,

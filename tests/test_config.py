@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 
@@ -11,7 +12,8 @@ import pytest
 
 from aoci import config, photometry
 from aoci.config import ConfigError, LinkConfig, load_config
-from aoci.figures import DELTA_CURVES_MM, POWER_GRID_FIG8_MW, load_preset, preset_path
+from aoci.figures import (DELTA_CURVES_MM, FIGURES, POWER_GRID_FIG8_MW, load_preset,
+                          preset_path)
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 
 PRESETS = sorted(path.stem for path in preset_path("default.json").parent.glob("*.json"))
@@ -436,6 +438,50 @@ class TestStateMemo:
             baseline_cfg.with_value("skin.delta_mm", 5.0 + i * 1e-3)
             sizes.add(len(config._states))
         assert max(sizes) == config.CHANNEL_STATES
+
+
+class TestSweepPointsEqualFromDict:
+    """``with_value`` reads the memo of section patches before it walks ``raw``: a point
+    built from hits or from misses is the config ``from_dict`` builds, and a path that
+    does not exist is refused before anything is built or memoized."""
+
+    @pytest.mark.parametrize("number", [3, 4, 5, 6, 7, 8])
+    def test_every_figure_grid_point_cold_and_warm(self, number):
+        fig, base = FIGURES[number], load_preset(f"fig{number}")
+        points = [{fig.axis1.path: x, fig.axis2.path: y}
+                  for y in fig.axis2.values for x in fig.axis1.values]
+        want = [LinkConfig.from_dict(_edited(base, paths)) for paths in points]
+        for warm in (False, True):
+            for paths, expected in zip(points, want):
+                if not warm:
+                    config._patches.clear()
+                    config._states.clear()
+                got = base.with_value(paths)
+                assert type(got) is LinkConfig and got == expected, paths
+                assert list(got._fragments.items()) == list(expected._fragments.items())
+                assert got.raw == expected.raw
+                assert got.config_hash() == expected.config_hash()
+                assert _bits(got.state) == _bits(expected.state)
+                assert _bits(got.state) == _bits(photometry.derive_state(got))
+
+    @pytest.mark.parametrize("unknown", ["beam.nope_mm", "skin.nope", "nope.x",
+                                         "skin.delta_mm.x", "mpe.skin_mw_per_mm2"])
+    def test_an_unknown_path_beside_memo_hits_is_refused_before_any_build(
+            self, baseline_cfg, monkeypatch, unknown):
+        hits = {"skin.delta_mm": 6.5, "source.power_mw": 20.0}
+        baseline_cfg.with_value(hits)  # both patches and the state are memoized now
+        patches, states = dict(config._patches), dict(config._states)
+
+        def build(*args):
+            raise AssertionError(f"built {args[0]!r}")
+
+        monkeypatch.setattr(config, "_patch", build)
+        monkeypatch.setattr(config, "_checked_state", build)
+        message = rf"^config\.{re.escape(unknown)}: no such field$"
+        for paths in ({**hits, unknown: 1.0}, {unknown: 1.0, **hits}):
+            with pytest.raises(ConfigError, match=message):
+                baseline_cfg.with_value(paths)
+        assert config._patches == patches and config._states == states
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # study-range notices

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from aoci.figures import FIGURE_NUMBERS, run_figure
+from aoci.figures import FIGURE_NUMBERS, grid_values, run_figure
+from aoci.sweep import SweepAxis, SweepResult, SweepSpec
 
 DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
 
@@ -49,3 +50,44 @@ def test_monte_carlo_figures_match_the_committed_demo_output(number, tmp_path):
     for suffix in ("csv", "svg"):
         name = f"fig{number}.{suffix}"
         assert (tmp_path / name).read_bytes() == (DEMO_OUTPUT / name).read_bytes(), name
+
+
+TWO_AXES = ("axis1_path", "axis1_value", "axis2_path", "axis2_value", "metric", "value",
+            "err_bound", "method", "n_samples", "seed", "ci_low", "ci_high", "config_hash",
+            "error")
+
+
+def _row(x, y, metric, value, error=""):
+    fields = dict(axis1_path="source.power_mw", axis1_value=x, axis2_path="skin.delta_mm",
+                  axis2_value=y, metric=metric, value=value, error=error)
+    return tuple(fields.get(column, "") for column in TWO_AXES)
+
+
+def test_grid_values_reads_each_metrics_rows_in_row_order():
+    spec = SweepSpec(SweepAxis("source.power_mw", (200.0, 100.0)),
+                     SweepAxis("skin.delta_mm", (4.0, 6.0)), ("p_hearing", "p_damage"))
+    rows = [_row(200.0, 4.0, "p_hearing", 0.9), _row(100.0, 4.0, "p_hearing", 0.5),
+            _row(200.0, 6.0, "p_hearing", "", "NumericalError: no"),
+            _row(100.0, 6.0, "p_hearing", 0.25),
+            _row(200.0, 4.0, "p_damage", 0.125), _row(100.0, 4.0, "p_damage", ""),
+            _row(200.0, 6.0, "p_damage", "", "NumericalError: no"),
+            _row(100.0, 6.0, "p_damage", 0.0)]
+    result = SweepResult(columns=TWO_AXES, rows=tuple(rows), spec=spec)
+    hearing = grid_values(result, "p_hearing")
+    assert list(hearing.items()) == [((200.0, 4.0), 0.9), ((100.0, 4.0), 0.5),
+                                     ((100.0, 6.0), 0.25)]
+    assert list(grid_values(result, "p_damage").items()) == [((200.0, 4.0), 0.125),
+                                                             ((100.0, 6.0), 0.0)]
+    # With no metric named every row is read: a later row of a point overwrites its value
+    # in the place of its first.
+    assert list(grid_values(result)) == [(200.0, 4.0), (100.0, 4.0), (100.0, 6.0)]
+    assert grid_values(result)[100.0, 6.0] == 0.0
+
+
+def test_grid_values_of_one_axis_keys_each_point_with_none():
+    columns = tuple(c for c in TWO_AXES if not c.startswith("axis2"))
+    rows = [("beam.sigma_s_mm", x, "mean_flux", v, 1.0, "quadrature", "", "", "", "", "h", e)
+            for x, v, e in ((0.5, 2.0, ""), (0.2, "", "ConfigError: no"), (0.1, 8.0, ""))]
+    spec = SweepSpec(SweepAxis("beam.sigma_s_mm", (0.5, 0.2, 0.1)), None, "mean_flux")
+    result = SweepResult(columns=columns, rows=tuple(rows), spec=spec)
+    assert list(grid_values(result).items()) == [((0.5, None), 2.0), ((0.1, None), 8.0)]

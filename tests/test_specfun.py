@@ -16,6 +16,7 @@ from aoci.specfun import (
     QuadratureExhaustedError,
     SeriesControl,
     SeriesConvergenceError,
+    _NODES,
     _f4_eval,
     _gk21,
     bessel_i0e,
@@ -366,6 +367,35 @@ class TestIntegrateSemiInfinite:
                 assert (batch[i].value, batch[i].err_est) == (exc.value, exc.err_est)
         assert isinstance(batch[1], QuadratureExhaustedError)
         assert not isinstance(batch[0], QuadratureExhaustedError)
+
+    def test_the_first_partition_is_the_sorted_list_construction(self):
+        # The per-integral loop the batch's array construction replaced, as the reference:
+        # 0, the breakpoints inside (0, cutoff) once each, the cutoff and every midpoint.
+        def reference(scale, ctl, marks):
+            cutoff = ctl.tail_cutoff_sigmas * scale
+            points = [0.0, *sorted({p for p in marks if 0.0 < p < cutoff}), cutoff]
+            return sorted(points + [0.5 * (a + b) for a, b in zip(points, points[1:])])
+
+        scales = [1.0, 2e-3, 5.0, 1e-6, 0.25]
+        ctls = [QuadControl(), QuadControl(tail_cutoff_sigmas=6.0),
+                QuadControl(tail_cutoff_sigmas=8), QuadControl(),
+                QuadControl(tail_cutoff_sigmas=40.0)]
+        marks = [(), (2e-3, 4e-3, 2e-3, 0.0, -1.0, 0.012, 1.0), (3, 1.5, 3.0, math.nan, 40.0),
+                 (1e-6,), (0.5, 0.25, 0.125, 10.0, 9.9999)]
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            scale = float(rng.choice([1e-6, 3e-4, 1.0, 7.0])) * float(rng.uniform(0.5, 2.0))
+            pool = [scale, 2.0 * scale, 0.5 * scale, 0.0, -scale, 20.0 * scale, math.nan]
+            scales.append(scale)
+            ctls.append(QuadControl(tail_cutoff_sigmas=float(rng.choice([6.0, 10.0, 20.0]))))
+            marks.append(tuple(pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 6))))
+        calls = []
+        integrate_semi_infinite_batch(lambda x, owner: calls.append(x) or np.zeros_like(x),
+                                      scales, ctls, marks)
+        edges = [reference(*args) for args in zip(scales, ctls, marks)]
+        lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        assert calls[0].tobytes() == (center[:, None] + half[:, None] * _NODES).ravel().tobytes()
 
     def test_invalid_decay_scale(self):
         with pytest.raises(ValueError):
