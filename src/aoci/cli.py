@@ -17,13 +17,18 @@ from aoci import kpi, photometry, svgplot
 from aoci.config import ConfigError, LinkConfig
 from aoci.figures import FIGURE_NUMBERS, curve, grid_values, run_figure, sweep_heatmap
 from aoci.specfun import NumericalError
-from aoci.sweep import SweepSpec, run_sweep, write_csv
+from aoci.sweep import METRIC_COLUMNS, SweepSpec, _evaluate_point, run_sweep, write_csv
 from aoci.validate import run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# eval.csv's rows: the sweep metric each reports -> its quantity label, in row order.
+EVAL_ROWS = {"mean_flux": "mean_flux_per_s", "link_budget": "link_budget_counts",
+             "p_hearing": "p_hearing", "p_false_hearing": "p_false_hearing_literal",
+             "p_damage": "p_damage"}
 
 
 def _int_from(low: int):
@@ -65,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("number", type=int, choices=FIGURE_NUMBERS, help="figure number")
     p_fig.add_argument("--config", default=None, help="override the bundled preset config")
     p_fig.add_argument("--out", required=True, help="output directory")
-    p_fig.add_argument("--samples", type=int, default=20_000, help="Monte Carlo samples per point")
+    p_fig.add_argument("--samples", type=_int_from(kpi.MIN_SAMPLES), default=20_000,
+                       help=f"Monte Carlo samples per point (at least {kpi.MIN_SAMPLES})")
     p_fig.add_argument("--seed", type=_int_from(0), default=1234, help="Monte Carlo seed")
 
     p_val = sub.add_parser("validate", help="run the oracle-equivalence suite")
@@ -150,25 +156,12 @@ def _cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        rows = _evaluate_point(cfg, tuple(EVAL_ROWS), args.method, args.samples, args.seed, flux)
         with open(out / "eval.csv", "w", encoding="utf-8", newline="") as fh_out:
             writer = csv.writer(fh_out, lineterminator="\n")
-            writer.writerow(
-                ["quantity", "value", "err_bound", "method", "n_samples", "seed", "config_hash"]
-            )
-            h = cfg.config_hash()
-            mc_cells = ["" if v is None else v for v in (flux.n_samples, flux.seed)]
-            writer.writerow(["mean_flux_per_s", repr(flux.value), repr(flux.err_bound),
-                             flux.method, *mc_cells, h])
-            writer.writerow(["link_budget_counts", repr(budget), repr(flux.err_bound * gain),
-                             flux.method, *mc_cells, h])
-            writer.writerow(["p_hearing", repr(ph.value),
-                             repr(0.5 * (ph.ci_high - ph.ci_low)), "monte_carlo",
-                             ph.n_samples, ph.seed, h])
-            writer.writerow(["p_false_hearing_literal", repr(fh.literal), repr(0.0),
-                             "closed_form", "", "", h])
-            writer.writerow(["p_damage", repr(pd_.value),
-                             repr(0.5 * (pd_.ci_high - pd_.ci_low)), "monte_carlo",
-                             pd_.n_samples, pd_.seed, h])
+            writer.writerow(["quantity", *METRIC_COLUMNS[:5], "config_hash"])
+            writer.writerows([(EVAL_ROWS[metric], *row[:5], cfg.config_hash())
+                              for metric, row in zip(EVAL_ROWS, rows)])
         print(f"wrote {out / 'eval.csv'}")
     return EXIT_OK
 

@@ -275,22 +275,18 @@ class KpiReport:
     dynamic_range_w: tuple[float, float] | None  # None when empty
 
 
-def _fiber_output_power(cfg: "LinkConfig") -> float:
-    """Optical power leaving the fiber at perfect alignment (worst case)."""
+def _irradiances(cfg: "LinkConfig", power: float) -> tuple[float, float]:
+    """Skin and neuron irradiance [W/m^2] at transmit power ``power`` [W].
+
+    Skin: ``power`` over the emission spot ``pi w_spot^2``; neuron: the power
+    leaving the fiber at perfect alignment (the worst case) over the
+    mode-field disc ``pi w0^2``.
+    """
     state = cfg.state
     eta0 = optics.coupling_eta_closed(cfg.coupling, 0.0, cfg.series_ctl)
-    return cfg.source.power_tx * state.h_l * state.a0 * state.g_c * eta0 * state.k
-
-
-def _irradiances(cfg: "LinkConfig") -> tuple[float, float, bool, bool]:
-    """Skin and neuron irradiance [W/m^2] and whether each is within its limit.
-
-    Skin: transmit power over the emission spot ``pi w_spot^2``; neuron: peak
-    fiber output power over the mode-field disc ``pi w0^2``.
-    """
-    skin_irr = cfg.source.power_tx / (math.pi * cfg.skin_spot_radius**2)
-    neuron_irr = _fiber_output_power(cfg) / (math.pi * cfg.coupling.omega0**2)
-    return skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron
+    fiber_out = power * state.h_l * state.a0 * state.g_c * eta0 * state.k
+    return (power / (math.pi * cfg.skin_spot_radius**2),
+            fiber_out / (math.pi * cfg.coupling.omega0**2))
 
 
 def safety_check(
@@ -301,7 +297,7 @@ def safety_check(
 ) -> tuple[float, float, bool, bool, tuple[float, float] | None]:
     """Irradiances, exposure verdicts, and the usable transmit-power range.
 
-    The irradiances and verdicts are those of ``_irradiances``. The dynamic
+    The irradiances are ``_irradiances`` at the transmit power. The dynamic
     range is the power interval where ``p_hearing(n, seed)`` meets
     ``hearing_target`` while both exposure verdicts hold, None when empty.
     Sample i is heard from power x_i = (y_th - N_i) / (g Phi_1(r_i)) up (Phi_1
@@ -312,18 +308,17 @@ def safety_check(
     if not 0.0 < hearing_target <= 1.0:
         raise ValueError(f"hearing_target must be in (0, 1], got {hearing_target}")
     blocks = _blocks(cfg, n, seed)
-    skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok = _irradiances(cfg)
-    at_1w = cfg.with_value("source.power_mw", 1e3)
-    skin_1w, neuron_1w = _irradiances(at_1w)[:2]
+    skin_irr, neuron_irr = _irradiances(cfg, cfg.source.power_tx)
+    skin_1w, neuron_1w = _irradiances(cfg, 1.0)
     # A limit whose irradiance is 0 at 1 W (the skin absorbs every photon) never binds.
     x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w if neuron_1w else math.inf)
 
     y_th, b_mean = cfg.neural.y_th, cfg.neural.mean_background
     gain = response_window_gain(cfg.neural.tau)
     powers = []
-    for block, r, eta, h_p in blocks:  # at_1w differs from cfg in power alone: same h_p
+    for block, r, eta, h_p in blocks:
         short = y_th - _block_background(seed, block, r.size, b_mean)  # count the signal must add
-        per_watt = received_flux_batch(r, at_1w, eta=eta, h_p=h_p) * gain
+        per_watt = cfg.state.flux_per_watt * eta * h_p * gain
         x = np.where(short > 0.0, np.inf, 0.0)  # a zero flux needs infinite power
         with np.errstate(over="ignore"):  # and a near-zero flux overflows to the same verdict
             np.divide(short, per_watt, out=x, where=(short > 0.0) & (per_watt > 0.0))
@@ -335,7 +330,8 @@ def safety_check(
     )[0].value < hearing_target:
         edge = math.nextafter(edge, math.inf)
     dynamic_range = (edge, x_max) if edge <= x_max else None
-    return skin_irr, neuron_irr, mpe_skin_ok, mpe_neuron_ok, dynamic_range
+    return (skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron,
+            dynamic_range)
 
 
 def kpi_report(

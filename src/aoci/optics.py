@@ -168,7 +168,7 @@ def _overlap_amplitude_integrand(c: float, w0: float, r, rho):
     )
 
 
-def coupling_eta_integrals(cps, rs, ctl: QuadControl | None = None) -> list[float]:
+def coupling_eta_integrals(cps, rs) -> list[float]:
     """Coupling efficiencies at the points ``(cps[i], rs[i])`` by adaptive quadrature.
 
     ``eta = (8 / w0^2) * J^2`` where J is the overlap amplitude integral of
@@ -179,7 +179,7 @@ def coupling_eta_integrals(cps, rs, ctl: QuadControl | None = None) -> list[floa
     """
     if not all(r >= 0.0 for r in rs):
         raise ValueError(f"radial misalignments must be >= 0, got {min(rs)}")
-    ctl = ctl or QuadControl()
+    ctl = QuadControl()
     w0, r = np.array([cp.omega0 for cp in cps]), np.array(rs, dtype=np.float64)
     c = np.array([2.0 * 3.83 * cp.lens_diameter / (1.22 * cp.lam * cp.focal_length) for cp in cps])
     # The integrand is a Gaussian of width ~w0 centered at rho = r; make the

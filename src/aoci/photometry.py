@@ -31,16 +31,14 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from aoci import channel, optics
 from aoci.specfun import (  # integrate_semi_infinite stays importable for bench/tracing.py
-    QuadControl,
     QuadratureExhaustedError,
-    SeriesControl,
     _f4_eval,
     integrate_semi_infinite,
     integrate_semi_infinite_batch,
@@ -142,6 +140,11 @@ class ChannelState:
     coupling_argument: float  # dimensionless a of the coupling closed form
     photons_per_joule: float  # lambda / (h c)
 
+    @property
+    def flux_per_watt(self) -> float:
+        """Everything in Phi(r) at 1 W transmitted that does not depend on the displacement."""
+        return self.k * self.g_c * self.h_l * self.photons_per_joule
+
 
 def derive_state(cfg: "LinkConfig") -> ChannelState:
     """Compute every config-fixed factor of the signal chain."""
@@ -186,17 +189,6 @@ class FluxEstimate:
             raise ValueError("n_samples and seed are present exactly for monte_carlo")
 
 
-def _deterministic_prefactor(cfg: "LinkConfig", state: ChannelState) -> float:
-    """Everything in Phi(r) that does not depend on the displacement."""
-    return (
-        state.k
-        * state.g_c
-        * state.h_l
-        * state.photons_per_joule
-        * cfg.source.power_tx
-    )
-
-
 def received_flux_at(r: float, cfg: "LinkConfig") -> float:
     """Instantaneous photon flux [1/s] at pointing displacement r.
 
@@ -225,7 +217,7 @@ def received_flux_batch(
         eta = optics.coupling_eta_batch(cfg.coupling, r)
     if h_p is None:
         h_p = channel.pointing_gain(state.a0, state.w_eq, r)
-    return _deterministic_prefactor(cfg, state) * eta * h_p
+    return state.flux_per_watt * cfg.source.power_tx * eta * h_p
 
 
 def _exposure_rate(cfg: "LinkConfig", state: ChannelState) -> float:
@@ -238,7 +230,7 @@ def _exposure_rate(cfg: "LinkConfig", state: ChannelState) -> float:
     )
 
 
-def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> FluxEstimate:
+def mean_flux_series(cfg: "LinkConfig") -> FluxEstimate:
     """Average flux by the closed-form quadruple hypergeometric series.
 
     The Rayleigh average of ``Phi(r)`` evaluates to
@@ -250,19 +242,19 @@ def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> Flu
     Near ``2Y -> 1`` (displacement spread far wider than the fiber mode) the
     series needs more terms than the index cap allows and a
     ``SeriesConvergenceError`` escapes; ``mean_flux_quadrature`` covers that
-    regime.
+    regime. The series runs under ``cfg.series_ctl``.
     """
-    ctl = ctl or cfg.series_ctl
     state = cfg.state
     cp = cfg.coupling
     s_rate = _exposure_rate(cfg, state)
     y = (1.0 / (cp.omega0 * cp.omega0)) / s_rate
     a = state.coupling_argument
 
-    f4, f4_err = _f4_eval(-a, y, ctl)
+    f4, f4_err = _f4_eval(-a, y, cfg.series_ctl)
     q = 3.83 * math.sqrt(2.0) * cp.lens_diameter * cp.omega0 / (1.22 * cp.lam * cp.focal_length)
     sigma_sq = cfg.beam.sigma_s * cfg.beam.sigma_s
-    prefactor = _deterministic_prefactor(cfg, state) * state.a0 * q * q / (2.0 * sigma_sq * s_rate)
+    prefactor = (state.flux_per_watt * cfg.source.power_tx * state.a0 * q * q
+                 / (2.0 * sigma_sq * s_rate))
     return FluxEstimate(
         value=max(prefactor * f4, 0.0),
         method="series",
@@ -270,16 +262,16 @@ def mean_flux_series(cfg: "LinkConfig", ctl: SeriesControl | None = None) -> Flu
     )
 
 
-def mean_flux_quadrature(cfg: "LinkConfig", ctl: QuadControl | None = None) -> FluxEstimate:
+def mean_flux_quadrature(cfg: "LinkConfig") -> FluxEstimate:
     """Average flux by adaptive quadrature of ``Phi(r) f_r(r)`` over (0, inf).
 
     The default route: valid for every parameter regime. The integrand
     combines the narrow coupling response (scale ~w0) with the Rayleigh
     envelope (scale sigma_s); both scales are passed to the quadrature as
     breakpoints so neither can be stepped over. This is
-    ``mean_flux_quadrature_batch`` on one config (with ``ctl`` as its ``quad_ctl``).
+    ``mean_flux_quadrature_batch`` on one config, under its ``quad_ctl``.
     """
-    (est,) = mean_flux_quadrature_batch([cfg if ctl is None else replace(cfg, quad_ctl=ctl)])
+    (est,) = mean_flux_quadrature_batch([cfg])
     if isinstance(est, QuadratureExhaustedError):
         raise est
     return est
@@ -290,7 +282,7 @@ def mean_flux_quadrature_batch(
 ) -> list[FluxEstimate | QuadratureExhaustedError]:
     """``mean_flux_quadrature`` of many configs in one adaptive quadrature.
 
-    ``Phi(r)`` is the point's ``_deterministic_prefactor`` times an integrand fixed by
+    ``Phi(r)`` is the point's ``flux_per_watt`` times its power times an integrand fixed by
     (coupling, sigma_s, a0, w_eq, quad_ctl), so each distinct integrand is integrated
     once (a power axis adds none) and scaled by each point's own prefactor. Each node
     carries the index of its integrand, which selects its beam and Rayleigh constants;
@@ -327,7 +319,7 @@ def mean_flux_quadrature_batch(
                    for cfg, s in zip(distinct, sigma.tolist())]
     integrals = integrate_semi_infinite_batch(
         integrand, sigma.tolist(), [cfg.quad_ctl for cfg in distinct], breakpoints)
-    prefactors = [_deterministic_prefactor(cfg, cfg.state) for cfg in cfgs]
+    prefactors = [cfg.state.flux_per_watt * cfg.source.power_tx for cfg in cfgs]
     return [result if isinstance(result, QuadratureExhaustedError) else FluxEstimate(
         value=max(p * result[0], 0.0), method="quadrature", err_bound=abs(p) * result[1])
         for p, result in zip(prefactors, map(integrals.__getitem__, slot))]

@@ -571,7 +571,8 @@ def integrate_semi_infinite_batch(f, decay_scales, ctls, breakpoints) -> list:
         # left unsplit is within tol / 2; running sums by rows of a zero-padded matrix.
         order = np.lexsort((-err, owner))
         by = owner[order]
-        _, first, row = np.unique(by, return_index=True, return_inverse=True)
+        starts = np.diff(by, prepend=-1) != 0  # by is sorted: one run per owner
+        first, row = np.flatnonzero(starts), np.cumsum(starts) - 1
         rank = np.arange(by.size) - first[row]
         padded = np.zeros((first.size, rank.max() + 1))
         padded[row, rank] = err[order]

@@ -144,18 +144,17 @@ METRIC_COLUMNS = ("value", "err_bound", "method", "n_samples", "seed", "ci_low",
                   "cdf_closed_form")
 
 
-def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, metrics: tuple[str, ...],
+def _evaluate_point(cfg: LinkConfig, metrics: tuple[str, ...], method: str, n: int, seed: int,
                     est=None) -> list[tuple]:
-    """One grid point's ``METRIC_COLUMNS`` for each of ``metrics`` ("" where unset; flux
-    from ``est`` if given, both exceedances from one pass if it names both)."""
-    mc = {"n": spec.mc_n, "seed": spec.mc_seed}
+    """One point's ``METRIC_COLUMNS`` per metric ("" where unset): Monte Carlo at (n, seed),
+    flux by ``method`` unless ``est`` is given, both exceedances in one pass if both named."""
     both = len(metrics) > 1 and set(EXCEEDANCES) <= set(metrics)
-    pair = dict(zip(EXCEEDANCES, kpi.p_hearing_and_damage(cfg, **mc))) if both else {}
+    pair = dict(zip(EXCEEDANCES, kpi.p_hearing_and_damage(cfg, n=n, seed=seed))) if both else {}
     fields = []
     for metric in metrics:
         if metric in ("mean_flux", "link_budget"):
             if est is None:
-                est = photometry.mean_flux(cfg, method=spec.method, **mc)
+                est = photometry.mean_flux(cfg, method=method, n=n, seed=seed)
             value, err = est.value, est.err_bound
             if metric == "link_budget":
                 value = photometry.link_budget(cfg, est)
@@ -163,7 +162,7 @@ def _evaluate_point(cfg: LinkConfig, spec: SweepSpec, metrics: tuple[str, ...],
             drawn = (est.n_samples, est.seed) if est.method == "monte_carlo" else ("", "")
             fields.append((value, err, est.method, *drawn, "", "", ""))
         elif metric in EXCEEDANCES:
-            p = pair[metric] if both else getattr(kpi, metric)(cfg, **mc)
+            p = pair[metric] if both else getattr(kpi, metric)(cfg, n=n, seed=seed)
             fields.append((p.value, 0.5 * (p.ci_high - p.ci_low), "monte_carlo", p.n_samples,
                            p.seed, p.ci_low, p.ci_high, ""))
         else:  # p_false_hearing
@@ -218,7 +217,8 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
                 est = cfg if isinstance(cfg, ConfigError) else next(estimates, None)
                 if isinstance(est, (ConfigError, NumericalError)):
                     raise est
-                fields = [pick(out) for out in _evaluate_point(cfg, spec, metrics, est)]
+                fields = [pick(out) for out in _evaluate_point(
+                    cfg, metrics, spec.method, spec.mc_n, spec.mc_seed, est)]
                 error = ""
             except (ConfigError, NumericalError) as exc:
                 fields, error = [failed] * len(metrics), f"{type(exc).__name__}: {exc}"

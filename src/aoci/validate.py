@@ -14,22 +14,21 @@ Runs the cross-route consistency checks that pin the implementation:
 
 Each check returns its worst observed error so regressions show up as
 numbers, not just booleans. ``quick=True`` shrinks grids and sample counts
-to run in seconds. Setting the environment variable AOCI_VALIDATE_PERTURB
-injects a deliberate error into the first check; it exists only to prove
-the suite can fail and is used by the test suite.
+to run in seconds. Every ``LinkConfig`` a check builds is the ``default``
+preset with the check's fields set by ``with_value``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from aoci import channel, kpi, optics, photometry
 from aoci.config import LinkConfig
+from aoci.figures import load_preset
 from aoci.specfun import NumericalError, integrate_semi_infinite, regularized_gamma_q
 
 __all__ = ["CheckResult", "run_validation"]
@@ -58,7 +57,6 @@ def check_coupling_routes(quick: bool) -> CheckResult:
     a_grid = np.logspace(math.log10(0.05), math.log10(5.0), n_a)
     r_grid = np.linspace(0.0, 3.0, n_r)
     w_grid = np.logspace(math.log10(0.05e-3), math.log10(1.0e-3), n_w)
-    perturb = 1e-5 if os.environ.get("AOCI_VALIDATE_PERTURB") else 0.0
 
     points, closed, skipped = [], [], 0
     for omega0 in w_grid:
@@ -73,7 +71,7 @@ def check_coupling_routes(quick: bool) -> CheckResult:
                     continue
                 points.append((cp, r))
     integral = np.array(optics.coupling_eta_integrals(*zip(*points)))
-    worst = float(np.max(np.abs(np.array(closed) - integral + perturb) / integral))
+    worst = float(np.max(np.abs(np.array(closed) - integral) / integral))
     total = n_a * n_r * n_w
     s_grid = np.linspace(0.0, 200.0, 21 if quick else 41)
     cps = [_coupling_params_for(float(a), 1e-4) for a in a_grid]
@@ -114,49 +112,30 @@ def check_coupling_maximum(quick: bool) -> CheckResult:
 
 
 def _random_config(rng: np.random.Generator) -> LinkConfig:
-    """A random valid link instance spanning the modeled parameter ranges."""
+    """A random valid link instance spanning the modeled parameter ranges: the
+    ``default`` preset with its source, skin, beam, optics and fiber bends drawn."""
     omega0_mm = float(rng.uniform(0.05, 0.3))
     lens_mm = float(rng.uniform(0.05, 0.3))
     a = float(rng.uniform(0.1, 3.0))
     lam_nm = float(rng.uniform(450.0, 650.0))
     focal_mm = 3.83 * lens_mm * omega0_mm / (1.22 * lam_nm * 1e-6 * math.sqrt(a))
-    doc = {
-        "source": {"power_mw": float(rng.uniform(1.0, 100.0)), "lambda_nm": lam_nm},
-        "skin": {
-            "delta_mm": float(rng.uniform(4.0, 10.0)),
-            "mu_a_per_mm": float(rng.uniform(0.05, 0.3)),
-            "mu_s_per_mm": float(rng.uniform(0.2, 1.0)),
-        },
-        "beam": {
-            "theta_deg": float(rng.uniform(5.0, 30.0)),
-            "beta_mm": float(rng.uniform(0.5, 3.0)),
-            "sigma_s_mm": float(rng.uniform(0.02, 0.5)),
-        },
-        "mem": {
-            "d_in_mm": float(rng.uniform(0.5, 2.0)),
-            "f_mm": 1.0,
-            "z0_mm": float(rng.uniform(0.5, 2.0)),
-        },
-        "coupling": {
-            "lens_diameter_mm": lens_mm,
-            "focal_length_mm": focal_mm,
-            "omega0_mm": omega0_mm,
-        },
-        "fiber": {
-            "bend_db_per_90deg": 0.14,
-            "n_quarter_turns": float(rng.integers(0, 4)),
-            "fbg_fraction_lost": 0.1,
-            "n_fbg": int(rng.integers(0, 3)),
-        },
-        "neural": {
-            "f0_per_s": 10.0,
-            "tau_s": 0.15,
-            "y_th_photons": 2.835e14,
-            "d_th_photons": 8e16,
-        },
-        "skin_spot_radius_mm": 1.066,
-    }
-    return LinkConfig.from_dict(doc)
+    return load_preset("default").with_value({
+        "source.power_mw": float(rng.uniform(1.0, 100.0)),
+        "source.lambda_nm": lam_nm,
+        "skin.delta_mm": float(rng.uniform(4.0, 10.0)),
+        "skin.mu_a_per_mm": float(rng.uniform(0.05, 0.3)),
+        "skin.mu_s_per_mm": float(rng.uniform(0.2, 1.0)),
+        "beam.theta_deg": float(rng.uniform(5.0, 30.0)),
+        "beam.beta_mm": float(rng.uniform(0.5, 3.0)),
+        "beam.sigma_s_mm": float(rng.uniform(0.02, 0.5)),
+        "mem.d_in_mm": float(rng.uniform(0.5, 2.0)),
+        "mem.z0_mm": float(rng.uniform(0.5, 2.0)),
+        "coupling.lens_diameter_mm": lens_mm,
+        "coupling.focal_length_mm": focal_mm,
+        "coupling.omega0_mm": omega0_mm,
+        "fiber.n_quarter_turns": float(rng.integers(0, 4)),
+        "fiber.n_fbg": int(rng.integers(0, 3)),
+    })
 
 
 def check_flux_three_way(quick: bool) -> CheckResult:
@@ -204,20 +183,17 @@ def check_pointing_average(quick: bool) -> CheckResult:
     ]
     if not quick:
         cases += [(15.0, 0.8, 0.05, 8.0), (25.0, 1.5, 1.0, 5.0)]
-    worst = 0.0
+    base, worst = load_preset("default"), 0.0
     for theta_deg, beta_mm, sigma_mm, delta_mm in cases:
-        geom = channel.BeamGeometry(
-            theta=math.radians(theta_deg), beta=beta_mm * 1e-3, sigma_s=sigma_mm * 1e-3
-        )
-        stats = channel.beam_stats(geom, delta_mm * 1e-3)
-        sigma = geom.sigma_s
+        cfg = base.with_value({"beam.theta_deg": theta_deg, "beam.beta_mm": beta_mm,
+                               "beam.sigma_s_mm": sigma_mm, "skin.delta_mm": delta_mm})
+        a0, w_eq, sigma = cfg.state.a0, cfg.state.w_eq, cfg.beam.sigma_s
         value, _ = integrate_semi_infinite(
-            lambda r: (channel.pointing_gain(stats.a0, stats.w_eq, r)
-                       * channel.rayleigh_pdf(sigma, r)),
+            lambda r: channel.pointing_gain(a0, w_eq, r) * channel.rayleigh_pdf(sigma, r),
             sigma,
             breakpoints=(sigma,),
         )
-        expected = stats.a0 * stats.w_eq**2 / (stats.w_eq**2 + 4.0 * sigma**2)
+        expected = a0 * w_eq**2 / (w_eq**2 + 4.0 * sigma**2)
         worst = max(worst, abs(value - expected) / expected)
     return CheckResult(
         name="closed-form pointing average",
@@ -259,8 +235,6 @@ def check_monotonicity(quick: bool) -> CheckResult:
     """Criterion: flux decreasing in thickness and jitter; hearing
     nondecreasing in power and nonincreasing in jitter under common random
     numbers; damage never exceeds hearing."""
-    from aoci.figures import load_preset
-
     cfg = load_preset("default")
     n = 10_000 if quick else 20_000
     grid = 3 if quick else 5

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, determinism of emitted artifacts."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import aoci
+from aoci import optics
 from aoci.cli import main
 from aoci.figures import load_preset, preset_path
 
@@ -132,6 +134,26 @@ class TestEval:
             assert (rows[quantity]["n_samples"], rows[quantity]["seed"]) == ("10000", "0")
         assert rows["p_false_hearing_literal"]["seed"] == ""
 
+    @pytest.mark.parametrize("argv, stdout_sha256, csv_sha256", [
+        (["--method", "quadrature"],
+         "a0c5cc280babcd8d12ee450b46649edf081498b343ae0e616f9eb2ac58dc5497",
+         "8cfe540a78dc244e5ace3e1569617e9e0b3198dc89da06316d3c48dee0a17473"),
+        (["--method", "mc", "--samples", "10000", "--seed", "0"],
+         "014169836a5d1f03e66378dd83708490d50129a2bd8217b235710eaec80efceb",
+         "11e2a072e03c5243ed813dd81664d7e670609f64b3b1a0cfc5d52f8353e0bbfc"),
+    ])
+    def test_default_preset_report_and_csv_are_pinned(self, argv, stdout_sha256, csv_sha256,
+                                                      tmp_path, capsys):
+        # Irradiances, verdicts, dynamic range and every eval.csv row, byte for byte;
+        # the config: and wrote lines name paths, so they are left out of the digest.
+        code = main(["eval", "--config", str(preset_path("default.json")), *argv,
+                     "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        kept = "".join(line for line in lines if not line.startswith(("config:", "wrote ")))
+        assert code == 0
+        assert hashlib.sha256(kept.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256((tmp_path / "eval.csv").read_bytes()).hexdigest() == csv_sha256
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["eval", "--config", "/nonexistent/link.json"]) == 2
 
@@ -141,6 +163,7 @@ class TestEval:
         ["eval", "--seed", "x"],
         ["eval", "--samples", "5000"],  # below kpi.MIN_SAMPLES, which the report needs
         ["figure", "8", "--seed", "-1"],
+        ["figure", "3", "--samples", "5"],  # below kpi.MIN_SAMPLES, like eval's
     ])
     def test_bad_seed_or_sample_count_is_a_usage_error(self, argv, config_path, tmp_path, capsys):
         extra = ["--config", config_path] if argv[0] == "eval" else ["--out", str(tmp_path)]
@@ -268,7 +291,9 @@ class TestValidate:
         assert out.count("PASS") == 6
 
     def test_injected_perturbation_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("AOCI_VALIDATE_PERTURB", "1")
+        closed = optics.coupling_eta_closed  # a 1e-5 relative error in the closed form
+        monkeypatch.setattr(optics, "coupling_eta_closed",
+                            lambda cp, r, ctl=None: closed(cp, r, ctl) * (1.0 + 1e-5))
         code = main(["validate", "--quick"])
         out = capsys.readouterr().out
         assert code == 1

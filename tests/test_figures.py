@@ -42,10 +42,11 @@ def test_point_hashes_match_the_committed_demo_output(number, tmp_path):
     assert provenance(tmp_path / f"fig{number}.csv") == want
 
 
-@pytest.mark.parametrize("number", [7, 8])
+@pytest.mark.parametrize("number", [3, 4, 5, 6, 7, 8])
 def test_monte_carlo_figures_match_the_committed_demo_output(number, tmp_path):
-    """Figures 7 and 8 (the demo's mc_n and seed) rewrite demos/output byte for byte:
-    figure 8's two metrics from one sweep give the rows two sweeps gave."""
+    """Figures 3-8 (the demo's mc_n and seed) rewrite demos/output byte for byte: the
+    quadrature's bits in figures 3-6 hold, and figure 8's two metrics from one sweep
+    give the rows two sweeps gave."""
     run_figure(number, tmp_path, mc_n=10_000, seed=1234)
     for suffix in ("csv", "svg"):
         name = f"fig{number}.{suffix}"

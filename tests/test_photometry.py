@@ -15,7 +15,6 @@ from aoci.photometry import (
     FluxEstimate,
     NeuralParams,
     SourceParams,
-    _deterministic_prefactor,
     derive_state,
     link_budget,
     mean_flux,
@@ -282,7 +281,7 @@ class TestMeanFluxRoutes:
         if delta_mm is not None:
             cfg = cfg.with_value("skin.delta_mm", delta_mm).with_value("beam.sigma_s_mm", sigma_mm)
         state, ctl, sigma = derive_state(cfg), cfg.quad_ctl, cfg.beam.sigma_s
-        prefactor = _deterministic_prefactor(cfg, state)
+        prefactor = state.flux_per_watt * cfg.source.power_tx
         w0, w_eq = cfg.coupling.omega0, state.w_eq
         core_scale = (2 / w0**2 + 2 / w_eq**2 + 1 / (2 * sigma**2)) ** -0.5
 
