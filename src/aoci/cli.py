@@ -1,9 +1,10 @@
 """Command-line interface: evaluate, sweep, reproduce figures, validate.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration error,
-3 the requested average-flux route failed numerically (``eval`` runs exactly
-the route it is given and never substitutes another). All output is
-deterministic for fixed inputs and seed; no timestamps are embedded anywhere.
+3 a numerical route failed: the requested average-flux route (``eval`` runs
+exactly the route it is given and never substitutes another) or an indicator.
+All output is deterministic for fixed inputs and seed; no timestamps are
+embedded anywhere.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except NumericalError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -33,7 +33,6 @@ from aoci import photometry
 from aoci.channel import BeamGeometry, SkinParams
 from aoci.optics import CouplingParams, FiberLoss, MemParams
 from aoci.photometry import ChannelState, NeuralParams, SourceParams
-from aoci.specfun import QuadControl, SeriesControl
 
 __all__ = ["ConfigError", "LinkConfig", "load_config"]
 
@@ -109,6 +108,17 @@ def _numeric_field(doc: dict, dotted: str) -> tuple[dict, str]:
     return node, key
 
 
+def _read_json(path: str | Path, where: str) -> Any:
+    """The JSON document in file ``path``; a ConfigError of ``where`` naming the path if
+    the file cannot be read, is not UTF-8 or is not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{where}: cannot read {path}: {exc}") from exc
+
+
 # A builder reads its top-level key of the document and returns the LinkConfig
 # fields it owns; ``built`` holds the fields of the builders before it.
 _Builder = Callable[[dict, dict], dict]
@@ -147,26 +157,6 @@ def _spot(doc: dict, built: dict) -> dict:
     if spot <= 0.0:
         raise ConfigError("config.skin_spot_radius_mm: must be > 0")
     return {"skin_spot_radius": spot * 1e-3}
-
-
-def _numerics(doc: dict, built: dict) -> dict:
-    ctl = {"series_ctl": SeriesControl(), "quad_ctl": QuadControl()}
-    if "numerics" not in doc:
-        return ctl
-    numerics = _section(doc, "numerics")
-    _reject_unknown(numerics, {"series", "quad"}, "config.numerics")
-    for key, cls in (("series", SeriesControl), ("quad", QuadControl)):
-        if key in numerics:
-            sec, path = _section(numerics, key, "config.numerics"), f"config.numerics.{key}"
-            defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-            _reject_unknown(sec, set(defaults), path)
-            kwargs = {name: _number(sec, name, path, integer=isinstance(default, int))
-                      for name, default in defaults.items() if name in sec}
-            try:
-                ctl[f"{key}_ctl"] = cls(**kwargs)
-            except ValueError as exc:
-                raise ConfigError(f"config.numerics: {exc}") from exc
-    return ctl
 
 
 # One builder per top-level key, run in this order (coupling reads the source).
@@ -224,7 +214,6 @@ _BUILDERS: dict[str, _Builder] = {
         )),
     "mpe": _mpe,
     "skin_spot_radius_mm": _spot,
-    "numerics": _numerics,
 }
 
 
@@ -315,8 +304,6 @@ class LinkConfig:
     coupling: CouplingParams
     fiber: FiberLoss
     neural: NeuralParams
-    series_ctl: SeriesControl
-    quad_ctl: QuadControl
     mpe_skin: float  # W/m^2
     mpe_neuron: float  # W/m^2
     skin_spot_radius: float  # m
@@ -337,11 +324,7 @@ class LinkConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LinkConfig":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_read_json(path, "config"))
 
     def _document(self) -> str:
         """``json.dumps(document, sort_keys=True, separators=(",", ":"))``, from the fragments."""

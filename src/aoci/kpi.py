@@ -84,8 +84,6 @@ __all__ = [
 MIN_SAMPLES = 10_000
 DRAW_CACHE_ENTRIES = 64  # per cache; an entry holds one block of at most MC_BLOCK_SIZE
 
-_Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
 
 class ProbabilityEstimate(NamedTuple):
     """A Monte Carlo probability with its Wilson 95% interval."""
@@ -104,10 +102,11 @@ class FalseHearing(NamedTuple):
     cdf_closed_form: float
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("need at least one sample")
+    z = 1.959963984540054  # two-sided 95% normal quantile
     p_hat = successes / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
@@ -283,7 +282,7 @@ def _irradiances(cfg: "LinkConfig", power: float) -> tuple[float, float]:
     mode-field disc ``pi w0^2``.
     """
     state = cfg.state
-    eta0 = optics.coupling_eta_closed(cfg.coupling, 0.0, cfg.series_ctl)
+    eta0 = optics.coupling_eta_closed(cfg.coupling, 0.0)
     fiber_out = power * state.h_l * state.a0 * state.g_c * eta0 * state.k
     return (power / (math.pi * cfg.skin_spot_radius**2),
             fiber_out / (math.pi * cfg.coupling.omega0**2))

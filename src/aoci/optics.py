@@ -32,7 +32,6 @@ from numpy.polynomial.chebyshev import chebpts1, chebvander
 from aoci.specfun import (  # integrate_semi_infinite stays importable for bench/tracing.py
     QuadControl,
     QuadratureExhaustedError,
-    SeriesControl,
     bessel_i0e,
     bessel_j1,
     humbert_psi2,
@@ -128,9 +127,7 @@ def collimation_gain(mem: MemParams) -> float:
     return 1.0 / math.hypot(u, v)
 
 
-def coupling_eta_closed(
-    cp: CouplingParams, r: float, ctl: SeriesControl | None = None
-) -> float:
+def coupling_eta_closed(cp: CouplingParams, r: float) -> float:
     """Coupling efficiency at radial misalignment r, hypergeometric closed form.
 
     ``eta = (3.83 sqrt(2) D w0 / (1.22 lambda F) * exp(-r^2/w0^2)
@@ -148,7 +145,7 @@ def coupling_eta_closed(
     prefactor = 3.83 * math.sqrt(2.0) * cp.lens_diameter * cp.omega0 / (
         1.22 * cp.lam * cp.focal_length
     )
-    amplitude = prefactor * math.exp(-y) * humbert_psi2(-a, y, ctl)
+    amplitude = prefactor * math.exp(-y) * humbert_psi2(-a, y)
     return amplitude * amplitude
 
 
@@ -179,7 +176,6 @@ def coupling_eta_integrals(cps, rs) -> list[float]:
     """
     if not all(r >= 0.0 for r in rs):
         raise ValueError(f"radial misalignments must be >= 0, got {min(rs)}")
-    ctl = QuadControl()
     w0, r = np.array([cp.omega0 for cp in cps]), np.array(rs, dtype=np.float64)
     c = np.array([2.0 * 3.83 * cp.lens_diameter / (1.22 * cp.lam * cp.focal_length) for cp in cps])
     # The integrand is a Gaussian of width ~w0 centered at rho = r; make the
@@ -187,7 +183,7 @@ def coupling_eta_integrals(cps, rs) -> list[float]:
     # subdivision cannot step over a narrow bump far from the origin.
     results = integrate_semi_infinite_batch(
         lambda rho, i: _overlap_amplitude_integrand(c[i], w0[i], r[i], rho),
-        w0 + r / ctl.tail_cutoff_sigmas, [ctl] * len(r),
+        w0 + r / QuadControl.tail_cutoff_sigmas,
         [(max(ri - 3.0 * wi, 0.0), ri, ri + 3.0 * wi) for ri, wi in zip(r, w0)])
     etas = []
     for result, wi in zip(results, w0):

@@ -242,7 +242,7 @@ def mean_flux_series(cfg: "LinkConfig") -> FluxEstimate:
     Near ``2Y -> 1`` (displacement spread far wider than the fiber mode) the
     series needs more terms than the index cap allows and a
     ``SeriesConvergenceError`` escapes; ``mean_flux_quadrature`` covers that
-    regime. The series runs under ``cfg.series_ctl``.
+    regime.
     """
     state = cfg.state
     cp = cfg.coupling
@@ -250,7 +250,7 @@ def mean_flux_series(cfg: "LinkConfig") -> FluxEstimate:
     y = (1.0 / (cp.omega0 * cp.omega0)) / s_rate
     a = state.coupling_argument
 
-    f4, f4_err = _f4_eval(-a, y, cfg.series_ctl)
+    f4, f4_err = _f4_eval(-a, y)
     q = 3.83 * math.sqrt(2.0) * cp.lens_diameter * cp.omega0 / (1.22 * cp.lam * cp.focal_length)
     sigma_sq = cfg.beam.sigma_s * cfg.beam.sigma_s
     prefactor = (state.flux_per_watt * cfg.source.power_tx * state.a0 * q * q
@@ -269,7 +269,7 @@ def mean_flux_quadrature(cfg: "LinkConfig") -> FluxEstimate:
     combines the narrow coupling response (scale ~w0) with the Rayleigh
     envelope (scale sigma_s); both scales are passed to the quadrature as
     breakpoints so neither can be stepped over. This is
-    ``mean_flux_quadrature_batch`` on one config, under its ``quad_ctl``.
+    ``mean_flux_quadrature_batch`` on one config.
     """
     (est,) = mean_flux_quadrature_batch([cfg])
     if isinstance(est, QuadratureExhaustedError):
@@ -283,7 +283,7 @@ def mean_flux_quadrature_batch(
     """``mean_flux_quadrature`` of many configs in one adaptive quadrature.
 
     ``Phi(r)`` is the point's ``flux_per_watt`` times its power times an integrand fixed by
-    (coupling, sigma_s, a0, w_eq, quad_ctl), so each distinct integrand is integrated
+    (coupling, sigma_s, a0, w_eq), so each distinct integrand is integrated
     once (a power axis adds none) and scaled by each point's own prefactor. Each node
     carries the index of its integrand, which selects its beam and Rayleigh constants;
     eta comes from one ``coupling_eta_batch`` call per distinct ``CouplingParams`` per
@@ -300,8 +300,8 @@ def mean_flux_quadrature_batch(
                 for i, est in zip(at, mean_flux_quadrature_batch([cfgs[i] for i in at]))}
         return [ests[i] for i in range(len(cfgs))]
     slots: dict = {}  # integrand, with its kernel code for the coupling -> its index
-    slot = [slots.setdefault((k, c.beam.sigma_s, c.state.a0, c.state.w_eq, c.quad_ctl),
-                             len(slots)) for k, c in zip(kernel.tolist(), cfgs)]
+    slot = [slots.setdefault((k, c.beam.sigma_s, c.state.a0, c.state.w_eq), len(slots))
+            for k, c in zip(kernel.tolist(), cfgs)]
     firsts = np.unique(slot, return_index=True)[1]  # each integrand's first config
     distinct, distinct_kernel = [cfgs[i] for i in firsts], kernel[firsts]
     sigma, a0, w_eq = np.array([(c.beam.sigma_s, c.state.a0, c.state.w_eq)  # (0, 3) for none
@@ -317,8 +317,7 @@ def mean_flux_quadrature_batch(
 
     breakpoints = [(1.0 / math.sqrt(_exposure_rate(cfg, cfg.state)), s, 2.0 * s)
                    for cfg, s in zip(distinct, sigma.tolist())]
-    integrals = integrate_semi_infinite_batch(
-        integrand, sigma.tolist(), [cfg.quad_ctl for cfg in distinct], breakpoints)
+    integrals = integrate_semi_infinite_batch(integrand, sigma.tolist(), breakpoints)
     prefactors = [cfg.state.flux_per_watt * cfg.source.power_tx for cfg in cfgs]
     return [result if isinstance(result, QuadratureExhaustedError) else FluxEstimate(
         value=max(p * result[0], 0.0), method="quadrature", err_bound=abs(p) * result[1])

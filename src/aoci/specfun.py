@@ -29,8 +29,9 @@ silently wrong digits. Its binomial weights are handled in log space, so no
 intermediate overflows occur.
 
 ``integrate_semi_infinite`` is a globally adaptive numpy Gauss-Kronrod rule
-(QUADPACK's dqk21). ``integrate_semi_infinite_batch`` runs many such integrals in
-one owner-tagged interval table, one integrand call per refinement pass for all.
+(QUADPACK's dqk21). ``integrate_semi_infinite_batch`` runs many such integrals under
+one control in one owner-tagged interval table, one integrand call per refinement pass
+for all.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def _psi2_21(x: float, y: float, ctl: SeriesControl) -> float:
 # four indices literally, at O(T^4) cost.
 
 
-def _f4_eval(x: float, y: float, ctl: SeriesControl) -> tuple[float, float]:
+def _f4_eval(x: float, y: float, ctl: SeriesControl | None = None) -> tuple[float, float]:
     """The quadruple series F4(x, x, y, y) for x <= 0, 0 <= y < 1/2: ``(value, error_bound)``.
 
     For x <= 0 every inner function lies in [-1, 1]: 0 < g_0 <= 1, and
@@ -432,6 +433,7 @@ def _f4_eval(x: float, y: float, ctl: SeriesControl) -> tuple[float, float]:
     if not (y >= 0.0 and y + y < 1.0):
         raise ValueError(f"F4 requires y >= 0 and 2y < 1, got {y}")
 
+    ctl = ctl or SeriesControl()
     cap = ctl.max_terms_per_index
     y2 = y + y
     cap_tail = y2 ** (cap + 1) / (1.0 - y2)
@@ -508,11 +510,12 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return resk * half, np.maximum(_ROUNDOFF * ((np.abs(fv) * _WEIGHTS_K).sum(axis=1) * half), err)
 
 
-def integrate_semi_infinite_batch(f, decay_scales, ctls, breakpoints) -> list:
-    """Many ``integrate_semi_infinite`` runs at once, one call of ``f`` per pass.
+def integrate_semi_infinite_batch(f, decay_scales, breakpoints,
+                                  ctl: QuadControl | None = None) -> list:
+    """Many ``integrate_semi_infinite`` runs under one ``ctl``, one call of ``f`` per pass.
 
-    Integral i takes ``decay_scales[i]``, ``ctls[i]`` and ``breakpoints[i]``;
-    ``f(x, owner)`` gives the integrands at abscissae ``x`` of integrals ``owner``.
+    Integral i takes ``decay_scales[i]`` and ``breakpoints[i]``; ``f(x, owner)`` gives
+    the integrands at abscissae ``x`` of integrals ``owner``.
     All the intervals share one table, tagged by owner. Every reduction (interval
     rule, per-owner sums in table order, the split's running error sums) reads one
     integral's numbers alone, so each result is bitwise what a lone run gives.
@@ -520,8 +523,8 @@ def integrate_semi_infinite_batch(f, decay_scales, ctls, breakpoints) -> list:
     that the lone call raises.
     """
     n = len(decay_scales)
-    if not len(ctls) == len(breakpoints) == n:
-        raise ValueError("need one decay scale, control and breakpoint list per integral")
+    if len(breakpoints) != n:
+        raise ValueError("need one decay scale and breakpoint list per integral")
     scale = np.array(decay_scales, dtype=np.float64)
     bad = np.flatnonzero(~((scale > 0.0) & np.isfinite(scale)))
     if bad.size:
@@ -529,11 +532,11 @@ def integrate_semi_infinite_batch(f, decay_scales, ctls, breakpoints) -> list:
     results: list = [None] * n
     if not n:
         return results
-    rel_tol, abs_tol, cap, tail = (np.array([getattr(c, name) for c in ctls]) for name in (
-        "rel_tol", "abs_tol", "max_subdivisions", "tail_cutoff_sigmas"))
+    ctl = ctl or QuadControl()
+    rel_tol, abs_tol, cap = ctl.rel_tol, ctl.abs_tol, ctl.max_subdivisions
     # Integral i's points, one row each: 0, its breakpoints inside (0, cutoff) once each,
     # the cutoff, sorted, NaN-padded. Its edges are those and every midpoint, sorted.
-    cutoff = tail * scale
+    cutoff = ctl.tail_cutoff_sigmas * scale
     marks = np.array(list(itertools.zip_longest(*breakpoints, fillvalue=math.nan)),
                      dtype=np.float64).reshape(-1, n).T
     marks[~((marks > 0.0) & (marks < cutoff[:, None]))] = math.nan
@@ -561,7 +564,7 @@ def integrate_semi_infinite_batch(f, decay_scales, ctls, breakpoints) -> list:
         for i in np.flatnonzero(exhausted):
             results[i] = QuadratureExhaustedError(
                 f"integrate_semi_infinite: error {err_est[i]:.3g} (tolerance {tol[i]:.3g}) with "
-                f"{count[i]} intervals, max_subdivisions={cap[i]}",
+                f"{count[i]} intervals, max_subdivisions={cap}",
                 value=float(value[i]), err_est=float(err_est[i]))
         live = ~(done | exhausted)[owner]
         owner, lo, hi, res, err = owner[live], lo[live], hi[live], res[live], err[live]
@@ -621,7 +624,7 @@ def integrate_semi_infinite(
         and its achieved error.
     """
     (result,) = integrate_semi_infinite_batch(
-        lambda x, owner: f(x), [decay_scale], [ctl or QuadControl()], [breakpoints])
+        lambda x, owner: f(x), [decay_scale], [breakpoints], ctl)
     if isinstance(result, QuadratureExhaustedError):
         raise result
     return result

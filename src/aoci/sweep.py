@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 from aoci import kpi, photometry
-from aoci.config import ConfigError, LinkConfig, _finite, _number, _reject_unknown
+from aoci.config import ConfigError, LinkConfig, _finite, _number, _read_json, _reject_unknown
 from aoci.specfun import NumericalError
 
 __all__ = ["SweepAxis", "SweepSpec", "SweepResult", "run_sweep", "write_csv"]
@@ -125,11 +124,7 @@ class SweepSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SweepSpec":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"sweep: invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_read_json(path, "sweep"))
 
 
 @dataclass(frozen=True)

@@ -94,16 +94,11 @@ class TestEval:
         ("skin.mu_a_per_mm", float("nan")),
         ("fiber.n_fbg", float("inf")),
         ("fiber.n_fbg", 1.5),
-        ("numerics.series.max_terms_per_index", 400.5),
     ])
     def test_non_finite_or_fractional_leaf_exits_2_with_one_line(
             self, baseline_doc, tmp_path, capsys, path, value):
-        baseline_doc["numerics"] = {"series": {}}
-        *parents, leaf = path.split(".")
-        node = baseline_doc
-        for part in parents:
-            node = node[part]
-        node[leaf] = value
+        section, leaf = path.split(".")
+        baseline_doc[section][leaf] = value
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(baseline_doc))
         assert main(["eval", "--config", str(config), "--samples", "10000"]) == 2
@@ -156,6 +151,47 @@ class TestEval:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["eval", "--config", "/nonexistent/link.json"]) == 2
+
+    def test_numerics_section_is_an_unknown_field(self, baseline_doc, tmp_path, capsys):
+        # Solver tolerances are not link parameters: a numerics section is refused.
+        baseline_doc["numerics"] = {"series": {"rel_tol": 1e-8}}
+        path = tmp_path / "numerics.json"
+        path.write_text(json.dumps(baseline_doc))
+        assert main(["eval", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: config.numerics: unknown field\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_unreadable_file_exits_2_with_one_line(self, config_path, tmp_path, capsys,
+                                                   kind, command):
+        bad = tmp_path / "unreadable.json"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"skin": "\xe9"}')  # Latin-1, not UTF-8
+        argv = (["eval", "--config", str(bad)] if command == "eval" else
+                ["sweep", "--config", config_path, "--sweep", str(bad), "--out", str(tmp_path)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        where = "config" if command == "eval" else "sweep"
+        assert captured.err.startswith(f"config error: {where}: cannot read {bad}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_indicator_numerical_failure_exits_3_with_one_line(
+            self, baseline_doc, tmp_path, capsys):
+        # A background far beyond the incomplete-gamma series' reach: the flux route
+        # succeeds, then p_false_hearing raises SeriesConvergenceError.
+        baseline_doc["neural"].update(f0_per_s=1e12, tau_s=1, y_th_photons=1e12,
+                                      d_th_photons=1e13)
+        path = tmp_path / "background.json"
+        path.write_text(json.dumps(baseline_doc))
+        assert main(["eval", "--config", str(path), "--samples", "10000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: SeriesConvergenceError: ")
+        assert captured.err.count("\n") == 1
+        assert "average photon flux" in captured.out
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--seed", "-1"],
@@ -293,7 +329,7 @@ class TestValidate:
     def test_injected_perturbation_fails(self, capsys, monkeypatch):
         closed = optics.coupling_eta_closed  # a 1e-5 relative error in the closed form
         monkeypatch.setattr(optics, "coupling_eta_closed",
-                            lambda cp, r, ctl=None: closed(cp, r, ctl) * (1.0 + 1e-5))
+                            lambda cp, r: closed(cp, r) * (1.0 + 1e-5))
         code = main(["validate", "--quick"])
         out = capsys.readouterr().out
         assert code == 1

@@ -1,5 +1,6 @@
 """Configuration ingestion: conversions, validation, round trip, hashing."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -74,15 +75,6 @@ class TestIngestion:
         assert baseline_cfg.mpe_skin == pytest.approx(500e3)  # 500 mW/mm^2 in W/m^2
         assert baseline_cfg.skin_spot_radius == pytest.approx(1.066e-3)
 
-    def test_defaults_applied(self, baseline_cfg):
-        assert baseline_cfg.series_ctl.rel_tol == 1e-10
-        assert baseline_cfg.quad_ctl.max_subdivisions == 2000
-
-    def test_numerics_override(self, baseline_doc):
-        baseline_doc["numerics"] = {"series": {"rel_tol": 1e-8}}
-        cfg = LinkConfig.from_dict(baseline_doc)
-        assert cfg.series_ctl.rel_tol == 1e-8
-
     def test_damage_threshold_null_means_disabled(self, baseline_doc):
         baseline_doc["neural"]["d_th_photons"] = None
         cfg = LinkConfig.from_dict(baseline_doc)
@@ -124,33 +116,37 @@ class TestValidation:
 
     @pytest.mark.parametrize("path,value", [
         ("fiber.n_fbg", 1.5),
-        ("numerics.series.max_terms_per_index", 400.5),
-        ("numerics.quad.max_subdivisions", 2000.5),
     ])
-    def test_count_fields_are_integers(self, baseline_doc, path, value):
-        baseline_doc["numerics"] = {"series": {}, "quad": {}}
-        cfg = LinkConfig.from_dict(baseline_doc)
+    def test_count_fields_are_integers(self, baseline_cfg, path, value):
         with pytest.raises(ConfigError, match=rf"^config\.{path}: expected an integer"):
-            LinkConfig.from_dict(_edited(cfg, {path: value}))
-        whole = LinkConfig.from_dict(_edited(cfg, {path: float(round(value))}))
-        count = {"fiber.n_fbg": whole.fiber.n_fbg,
-                 "numerics.series.max_terms_per_index": whole.series_ctl.max_terms_per_index,
-                 "numerics.quad.max_subdivisions": whole.quad_ctl.max_subdivisions}[path]
-        assert type(count) is int and count == round(value)
+            LinkConfig.from_dict(_edited(baseline_cfg, {path: value}))
+        whole = LinkConfig.from_dict(_edited(baseline_cfg, {path: float(round(value))}))
+        assert type(whole.fiber.n_fbg) is int and whole.fiber.n_fbg == round(value)
 
-    @pytest.mark.parametrize("numerics,message", [
-        ({"series": {"max_terms": 500}}, "config.numerics.series.max_terms: unknown field"),
-        ({"quad": "fast"}, "config.numerics.quad: expected an object"),
-        ({"quad": {"tail_cutoff_sigmas": math.inf}},
-         "config.numerics.quad.tail_cutoff_sigmas: expected a finite number, got inf"),
-        ({"series": {"rel_tol": None}},
-         "config.numerics.series.rel_tol: expected a number, got None"),
+    @pytest.mark.parametrize("numerics", [
+        {}, {"series": {"rel_tol": 1e-8}}, {"series": {"max_terms": 500}}, {"quad": "fast"},
+        {"quad": {"tail_cutoff_sigmas": math.inf}}, {"series": {"rel_tol": None}},
     ])
-    def test_numerics_refusals_name_the_field(self, baseline_doc, numerics, message):
+    def test_a_numerics_section_is_an_unknown_field(self, baseline_doc, numerics):
+        # Solver tolerances belong to specfun's controls, not to a link document: the
+        # section is refused whole, before any of its contents is read.
         baseline_doc["numerics"] = numerics
         with pytest.raises(ConfigError) as err:
             LinkConfig.from_dict(baseline_doc)
-        assert str(err.value) == message
+        assert str(err.value) == "config.numerics: unknown field"
+
+    @pytest.mark.parametrize("kind,why", [
+        ("directory", "cannot read"), ("not-utf-8", "cannot read"),
+        ("not-json", "invalid JSON in"),
+    ])
+    def test_from_file_refuses_what_is_not_a_json_document(self, tmp_path, kind, why):
+        path = tmp_path / "link.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"skin": "\xe9"}' if kind == "not-utf-8" else b'{"skin": ')
+        with pytest.raises(ConfigError, match=rf"^config: {why} {re.escape(str(path))}: "):
+            LinkConfig.from_file(path)
 
     def test_an_integer_beyond_the_float_range_is_refused(self, baseline_doc):
         baseline_doc["skin"]["delta_mm"] = 10**400
@@ -528,20 +524,6 @@ class TestWithValueEqualsFromDict:
             for value in (old * 1.25, old * 0.5, 0.0, -1.0, "x"):
                 _assert_same_as_from_dict(cfg, {path: value})
 
-    def test_numerics_leaves(self, baseline_doc):
-        baseline_doc["numerics"] = {
-            "series": {"rel_tol": 1e-9, "abs_tol": 1e-300, "max_terms_per_index": 300},
-            "quad": {"rel_tol": 1e-8, "abs_tol": 1e-300, "max_subdivisions": 500,
-                     "tail_cutoff_sigmas": 9.0},
-        }
-        cfg = LinkConfig.from_dict(baseline_doc)
-        leaves = [path for path in _numeric_leaves(cfg.raw) if path.startswith("numerics.")]
-        assert len(leaves) == 7
-        for path in leaves:
-            old = cfg.resolve(path)
-            for value in (old * 2, 5, 0.0, -1.0, "x"):
-                _assert_same_as_from_dict(cfg, {path: value})
-
     def test_wavelength_carries_into_the_coupling(self, baseline_cfg):
         other = baseline_cfg.with_value("source.lambda_nm", 650.0)
         assert other.coupling.lam == other.source.lam == pytest.approx(650e-9)
@@ -560,8 +542,8 @@ class TestWithValueEqualsFromDict:
         _assert_same_as_from_dict(load_preset("default"), paths)
 
 
-# Each preset with an explicit numerics section: every leaf of both is a number read
-# from outside, set in turn to each value below.
+# Every leaf of each preset, and of the numerics section (solver tolerances) a document
+# could once carry, is a number read from outside, set in turn to each value below.
 NUMERICS = {
     "series": {"rel_tol": 1e-10, "abs_tol": 1e-300, "max_terms_per_index": 400},
     "quad": {"rel_tol": 1e-9, "abs_tol": 1e-300, "max_subdivisions": 2000,
@@ -572,8 +554,7 @@ FUZZ_VALUES = ["x", None, True, math.nan, math.inf, -math.inf, -1, 0, 1e300, [],
 
 def _fuzz_cases():
     for name in PRESETS:
-        doc = {**load_preset(name).to_dict(), "numerics": NUMERICS}
-        for path in _numeric_leaves(doc):
+        for path in _numeric_leaves({**load_preset(name).raw, "numerics": NUMERICS}):
             for value in FUZZ_VALUES:
                 yield pytest.param(name, path, value, id=f"{name}-{path}-{value!r}")
 
@@ -583,8 +564,18 @@ def _fuzz_cases():
 def test_a_number_from_outside_is_finite_or_refused(name, path, value):
     """Every leaf of every preset, set to each fuzz value: the result is a ConfigError or
     a config whose numbers and derived state are finite (but a null damage threshold)
-    and whose counts are ints; ``with_value`` gives what ``from_dict`` gives."""
-    cfg = LinkConfig.from_dict({**load_preset(name).to_dict(), "numerics": NUMERICS})
+    and whose counts are ints; ``with_value`` gives what ``from_dict`` gives. A numerics
+    leaf, whatever its value, is refused: the tolerances are specfun's controls."""
+    cfg = load_preset(name)
+    if path.startswith("numerics."):
+        doc = {**cfg.to_dict(), "numerics": copy.deepcopy(NUMERICS)}
+        _, section, leaf = path.split(".")
+        doc["numerics"][section][leaf] = value
+        with pytest.raises(ConfigError, match=r"^config\.numerics: unknown field$"):
+            LinkConfig.from_dict(doc)
+        with pytest.raises(ConfigError, match=rf"^config\.{re.escape(path)}: no such field$"):
+            cfg.with_value(path, value)
+        return
     _assert_same_as_from_dict(cfg, {path: value})
     try:
         cfg = cfg.with_value(path, value)
@@ -593,12 +584,9 @@ def test_a_number_from_outside_is_finite_or_refused(name, path, value):
     numbers = list(dataclasses.astuple(photometry.derive_state(cfg)))
     numbers += [cfg.mpe_skin, cfg.mpe_neuron, cfg.skin_spot_radius]
     null_d_th = cfg.raw["neural"]["d_th_photons"] is None
-    for part in ("source", "skin", "beam", "mem", "coupling", "fiber", "neural",
-                 "series_ctl", "quad_ctl"):
+    for part in ("source", "skin", "beam", "mem", "coupling", "fiber", "neural"):
         numbers += [getattr(getattr(cfg, part), f.name)
                     for f in dataclasses.fields(getattr(cfg, part))
                     if not (f.name == "d_th" and null_d_th)]
     assert all(math.isfinite(v) for v in numbers), numbers
-    counts = (cfg.fiber.n_fbg, cfg.series_ctl.max_terms_per_index,
-              cfg.quad_ctl.max_subdivisions)
-    assert all(type(count) is int for count in counts), counts
+    assert type(cfg.fiber.n_fbg) is int, cfg.fiber.n_fbg

@@ -25,7 +25,7 @@ from aoci.photometry import (
     received_flux_batch,
     response_window_gain,
 )
-from aoci.specfun import SeriesConvergenceError
+from aoci.specfun import QuadControl, SeriesConvergenceError
 from aoci.stochastics import RngStream, sample_rayleigh
 
 
@@ -280,7 +280,7 @@ class TestMeanFluxRoutes:
         cfg = load_preset(preset)
         if delta_mm is not None:
             cfg = cfg.with_value("skin.delta_mm", delta_mm).with_value("beam.sigma_s_mm", sigma_mm)
-        state, ctl, sigma = derive_state(cfg), cfg.quad_ctl, cfg.beam.sigma_s
+        state, ctl, sigma = derive_state(cfg), QuadControl(), cfg.beam.sigma_s
         prefactor = state.flux_per_watt * cfg.source.power_tx
         w0, w_eq = cfg.coupling.omega0, state.w_eq
         core_scale = (2 / w0**2 + 2 / w_eq**2 + 1 / (2 * sigma**2)) ** -0.5

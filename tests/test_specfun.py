@@ -353,20 +353,21 @@ class TestIntegrateSemiInfinite:
         # Scales far apart: any sum shared across integrals would swamp the small ones.
         rates, scales = np.array([1.0, 3.0, 0.5]), np.array([1e12, 1.0, 1e-6])
         f = lambda r, owner: scales[owner] * np.sin(40.0 * r) ** 2 * np.exp(-rates[owner] * r)
-        ctls = [QuadControl(), QuadControl(rel_tol=1e-13, max_subdivisions=6),
-                QuadControl(rel_tol=1e-6)]
         decay, marks = [1.0, 2.0, 4.0], [(), (1.0,), (0.5, 2.0)]
-        batch = integrate_semi_infinite_batch(f, decay, ctls, marks)
-        for i in range(3):
-            lone = lambda r, i=i: f(r, np.full(r.size, i))
-            try:
-                assert batch[i] == integrate_semi_infinite(lone, decay[i], ctls[i], marks[i])
-            except QuadratureExhaustedError as exc:
-                assert isinstance(batch[i], QuadratureExhaustedError)
-                assert str(batch[i]) == str(exc)
-                assert (batch[i].value, batch[i].err_est) == (exc.value, exc.err_est)
-        assert isinstance(batch[1], QuadratureExhaustedError)
-        assert not isinstance(batch[0], QuadratureExhaustedError)
+        exhausted = []
+        for ctl in (QuadControl(), QuadControl(rel_tol=1e-13, max_subdivisions=6),
+                    QuadControl(rel_tol=1e-6)):
+            batch = integrate_semi_infinite_batch(f, decay, marks, ctl)
+            for i in range(3):
+                lone = lambda r, i=i: f(r, np.full(r.size, i))
+                try:
+                    assert batch[i] == integrate_semi_infinite(lone, decay[i], ctl, marks[i])
+                except QuadratureExhaustedError as exc:
+                    assert isinstance(batch[i], QuadratureExhaustedError)
+                    assert str(batch[i]) == str(exc)
+                    assert (batch[i].value, batch[i].err_est) == (exc.value, exc.err_est)
+            exhausted.append([isinstance(result, QuadratureExhaustedError) for result in batch])
+        assert exhausted[1][1] and not exhausted[0][0]
 
     def test_the_first_partition_is_the_sorted_list_construction(self):
         # The per-integral loop the batch's array construction replaced, as the reference:
@@ -389,13 +390,17 @@ class TestIntegrateSemiInfinite:
             scales.append(scale)
             ctls.append(QuadControl(tail_cutoff_sigmas=float(rng.choice([6.0, 10.0, 20.0]))))
             marks.append(tuple(pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 6))))
-        calls = []
-        integrate_semi_infinite_batch(lambda x, owner: calls.append(x) or np.zeros_like(x),
-                                      scales, ctls, marks)
-        edges = [reference(*args) for args in zip(scales, ctls, marks)]
-        lo, hi = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
-        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        assert calls[0].tobytes() == (center[:, None] + half[:, None] * _NODES).ravel().tobytes()
+        for ctl in dict.fromkeys(ctls):  # one batch per control
+            at = [i for i, c in enumerate(ctls) if c == ctl]
+            calls = []
+            integrate_semi_infinite_batch(lambda x, owner: calls.append(x) or np.zeros_like(x),
+                                          [scales[i] for i in at], [marks[i] for i in at], ctl)
+            edges = [reference(scales[i], ctl, marks[i]) for i in at]
+            lo = np.concatenate([e[:-1] for e in edges])
+            hi = np.concatenate([e[1:] for e in edges])
+            center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            assert (calls[0].tobytes()
+                    == (center[:, None] + half[:, None] * _NODES).ravel().tobytes())
 
     def test_invalid_decay_scale(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 """Sweep engine: grids, CSV schema and bytes, failure tolerance."""
 
+import functools
 import json
 import math
+import re
 
 import pytest
 
-from aoci import optics, photometry, sweep
+from aoci import optics, photometry, specfun, sweep
 from aoci.config import ConfigError, LinkConfig
 from aoci.figures import FIGURES, load_preset
 from aoci.photometry import mean_flux_quadrature, response_window_gain
@@ -57,6 +59,19 @@ class TestSpecValidation:
     def test_rejects_unknown_field(self):
         with pytest.raises(ConfigError):
             SweepSpec.from_dict(spec_doc(extra=1))
+
+    @pytest.mark.parametrize("kind,why", [
+        ("directory", "cannot read"), ("not-utf-8", "cannot read"),
+        ("not-json", "invalid JSON in"),
+    ])
+    def test_from_file_refuses_what_is_not_a_json_document(self, tmp_path, kind, why):
+        path = tmp_path / "sweep.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"metric": "\xe9"}' if kind == "not-utf-8" else b'{"metric": ')
+        with pytest.raises(ConfigError, match=rf"^sweep: {why} {re.escape(str(path))}: "):
+            SweepSpec.from_file(path)
 
     @pytest.mark.parametrize("metric", ["p_hearing", "p_damage"])
     def test_exceedance_needs_the_estimator_sample_floor(self, metric):
@@ -255,10 +270,11 @@ class TestBatchedQuadrature:
             assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
         assert len({record["value"] for record in records}) == 6
 
-    def test_exhausted_points_carry_the_lone_error(self):
-        doc = load_preset("fig5").to_dict()
-        doc["numerics"] = {"quad": {"max_subdivisions": 10}}
-        cfg = LinkConfig.from_dict(doc)
+    def test_exhausted_points_carry_the_lone_error(self, monkeypatch):
+        # Every quadrature under a 10-interval cap, so some jitters exhaust.
+        monkeypatch.setattr(specfun, "QuadControl",
+                            functools.partial(specfun.QuadControl, max_subdivisions=10))
+        cfg = load_preset("fig5")
         sigmas = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
         # Both powers share each jitter's integral, and its error when it exhausts.
         result = run_sweep(cfg, SweepSpec(SweepAxis("beam.sigma_s_mm", sigmas),
