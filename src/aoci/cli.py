@@ -1,8 +1,9 @@
 """Command-line interface: evaluate, sweep, reproduce figures, validate.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 configuration error,
-3 a numerical route failed: the requested average-flux route (``eval`` runs
-exactly the route it is given and never substitutes another) or an indicator.
+Exit codes: 0 success, 1 validation-suite failure, 2 configuration error
+(an ``--out`` path through a plain file included), 3 a numerical route
+failed: the requested average-flux route (``eval`` runs exactly the route it
+is given and never substitutes another) or an indicator.
 All output is deterministic for fixed inputs and seed; no timestamps are
 embedded anywhere.
 """
@@ -222,6 +223,11 @@ def _cmd_validate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    out = Path(getattr(args, "out", None) or ".")
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            print(f"config error: --out {out}: {path} is not a directory", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         if args.command == "eval":
             return _cmd_eval(args)

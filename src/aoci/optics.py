@@ -11,9 +11,9 @@ available through three routes that must agree:
   from, at many points in one batch, which serves as the oracle for the
   closed form and the kernel;
 * ``coupling_eta_batch`` -- a cached piecewise polynomial interpolant of that
-  integral on unit panels in ``s = r / w0``, one per coupling argument, valid
-  at every displacement and evaluated on arrays by Horner's rule; it serves
-  Monte Carlo, exceedance and the flux quadrature.
+  integral on panels 1/16 wide in ``s = r / w0``, one per coupling argument,
+  valid at every displacement and evaluated on arrays by Horner's rule over
+  5 to 8 degrees; it serves Monte Carlo, exceedance and the flux quadrature.
 
 The literal constants 3.83 and 1.22 are kept exactly as written (not the
 higher-precision Bessel root 3.8317...), because the closed form is defined
@@ -213,22 +213,29 @@ class _CouplingKernel:
 
     In units of w0 the overlap integral depends on a alone (c = 2 sqrt(a)), so
     one table serves every configuration with that a, whichever built it.
-    Panel k covers s in [k, k + 1]; it is built on demand from Gauss-Legendre
+    Unit panel k covers s in [k, k + 1]; it is fitted on demand, to Gauss-Legendre
     quadrature over [max(0, s - 8), s + 8] at its first-kind Chebyshev points,
-    and its Chebyshev coefficients are stored in powers of x = 2 (s - k) - 1 for
-    Horner's rule. eta is analytic in s; the degree is the lowest above which a
-    degree-40 fit of panels 0-3 has no coefficient over 1e-15.
+    with the lowest degree D above which a degree-40 fit of panels 0-3 has no
+    coefficient over 1e-15. One linear map then interpolates each unit series at
+    the d + 1 Chebyshev points of its SUB sub-panels, 1/16 wide (column 16 k + m
+    is sub-panel m), in powers of the local x = 2 (16 s - 16 k - m) - 1 for
+    Horner's rule. Coefficients decay faster on the shorter panels: d (5 to 8) is
+    one less than the first index at which the probe so re-expanded is < 1e-15.
     """
 
     def __init__(self, a: float):
         self.c = 2.0 * math.sqrt(a)
         self.xi, self.wi = _gauss_legendre(64 + 24 * int(math.sqrt(a)))
-        probe = np.abs(self._chebyshev(np.arange(4), 40)).max(axis=0) > 1e-15
-        self.degree = int(np.flatnonzero(probe).max())
-        self.to_power = np.eye(self.degree + 1)  # row i: T_i's coefficients of 1, x, x^2, ...
-        for i in range(2, self.degree + 1):
-            self.to_power[i] = 2.0 * np.roll(self.to_power[i - 1], 1) - self.to_power[i - 2]
-        self.table = np.empty((self.degree + 1, 0))  # column k: panel k; row j: x^j
+        probe = self._chebyshev(np.arange(4), 40)
+        self.degree = int(np.flatnonzero(np.abs(probe).max(axis=0) > 1e-15).max())
+        sub = np.einsum("pi,imj->pjm", probe[:, :self.degree + 1], self._sub_map(self.degree))
+        d = int(np.argmax(np.append(np.abs(sub).max(axis=(0, 2)), 0.0) < 1e-15)) - 1  # d <= D
+        to_power = np.eye(d + 1)  # row i: T_i's coefficients of 1, x, x^2, ...
+        for i in range(2, d + 1):
+            to_power[i] = 2.0 * np.roll(to_power[i - 1], 1) - to_power[i - 2]
+        # [i, k, 0, m]: unit T_i's x^k on sub-panel m; einsum, as BLAS's buffers would add RSS
+        self.sub_map = np.einsum("imj,jk->ikm", self._sub_map(d), to_power)[:, :, None]
+        self.table = np.empty((d + 1, 0))  # column 16 k + m: sub-panel m of panel k; row j: x^j
 
     def _eta(self, s: np.ndarray) -> np.ndarray:
         s = s[:, None]
@@ -238,13 +245,18 @@ class _CouplingKernel:
         amplitude = half[:, 0] * (values * self.wi).sum(axis=1)
         return 8.0 * amplitude * amplitude
 
-    def _chebyshev(self, panels: np.ndarray, degree: int) -> np.ndarray:
-        """Row i: the Chebyshev coefficients of eta's interpolant on panel ``panels[i]``."""
+    def _chebyshev(self, panels: np.ndarray, degree: int, f=None) -> np.ndarray:
+        """[..., i, :]: Chebyshev coefficients of f's (eta's) interpolant on panel ``panels[i]``."""
         x = chebpts1(degree + 1)
-        values = self._eta((panels[:, None] + 0.5 + 0.5 * x).ravel())
+        values = (f or self._eta)((panels[:, None] + 0.5 + 0.5 * x).ravel())
         fit = chebvander(x, degree).T * (2.0 / (degree + 1))
         fit[0] *= 0.5
-        return (values.reshape(len(panels), 1, degree + 1) * fit).sum(axis=2)
+        return (values.reshape(*values.shape[:-1], len(panels), 1, degree + 1) * fit).sum(axis=-1)
+
+    def _sub_map(self, d: int) -> np.ndarray:
+        """[i, m]: unit T_i's degree-d Chebyshev fit on x in [m / 8 - 1, (m + 1) / 8 - 1]."""
+        i = np.arange(self.degree + 1)[:, None]
+        return self._chebyshev(np.arange(SUB), d, lambda t: np.cos(i * np.arccos(t / 8 - 1)))
 
     def cover(self, s_max: float) -> np.ndarray:
         """Build the panels up to the one holding s_max; return the table.
@@ -253,15 +265,18 @@ class _CouplingKernel:
         sees a shorter or longer table, never a wrong column.
         """
         table = self.table
-        panels = np.arange(table.shape[1], int(s_max) + 1)
+        panels = np.arange(table.shape[1] // SUB, int(s_max) + 1)
         if panels.size:
-            coeffs = np.vstack([self._chebyshev(chunk, self.degree)
-                                for chunk in np.array_split(panels, -(-panels.size // 4))])
-            table = np.hstack([table, (coeffs[:, :, None] * self.to_power).sum(axis=1).T])
+            table = np.pad(table, ((0, 0), (0, SUB * panels.size)))
+            for chunk in np.array_split(panels, -(-panels.size // 4)):
+                block = table[:, SUB * chunk[0]:SUB * (chunk[-1] + 1)].reshape(-1, chunk.size, SUB)
+                for unit, powers in zip(self._chebyshev(chunk, self.degree).T, self.sub_map):
+                    block += unit[:, None] * powers  # over the unit degree: no 4-d broadcast
             self.table = table
         return table
 
 
+SUB = 16  # sub-panels per unit panel; a power of two, so u = 16 s is exact
 COUPLING_KERNELS = 8  # kernels cached at once; a flux batch uses at most this many
 _coupling_kernel = lru_cache(maxsize=COUPLING_KERNELS)(_CouplingKernel)  # one per argument
 
@@ -276,11 +291,11 @@ def coupling_eta_batch(cp: CouplingParams, r) -> np.ndarray:
     r_max = r.max(initial=0.0)
     if not (r.min(initial=math.inf) >= 0.0 and r_max < math.inf):  # NaN fails both
         raise ValueError("radial misalignments must be finite and >= 0")
-    s = r / cp.omega0
+    u = r / (cp.omega0 / SUB)  # 16 r / w0, rounded once: bitwise 16 (r / w0)
     # Division by w0 > 0 is monotone, so this is s.max() without another pass.
     table = _coupling_kernel(cp.coupling_argument).cover(float(r_max / cp.omega0))
-    k = s.astype(np.intp)
-    x = 2.0 * (s - k) - 1.0
+    k = u.astype(np.intp)
+    x = 2.0 * (u - k) - 1.0
     eta = table[-1][k]
     for row in table[-2::-1]:  # in place: a fresh array per step costs more than the step
         eta *= x

@@ -132,10 +132,10 @@ class TestEval:
     @pytest.mark.parametrize("argv, stdout_sha256, csv_sha256", [
         (["--method", "quadrature"],
          "a0c5cc280babcd8d12ee450b46649edf081498b343ae0e616f9eb2ac58dc5497",
-         "8cfe540a78dc244e5ace3e1569617e9e0b3198dc89da06316d3c48dee0a17473"),
+         "d75acc3463e442fe88a98d35ac229b8e39a6d28946741a531dbbb609b53cae86"),
         (["--method", "mc", "--samples", "10000", "--seed", "0"],
          "014169836a5d1f03e66378dd83708490d50129a2bd8217b235710eaec80efceb",
-         "11e2a072e03c5243ed813dd81664d7e670609f64b3b1a0cfc5d52f8353e0bbfc"),
+         "be864fff689a33426dd418fbfb7b3eda92c3a3c52035ab570b8e95629c7e2459"),
     ])
     def test_default_preset_report_and_csv_are_pinned(self, argv, stdout_sha256, csv_sha256,
                                                       tmp_path, capsys):
@@ -221,6 +221,14 @@ class TestEval:
         assert a == b
         assert b"config_hash" in a
 
+    def test_out_through_a_plain_file_exits_2_with_one_line(self, config_path, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert main(["eval", "--config", config_path, "--out", str(plain)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out {plain}: {plain} is not a directory\n"
+        assert captured.out == ""
+
 
 class TestSweep:
     def make_sweep(self, tmp_path, **overrides):
@@ -292,6 +300,15 @@ class TestSweep:
         assert err.startswith(f"config error: sweep.mc.{next(iter(mc))}: ")
         assert err.count("\n") == 1
 
+    def test_out_through_a_plain_file_exits_2_with_one_line(self, config_path, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert main(["sweep", "--config", config_path, "--sweep", self.make_sweep(tmp_path),
+                     "--out", str(plain / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out {plain / 'out'}: {plain} is not a directory\n"
+        assert captured.out == ""
+
 
 class TestFigure:
     def test_figure6_produces_artifacts_and_passes(self, tmp_path, capsys):
@@ -309,6 +326,14 @@ class TestFigure:
         path.write_text(json.dumps(override.to_dict()))
         code = main(["figure", "6", "--config", str(path), "--out", str(tmp_path)])
         assert code == 0
+
+    def test_out_through_a_plain_file_exits_2_with_one_line(self, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert main(["figure", "6", "--out", str(plain)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out {plain}: {plain} is not a directory\n"
+        assert captured.out == ""
 
     def test_presets_ship_with_calibration_notes(self):
         for n in (3, 4, 5, 6, 7, 8):

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -171,8 +172,9 @@ class TestCouplingKernel:
     """The cached piecewise kernel behind coupling_eta_batch."""
 
     KERNEL_ARGS = [0.05, 1.2566, 5.0, 25.0]
+    ORACLE_ARGS = [0.05, 0.2, 0.5, peak_coupling()[0], 2.0, 5.0, 50.0, 300.0]
 
-    @pytest.mark.parametrize("a", [0.05, 0.2, 0.5, peak_coupling()[0], 2.0, 5.0, 50.0, 300.0])
+    @pytest.mark.parametrize("a", ORACLE_ARGS)
     def test_matches_its_quadrature_and_the_adaptive_integral(self, a):
         # Seeded points fall off the interpolation nodes, out to s = 200; the kernel's
         # own quadrature is the reference to roundoff, the adaptive integral to the
@@ -186,17 +188,58 @@ class TestCouplingKernel:
         integral = np.array(optics.coupling_eta_integrals([cp] * 20, s[:20] * cp.omega0))
         assert np.all(np.abs(batch[:20] - integral) <= 1e-8 * integral + 1e-9 * batch.max())
 
+    @pytest.mark.parametrize("a", ORACLE_ARGS)
+    def test_both_sides_of_every_sub_panel_edge_match_its_quadrature(self, a):
+        # s = j / 16 opens sub-panel j at x = -1; the float below it closes sub-panel
+        # j - 1 at x just under 1.
+        cp = cp_for(a, omega0=2.0**-13)  # r = s w0 and s = r / w0 are exact
+        edges = np.arange(641) / optics.SUB
+        s = np.concatenate([edges, np.nextafter(edges[1:], 0.0)])
+        batch = coupling_eta_batch(cp, s * cp.omega0)
+        kernel = optics._coupling_kernel(cp.coupling_argument)
+        own = np.concatenate([kernel._eta(part) for part in np.array_split(s, 20)])
+        assert np.max(np.abs(batch - own)) <= 1e-14
+
     @pytest.mark.parametrize("a", [0.05, 1.2566, 5.0, 300.0])
     def test_horner_on_each_panel_equals_its_chebyshev_series(self, a):
+        # Each 1/16-wide sub-panel's Horner against the series of the unit panel holding it.
         cp = cp_for(a, omega0=2.0**-13)  # r = s w0 and s = r / w0 are exact
         kernel = optics._coupling_kernel(cp.coupling_argument)
-        table = kernel.cover(40.0)
-        chebyshev = kernel._chebyshev(np.arange(table.shape[1]), kernel.degree)
-        x = np.linspace(-1.0, 1.0, 17)[:-1]  # x = 1 is the next panel's x = -1
-        for k in range(table.shape[1]):
+        panels = kernel.cover(40.0).shape[1] // optics.SUB
+        chebyshev = kernel._chebyshev(np.arange(panels), kernel.degree)
+        x = np.linspace(-1.0, 1.0, 16 * optics.SUB + 1)[:-1]  # x = 1 is the next panel's x = -1
+        for k in range(panels):
             horner = coupling_eta_batch(cp, (k + 0.5 + 0.5 * x) * cp.omega0)
             series = np.polynomial.chebyshev.chebval(x, chebyshev[k])
             assert np.max(np.abs(horner - series)) <= 1e-15
+
+    @pytest.mark.parametrize("a", [0.05, 0.2, peak_coupling()[0], 2.0, 5.0, 50.0, 300.0])
+    def test_a_sample_pays_at_most_nine_horner_rows(self, a):
+        # Unit panels need degree 9-18 here; their 1/16-wide sub-panels need 5-8.
+        assert optics._CouplingKernel(a).table.shape[0] <= 9
+
+    @pytest.mark.parametrize("a", [1e-12, 1e-9])
+    def test_a_near_zero_keeps_its_few_rows(self, a):
+        # eta ~ 2a: unit degree 0, whose one coefficient stays over 1e-15 on every sub-panel.
+        cp = cp_for(a)
+        s = np.linspace(0.0, 20.0, 401)
+        kernel = optics._coupling_kernel(cp.coupling_argument)
+        assert np.max(np.abs(coupling_eta_batch(cp, s * cp.omega0) - kernel._eta(s))) <= 1e-14
+        assert kernel.table.shape[0] <= kernel.degree + 1
+
+    def test_build_peak_memory_is_the_table_plus_one_chunk(self):
+        # Each 4-panel chunk is re-expanded into the grown table in place, so a build
+        # from empty peaks at the table plus one chunk's quadrature (0.61 MB at most
+        # here); re-expanding every panel in one broadcast peaks at 3.5 MB.
+        kernel = optics._CouplingKernel(peak_coupling()[0])
+        tracemalloc.start()
+        try:
+            table = kernel.cover(200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape[1] == 201 * optics.SUB
+        assert peak <= table.nbytes + 768 * 1024
 
     @pytest.mark.parametrize("a", KERNEL_ARGS)
     def test_same_argument_any_mode_radius_is_bitwise_equal(self, a):
