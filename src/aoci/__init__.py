@@ -23,7 +23,7 @@ validate    the oracle-equivalence validation suite
 cli         the ``aoci`` command-line tool
 """
 
-from aoci.config import ConfigError, LinkConfig, load_config
+from aoci.config import ConfigError, LinkConfig
 from aoci.kpi import KpiReport, kpi_report, p_damage, p_false_hearing, p_hearing
 from aoci.photometry import (
     FluxEstimate,
@@ -38,9 +38,7 @@ from aoci.photometry import (
 from aoci.specfun import (
     NumericalError,
     PrecisionLossError,
-    QuadControl,
     QuadratureExhaustedError,
-    SeriesControl,
     SeriesConvergenceError,
 )
 
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "LinkConfig",
-    "load_config",
     "KpiReport",
     "kpi_report",
     "p_hearing",
@@ -63,8 +60,6 @@ __all__ = [
     "mean_flux_quadrature",
     "mean_flux_mc",
     "link_budget",
-    "SeriesControl",
-    "QuadControl",
     "NumericalError",
     "SeriesConvergenceError",
     "PrecisionLossError",

@@ -34,7 +34,7 @@ from aoci.channel import BeamGeometry, SkinParams
 from aoci.optics import CouplingParams, FiberLoss, MemParams
 from aoci.photometry import ChannelState, NeuralParams, SourceParams
 
-__all__ = ["ConfigError", "LinkConfig", "load_config"]
+__all__ = ["ConfigError", "LinkConfig"]
 
 # 1 mW/mm^2 = 1e3 W/m^2
 _MW_PER_MM2 = 1.0e3
@@ -393,8 +393,3 @@ class LinkConfig:
         """Read a raw numeric field by dotted path; a null field reads as inf."""
         node, key = _numeric_field(self.raw, path)
         return math.inf if node[key] is None else float(node[key])
-
-
-def load_config(path: str | Path) -> LinkConfig:
-    """Read and validate a configuration file."""
-    return LinkConfig.from_file(path)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from aoci.specfun import (  # integrate_semi_infinite stays importable for bench/tracing.py
-    QuadControl,
+    QUAD_TAIL_CUTOFF,
     QuadratureExhaustedError,
     bessel_i0e,
     bessel_j1,
@@ -183,7 +183,7 @@ def coupling_eta_integrals(cps, rs) -> list[float]:
     # subdivision cannot step over a narrow bump far from the origin.
     results = integrate_semi_infinite_batch(
         lambda rho, i: _overlap_amplitude_integrand(c[i], w0[i], r[i], rho),
-        w0 + r / QuadControl.tail_cutoff_sigmas,
+        w0 + r / QUAD_TAIL_CUTOFF,
         [(max(ri - 3.0 * wi, 0.0), ri, ri + 3.0 * wi) for ri, wi in zip(r, w0)])
     etas = []
     for result, wi in zip(results, w0):
@@ -221,15 +221,18 @@ class _CouplingKernel:
     is sub-panel m), in powers of the local x = 2 (16 s - 16 k - m) - 1 for
     Horner's rule. Coefficients decay faster on the shorter panels: d (5 to 8) is
     one less than the first index at which the probe so re-expanded is < 1e-15.
+    Both degrees are at least 0: below a ~ 5e-16 (eta ~ 2a) no coefficient reaches
+    1e-15, and the table holds one row.
     """
 
     def __init__(self, a: float):
         self.c = 2.0 * math.sqrt(a)
         self.xi, self.wi = _gauss_legendre(64 + 24 * int(math.sqrt(a)))
         probe = self._chebyshev(np.arange(4), 40)
-        self.degree = int(np.flatnonzero(np.abs(probe).max(axis=0) > 1e-15).max())
+        self.degree = int(np.flatnonzero(np.abs(probe).max(axis=0) > 1e-15).max(initial=0))
         sub = np.einsum("pi,imj->pjm", probe[:, :self.degree + 1], self._sub_map(self.degree))
         d = int(np.argmax(np.append(np.abs(sub).max(axis=(0, 2)), 0.0) < 1e-15)) - 1  # d <= D
+        d = max(d, 0)
         to_power = np.eye(d + 1)  # row i: T_i's coefficients of 1, x, x^2, ...
         for i in range(2, d + 1):
             to_power[i] = 2.0 * np.roll(to_power[i - 1], 1) - to_power[i - 2]

@@ -1,8 +1,9 @@
 """Special functions and the series and quadrature engines.
 
-Everything in this module is pure and deterministic: identical inputs
-(including control settings) give bit-identical outputs, so results are
-reproducible and safe to evaluate concurrently.
+Everything in this module is pure and deterministic: identical inputs give
+bit-identical outputs, so results are reproducible and safe to evaluate
+concurrently. The solver tolerances are module constants (``SERIES_*`` and
+``QUAD_*``).
 
 The classical functions the chain calls (J1, e^-|z| I0(z) and the regularized
 incomplete gammas P and Q) are numpy/``math`` kernels, each pinned against
@@ -29,22 +30,18 @@ silently wrong digits. Its binomial weights are handled in log space, so no
 intermediate overflows occur.
 
 ``integrate_semi_infinite`` is a globally adaptive numpy Gauss-Kronrod rule
-(QUADPACK's dqk21). ``integrate_semi_infinite_batch`` runs many such integrals under
-one control in one owner-tagged interval table, one integrand call per refinement pass
-for all.
+(QUADPACK's dqk21). ``integrate_semi_infinite_batch`` runs many such integrals in one
+owner-tagged interval table, one integrand call per refinement pass for all.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
-    "QuadControl",
     "NumericalError",
     "SeriesConvergenceError",
     "PrecisionLossError",
@@ -62,58 +59,18 @@ __all__ = [
 # many digits to trust at double precision.
 _CANCELLATION_LIMIT = 1.0e12
 
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for the hypergeometric series evaluators.
-
-    rel_tol / abs_tol bound the estimated truncation error at
-    ``max(rel_tol * |result|, abs_tol)``. ``max_terms_per_index`` caps the
-    index of the last term: n in Psi2's ``sum_n g_n y^n / n!``, and the shell
-    index n + l of F4, whose inner functions it also caps.
-    """
-
-    rel_tol: float = 1.0e-10
-    abs_tol: float = 1.0e-300
-    max_terms_per_index: int = 400
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"SeriesControl.rel_tol must be > 0, got {self.rel_tol}")
-        if not (self.abs_tol >= 0.0):
-            raise ValueError(f"SeriesControl.abs_tol must be >= 0, got {self.abs_tol}")
-        if self.max_terms_per_index < 8:
-            raise ValueError(
-                f"SeriesControl.max_terms_per_index must be >= 8, got {self.max_terms_per_index}"
-            )
-
-
-@dataclass(frozen=True)
-class QuadControl:
-    """Control for adaptive quadrature of semi-infinite integrals.
-
-    ``tail_cutoff_sigmas`` fixes where the integration interval is truncated,
-    in units of the integrand's decay scale supplied by the caller.
-    """
-
-    rel_tol: float = 1.0e-9
-    abs_tol: float = 1.0e-300
-    max_subdivisions: int = 2000
-    tail_cutoff_sigmas: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0):
-            raise ValueError(f"QuadControl.rel_tol must be > 0, got {self.rel_tol}")
-        if not (self.abs_tol >= 0.0):
-            raise ValueError(f"QuadControl.abs_tol must be >= 0, got {self.abs_tol}")
-        if self.max_subdivisions < 4:
-            raise ValueError(
-                f"QuadControl.max_subdivisions must be >= 4, got {self.max_subdivisions}"
-            )
-        if not (self.tail_cutoff_sigmas >= 6.0):
-            raise ValueError(
-                f"QuadControl.tail_cutoff_sigmas must be >= 6, got {self.tail_cutoff_sigmas}"
-            )
+# Solver tolerances, read at call time. The series stop once the truncation error is
+# within max(rel |sum|, abs); the index cap bounds n in Psi2's sum_n g_n y^n / n! and the
+# shell index n + l of F4, whose inner functions it also caps.
+SERIES_REL_TOL = 1.0e-10
+SERIES_ABS_TOL = 1.0e-300
+SERIES_MAX_INDEX = 400
+# The quadrature stops once its error is within max(rel |value|, abs), using at most
+# QUAD_MAX_SUBDIVISIONS intervals on (0, QUAD_TAIL_CUTOFF decay scales).
+QUAD_REL_TOL = 1.0e-9
+QUAD_ABS_TOL = 1.0e-300
+QUAD_MAX_SUBDIVISIONS = 2000
+QUAD_TAIL_CUTOFF = 10.0
 
 
 class NumericalError(Exception):
@@ -303,22 +260,26 @@ def regularized_gamma_q(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def humbert_psi2(x: float, y: float, ctl: SeriesControl | None = None) -> float:
+def humbert_psi2(x: float, y: float) -> float:
     """Humbert double hypergeometric series Psi2(1; 2, 1; x, y), x <= 0, y >= 0.
 
     ``sum_{m,n>=0} (1)_{m+n} x^m y^n / ((2)_m (1)_n m! n!)``, the one case the
     coupling closed form needs. The series is entire, but summed directly
     its terms cancel for strongly negative x, so it is summed as
-    ``sum_n 1F1(n+1; 2; x) y^n / n!`` with the inner functions in closed
-    form; at y = 0 that is exactly ``1F1(1; 2; x) = expm1(x) / x``.
+    ``sum_n g_n(x) y^n / n!`` with the inner functions ``g_n = 1F1(n+1; 2; x)``
+    in closed form; at y = 0 that is exactly ``g_0 = expm1(x) / x``. The
+    y-weights are nonnegative and g_n is evaluated without cancellation, so the
+    only cancellation left is the sign oscillation of g_n itself, whose amplitude
+    is bounded; the sum is well conditioned for all x <= 0, y >= 0. It needs
+    roughly y + O(sqrt(y)) terms.
 
     Raises
     ------
     ValueError
         For x > 0, y < 0 or a non-finite argument.
     SeriesConvergenceError
-        If the terms have not decayed below tolerance within
-        ``ctl.max_terms_per_index``.
+        If the terms have not decayed below tolerance within ``SERIES_MAX_INDEX``,
+        which a very large y exhausts.
     PrecisionLossError
         If the terms overflow the double range.
     """
@@ -326,7 +287,36 @@ def humbert_psi2(x: float, y: float, ctl: SeriesControl | None = None) -> float:
         raise ValueError(f"humbert_psi2 requires finite x <= 0 and y >= 0, got ({x}, {y})")
     if y == 0.0:
         return 1.0 if x == 0.0 else math.expm1(x) / x
-    return _psi2_21(x, y, ctl or SeriesControl())
+    cap = SERIES_MAX_INDEX
+    if y > cap:
+        raise SeriesConvergenceError(
+            f"humbert_psi2: the y-weights peak near index {y:.3g}, beyond "
+            f"max_terms_per_index={cap}; use the integral route instead"
+        )
+    total = 0.0
+    weight = 1.0  # y^n / n!
+    below = 0
+    for n, g in zip(range(cap + 1), _g_values(x)):
+        term = g * weight
+        if not math.isfinite(term):
+            raise PrecisionLossError(
+                f"humbert_psi2: terms overflow the double range (x={x}, y={y})",
+                value=total,
+            )
+        total += term
+        if abs(term) <= max(SERIES_REL_TOL * abs(total), SERIES_ABS_TOL):
+            below += 1
+            if below >= 3:
+                return total
+        else:
+            below = 0
+        weight *= y / (n + 1.0)
+    raise SeriesConvergenceError(
+        f"humbert_psi2 did not converge within max_terms_per_index={cap} "
+        f"(x={x}, y={y}); y is too large for the series route",
+        value=total,
+        err_est=abs(term),
+    )
 
 
 def _g_values(x: float):
@@ -357,47 +347,6 @@ def _g_values(x: float):
         lkm1, lk = lk, lkp1
 
 
-def _psi2_21(x: float, y: float, ctl: SeriesControl) -> float:
-    """Psi2(1; 2, 1; x, y) as ``sum_n g_n(x) y^n / n!`` with closed-form g_n.
-
-    The y-weights are nonnegative and g_n is evaluated without cancellation,
-    so the only cancellation left is the sign oscillation of g_n itself,
-    whose amplitude is bounded; the sum is well conditioned for all x <= 0,
-    y >= 0. Needs roughly y + O(sqrt(y)) terms, so very large y exhausts the
-    index cap and raises SeriesConvergenceError.
-    """
-    cap = ctl.max_terms_per_index
-    if y > cap:
-        raise SeriesConvergenceError(
-            f"humbert_psi2: the y-weights peak near index {y:.3g}, beyond "
-            f"max_terms_per_index={cap}; use the integral route instead"
-        )
-    total = 0.0
-    weight = 1.0  # y^n / n!
-    below = 0
-    for n, g in zip(range(cap + 1), _g_values(x)):
-        term = g * weight
-        if not math.isfinite(term):
-            raise PrecisionLossError(
-                f"humbert_psi2: terms overflow the double range (x={x}, y={y})",
-                value=total,
-            )
-        total += term
-        if abs(term) <= max(ctl.rel_tol * abs(total), ctl.abs_tol):
-            below += 1
-            if below >= 3:
-                return total
-        else:
-            below = 0
-        weight *= y / (n + 1.0)
-    raise SeriesConvergenceError(
-        f"humbert_psi2 did not converge within max_terms_per_index={cap} "
-        f"(x={x}, y={y}); y is too large for the series route",
-        value=total,
-        err_est=abs(term),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quadruple hypergeometric series F4(x, x, y, y)
 # ---------------------------------------------------------------------------
@@ -413,18 +362,18 @@ def _psi2_21(x: float, y: float, ctl: SeriesControl) -> float:
 # four indices literally, at O(T^4) cost.
 
 
-def _f4_eval(x: float, y: float, ctl: SeriesControl | None = None) -> tuple[float, float]:
+def _f4_eval(x: float, y: float) -> tuple[float, float]:
     """The quadruple series F4(x, x, y, y) for x <= 0, 0 <= y < 1/2: ``(value, error_bound)``.
 
     For x <= 0 every inner function lies in [-1, 1]: 0 < g_0 <= 1, and
     |g_n(x)| <= e^(x/2) for n >= 1 (DLMF 18.14.8 with alpha = 1). Shell t carries
     binomial weights summing to (2y)^t, so |F4| <= 1/(1 - 2y), and all past shell T
-    sums to at most (2y)^(T+1) / (1 - 2y). ``ctl.max_terms_per_index`` caps T, and
+    sums to at most (2y)^(T+1) / (1 - 2y). ``SERIES_MAX_INDEX`` caps T, and
     ``_g_values`` gives g_0 .. g_cap once. If the bound at the cap exceeds twice the
     largest stop tolerance that |F4| allows, no shell can stop the sum, and
     ``SeriesConvergenceError`` is raised before any summing, with a NaN value.
     Otherwise summing stops at the first complete shell whose bound is within
-    ``max(rel_tol |sum|, abs_tol)``; the bound plus a roundoff term is the returned
+    ``max(SERIES_REL_TOL |sum|, SERIES_ABS_TOL)``; the bound plus a roundoff term is the returned
     error. Each shell is summed exactly rounded and the shells are added with
     compensation; a cancellation guard raises ``PrecisionLossError``.
     """
@@ -433,12 +382,11 @@ def _f4_eval(x: float, y: float, ctl: SeriesControl | None = None) -> tuple[floa
     if not (y >= 0.0 and y + y < 1.0):
         raise ValueError(f"F4 requires y >= 0 and 2y < 1, got {y}")
 
-    ctl = ctl or SeriesControl()
-    cap = ctl.max_terms_per_index
+    cap = SERIES_MAX_INDEX
     y2 = y + y
     cap_tail = y2 ** (cap + 1) / (1.0 - y2)
     # Past twice the tolerance that |F4| <= 1/(1 - 2y) allows, no shell stops the sum: sum none.
-    shells = cap + 1 if cap_tail <= 2.0 * max(ctl.rel_tol / (1.0 - y2), ctl.abs_tol) else 0
+    shells = cap + 1 if cap_tail <= 2.0 * max(SERIES_REL_TOL / (1.0 - y2), SERIES_ABS_TOL) else 0
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(shells)])  # log k!
     g = np.fromiter(itertools.islice(_g_values(x), shells), np.float64, shells)
     # At y = 0 summing stops at shell 0, where n = l = 0; 0.0 avoids 0 * -inf.
@@ -461,7 +409,7 @@ def _f4_eval(x: float, y: float, ctl: SeriesControl | None = None) -> tuple[floa
         total = s
         tail = y2 ** (t + 1) / (1.0 - y2)
         result = total + comp
-        if tail <= max(ctl.rel_tol * abs(result), ctl.abs_tol):
+        if tail <= max(SERIES_REL_TOL * abs(result), SERIES_ABS_TOL):
             if abs_total > _CANCELLATION_LIMIT * max(abs(result), 1.0e-300):
                 raise PrecisionLossError("F4: cancellation exceeds double precision",
                                          value=result, err_est=abs_total * 1.0e-16)
@@ -510,9 +458,8 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return resk * half, np.maximum(_ROUNDOFF * ((np.abs(fv) * _WEIGHTS_K).sum(axis=1) * half), err)
 
 
-def integrate_semi_infinite_batch(f, decay_scales, breakpoints,
-                                  ctl: QuadControl | None = None) -> list:
-    """Many ``integrate_semi_infinite`` runs under one ``ctl``, one call of ``f`` per pass.
+def integrate_semi_infinite_batch(f, decay_scales, breakpoints) -> list:
+    """Many ``integrate_semi_infinite`` runs, one call of ``f`` per pass.
 
     Integral i takes ``decay_scales[i]`` and ``breakpoints[i]``; ``f(x, owner)`` gives
     the integrands at abscissae ``x`` of integrals ``owner``.
@@ -532,11 +479,10 @@ def integrate_semi_infinite_batch(f, decay_scales, breakpoints,
     results: list = [None] * n
     if not n:
         return results
-    ctl = ctl or QuadControl()
-    rel_tol, abs_tol, cap = ctl.rel_tol, ctl.abs_tol, ctl.max_subdivisions
+    cap = QUAD_MAX_SUBDIVISIONS
     # Integral i's points, one row each: 0, its breakpoints inside (0, cutoff) once each,
     # the cutoff, sorted, NaN-padded. Its edges are those and every midpoint, sorted.
-    cutoff = ctl.tail_cutoff_sigmas * scale
+    cutoff = QUAD_TAIL_CUTOFF * scale
     marks = np.array(list(itertools.zip_longest(*breakpoints, fillvalue=math.nan)),
                      dtype=np.float64).reshape(-1, n).T
     marks[~((marks > 0.0) & (marks < cutoff[:, None]))] = math.nan
@@ -555,7 +501,7 @@ def integrate_semi_infinite_batch(f, decay_scales, breakpoints,
     while True:
         count = np.bincount(owner, minlength=n)
         value, err_est = np.bincount(owner, res, n), np.bincount(owner, err, n)
-        tol = np.maximum(rel_tol * np.abs(value), abs_tol)
+        tol = np.maximum(QUAD_REL_TOL * np.abs(value), QUAD_ABS_TOL)
         room = cap - count
         done = (count > 0) & (err_est <= tol) & (room >= 0)
         exhausted = (count > 0) & ~done & ((room <= 0) | ~np.isfinite(err_est))
@@ -595,13 +541,12 @@ def integrate_semi_infinite_batch(f, decay_scales, breakpoints,
 def integrate_semi_infinite(
     f,
     decay_scale: float,
-    ctl: QuadControl | None = None,
     breakpoints: tuple[float, ...] = (),
 ) -> tuple[float, float]:
     """Integrate ``f`` over (0, inf) for an integrand with a known decay scale.
 
     ``f`` maps a 1-D float64 array of abscissae to the integrand there. The
-    domain is truncated at ``ctl.tail_cutoff_sigmas * decay_scale`` and
+    domain is truncated at ``QUAD_TAIL_CUTOFF * decay_scale`` and
     integrated by a globally adaptive 21-point Gauss-Kronrod rule (QUADPACK's
     dqk21 nodes, weights and error estimate). ``breakpoints`` may list interior
     abscissae where the integrand is concentrated or non-smooth; halving every
@@ -614,17 +559,17 @@ def integrate_semi_infinite(
     -------
     (value, err_est)
         ``err_est`` is the achieved absolute-error estimate, which satisfies
-        ``err_est <= max(rel_tol * |value|, abs_tol)`` on success.
+        ``err_est <= max(QUAD_REL_TOL * |value|, QUAD_ABS_TOL)`` on success.
 
     Raises
     ------
     QuadratureExhaustedError
-        If the tolerance needs more than ``ctl.max_subdivisions`` intervals,
+        If the tolerance needs more than ``QUAD_MAX_SUBDIVISIONS`` intervals,
         the initial ones included. The exception carries the best estimate
         and its achieved error.
     """
     (result,) = integrate_semi_infinite_batch(
-        lambda x, owner: f(x), [decay_scale], [breakpoints], ctl)
+        lambda x, owner: f(x), [decay_scale], [breakpoints])
     if isinstance(result, QuadratureExhaustedError):
         raise result
     return result

@@ -46,14 +46,12 @@ def _rayleigh(sigma_s: float, u: np.ndarray) -> np.ndarray:
     return sigma_s * np.sqrt(-2.0 * np.log(u))
 
 
-def sample_rayleigh(stream: RngStream, sigma_s: float, n: int | None = None):
-    """Rayleigh radial displacements ``r = sigma_s sqrt(-2 ln u)``, u ~ U(0, 1].
+def sample_rayleigh(stream: RngStream, sigma_s: float, n: int) -> np.ndarray:
+    """The stream's first n Rayleigh radial displacements ``r = sigma_s sqrt(-2 ln u)``.
 
-    Scalar when ``n`` is None, else an array of the stream's first n samples.
-    Every sample is finite and >= 0: u never equals 0, and u = 1 gives r = 0.
+    u ~ U(0, 1]. Every sample is finite and >= 0: u never equals 0, and u = 1 gives r = 0.
     """
-    r = _rayleigh(sigma_s, stream.uniforms(1 if n is None else n))
-    return float(r[0]) if n is None else r
+    return _rayleigh(sigma_s, stream.uniforms(n))
 
 
 def rayleigh_chunks(stream: RngStream, sigma_s: float, n: int, size: int):
@@ -63,15 +61,14 @@ def rayleigh_chunks(stream: RngStream, sigma_s: float, n: int, size: int):
     return (_rayleigh(sigma_s, u) for u in stream.uniform_chunks(n, size))
 
 
-def sample_poisson(stream: RngStream, mean, n: int | None = None):
-    """Poisson counts at the given mean, or elementwise at an array of means.
+def sample_poisson(stream: RngStream, mean, n: int) -> np.ndarray:
+    """n Poisson counts at the given mean, or elementwise at an array of n means.
 
     Drawn by numpy's generator on the stream (multiplication of uniforms
-    below mean 10, Hormann's PTRS transformed rejection above). Scalar when ``n`` is None
-    and ``mean`` is a scalar. Deterministic for fixed (stream, mean, n).
+    below mean 10, Hormann's PTRS transformed rejection above). Deterministic for
+    fixed (stream, mean, n).
     """
     lam = np.asarray(mean, dtype=np.float64)
     if not np.all((lam >= 0.0) & (lam < math.inf)):
         raise ValueError(f"means must be finite and >= 0, got {mean}")
-    counts = stream.generator().poisson(lam, n)
-    return int(counts) if n is None and lam.ndim == 0 else counts
+    return stream.generator().poisson(lam, n)

@@ -229,6 +229,16 @@ class TestEval:
         assert captured.err == f"config error: --out {plain}: {plain} is not a directory\n"
         assert captured.out == ""
 
+    def test_coupling_too_weak_for_any_kernel_coefficient_exits_0(self, tmp_path, capsys):
+        # F = 1e10 mm gives a = 2.8e-17, where eta ~ 2a has no kernel coefficient over 1e-15.
+        doc = json.loads(preset_path("default.json").read_text())
+        doc["coupling"]["focal_length_mm"] = 1e10
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", str(path), "--samples", "10000"]) == 0
+        captured = capsys.readouterr()
+        assert "coupling argument a    = 2.79322e-17" in captured.out and captured.err == ""
+
 
 class TestSweep:
     def make_sweep(self, tmp_path, **overrides):

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from aoci import config, photometry
-from aoci.config import ConfigError, LinkConfig, load_config
+from aoci.config import ConfigError, LinkConfig
 from aoci.figures import (DELTA_CURVES_MM, FIGURES, POWER_GRID_FIG8_MW, load_preset,
                           preset_path)
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
@@ -83,7 +83,7 @@ class TestIngestion:
     def test_file_roundtrip(self, baseline_doc, tmp_path):
         path = tmp_path / "link.json"
         path.write_text(json.dumps(baseline_doc))
-        cfg = load_config(path)
+        cfg = LinkConfig.from_file(path)
         assert cfg == LinkConfig.from_dict(baseline_doc)
 
 
@@ -128,7 +128,7 @@ class TestValidation:
         {"quad": {"tail_cutoff_sigmas": math.inf}}, {"series": {"rel_tol": None}},
     ])
     def test_a_numerics_section_is_an_unknown_field(self, baseline_doc, numerics):
-        # Solver tolerances belong to specfun's controls, not to a link document: the
+        # Solver tolerances are specfun's constants, not part of a link document: the
         # section is refused whole, before any of its contents is read.
         baseline_doc["numerics"] = numerics
         with pytest.raises(ConfigError) as err:
@@ -174,7 +174,7 @@ class TestValidation:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
-            load_config(path)
+            LinkConfig.from_file(path)
 
 
 class TestRoundTrip:

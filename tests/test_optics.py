@@ -227,6 +227,16 @@ class TestCouplingKernel:
         assert np.max(np.abs(coupling_eta_batch(cp, s * cp.omega0) - kernel._eta(s))) <= 1e-14
         assert kernel.table.shape[0] <= kernel.degree + 1
 
+    @pytest.mark.parametrize("a", [1e-16, 1e-20])
+    def test_a_below_every_coefficient_floor_keeps_one_row(self, a):
+        # eta ~ 2a: no probe coefficient reaches 1e-15, so both degrees floor at 0.
+        cp = cp_for(a)
+        s = np.linspace(0.0, 20.0, 41)
+        batch = coupling_eta_batch(cp, s * cp.omega0)
+        integral = np.array(coupling_eta_integrals([cp] * s.size, s * cp.omega0))
+        assert np.all(np.abs(batch - integral) <= 1e-8 * integral + 1e-9 * batch.max())
+        assert optics._coupling_kernel(cp.coupling_argument).table.shape[0] == 1
+
     def test_build_peak_memory_is_the_table_plus_one_chunk(self):
         # Each 4-panel chunk is re-expanded into the grown table in place, so a build
         # from empty peaks at the table plus one chunk's quadrature (0.61 MB at most

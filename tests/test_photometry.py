@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aoci import kpi, photometry, validate
+from aoci import kpi, photometry, specfun, validate
 from aoci.figures import load_preset
 from aoci.optics import coupling_eta_batch
 from aoci.photometry import (
@@ -25,7 +25,7 @@ from aoci.photometry import (
     received_flux_batch,
     response_window_gain,
 )
-from aoci.specfun import QuadControl, SeriesConvergenceError
+from aoci.specfun import SeriesConvergenceError
 from aoci.stochastics import RngStream, sample_rayleigh
 
 
@@ -280,7 +280,7 @@ class TestMeanFluxRoutes:
         cfg = load_preset(preset)
         if delta_mm is not None:
             cfg = cfg.with_value("skin.delta_mm", delta_mm).with_value("beam.sigma_s_mm", sigma_mm)
-        state, ctl, sigma = derive_state(cfg), QuadControl(), cfg.beam.sigma_s
+        state, sigma = derive_state(cfg), cfg.beam.sigma_s
         prefactor = state.flux_per_watt * cfg.source.power_tx
         w0, w_eq = cfg.coupling.omega0, state.w_eq
         core_scale = (2 / w0**2 + 2 / w_eq**2 + 1 / (2 * sigma**2)) ** -0.5
@@ -291,12 +291,12 @@ class TestMeanFluxRoutes:
                 -0.5 * (r / sigma) ** 2)
 
         value, err = integrate.quad(
-            integrand, 0.0, ctl.tail_cutoff_sigmas * sigma, epsabs=ctl.abs_tol,
-            epsrel=ctl.rel_tol, limit=ctl.max_subdivisions,
+            integrand, 0.0, specfun.QUAD_TAIL_CUTOFF * sigma, epsabs=specfun.QUAD_ABS_TOL,
+            epsrel=specfun.QUAD_REL_TOL, limit=specfun.QUAD_MAX_SUBDIVISIONS,
             points=sorted({core_scale, sigma, 2 * sigma}))
         quad = mean_flux_quadrature(cfg)
         assert abs(quad.value - prefactor * value) <= quad.err_bound + prefactor * err
-        assert quad.err_bound <= ctl.rel_tol * quad.value
+        assert quad.err_bound <= specfun.QUAD_REL_TOL * quad.value
 
 
 class TestFluxEstimate:

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
+from aoci import specfun
 from aoci.specfun import (
-    QuadControl,
     QuadratureExhaustedError,
-    SeriesControl,
     SeriesConvergenceError,
     _NODES,
     _f4_eval,
@@ -31,30 +30,11 @@ from aoci.specfun import (
 
 class TestControls:
     def test_series_control_defaults(self):
-        ctl = SeriesControl()
-        assert ctl.rel_tol == 1e-10
-        assert ctl.max_terms_per_index == 400
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-9},
-            {"abs_tol": -1.0},
-            {"max_terms_per_index": 7},
-        ],
-    )
-    def test_series_control_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            SeriesControl(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"rel_tol": 0.0}, {"max_subdivisions": 3}, {"tail_cutoff_sigmas": 5.0}],
-    )
-    def test_quad_control_rejects(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadControl(**kwargs)
+        # The tolerances every pinned output was made with.
+        assert (specfun.SERIES_REL_TOL, specfun.SERIES_ABS_TOL, specfun.SERIES_MAX_INDEX) == (
+            1e-10, 1e-300, 400)
+        assert (specfun.QUAD_REL_TOL, specfun.QUAD_ABS_TOL, specfun.QUAD_MAX_SUBDIVISIONS,
+                specfun.QUAD_TAIL_CUTOFF) == (1e-9, 1e-300, 2000, 10.0)
 
 
 class TestBesselKernels:
@@ -196,10 +176,11 @@ class TestHumbertPsi2:
             with pytest.raises(ValueError):
                 humbert_psi2(x, y)
 
-    def test_non_convergence_raised(self):
-        ctl = SeriesControl(max_terms_per_index=8)
-        with pytest.raises(SeriesConvergenceError) as info:
-            humbert_psi2(-1.0, 6.0, ctl)
+    def test_non_convergence_raised(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(specfun, "SERIES_MAX_INDEX", 8)
+            with pytest.raises(SeriesConvergenceError) as info:
+                humbert_psi2(-1.0, 6.0)
         assert math.isfinite(info.value.value) and info.value.err_est > 0.0
         # a y-weight peak far beyond the index cap is refused upfront
         with pytest.raises(SeriesConvergenceError):
@@ -214,34 +195,34 @@ class TestHumbertPsi2:
 class TestF4General:
     # F4(x, x, y, y), the one form of the quadruple series the average flux sums.
     def test_origin(self):
-        assert _f4_eval(0.0, 0.0, SeriesControl())[0] == 1.0
+        assert _f4_eval(0.0, 0.0)[0] == 1.0
 
     def test_collapses_to_psi2(self):
         # at y = 0 only the n = l = 0 term is left: g_0(x)^2 = Psi2(1; 2, 1; x, 0)^2
-        got, _ = _f4_eval(-1.0, 0.0, SeriesControl())
+        got, _ = _f4_eval(-1.0, 0.0)
         assert got == pytest.approx(0.6321205588285577**2, abs=1e-6)
         for x in [-0.1, -0.7, -2.0, -4.5]:
-            assert _f4_eval(x, 0.0, SeriesControl())[0] == pytest.approx(
+            assert _f4_eval(x, 0.0)[0] == pytest.approx(
                 humbert_psi2(x, 0.0) ** 2, rel=1e-9
             )
 
     def test_geometric_closed_form_at_x_zero(self):
         # x = 0 collapses the sum to sum C(n+l,n) y^(n+l) = 1/(1-2y)
         for y in [0.25, 0.45, 0.3]:
-            assert _f4_eval(0.0, y, SeriesControl())[0] == pytest.approx(
+            assert _f4_eval(0.0, y)[0] == pytest.approx(
                 1.0 / (1.0 - 2.0 * y), rel=1e-9
             )
 
     def test_bruteforce_oracle_frozen(self):
         # _oracles.f4_bruteforce(-0.3, -0.3, 0.2, 0.2, terms=30)
         #   = 1.13464487143932078724838764701...
-        got, _ = _f4_eval(-0.3, 0.2, SeriesControl())
+        got, _ = _f4_eval(-0.3, 0.2)
         assert got == pytest.approx(1.1346448714393208, rel=1e-9)
 
     def test_bruteforce_oracle_live(self):
         # the oracle's own truncation at 16 terms per index is about 2e-13 here
         ref = float(oracles.f4_bruteforce(-0.8, -0.8, 0.15, 0.15, terms=16))
-        value, err = _f4_eval(-0.8, 0.15, SeriesControl())
+        value, err = _f4_eval(-0.8, 0.15)
         assert abs(value - ref) <= err
         assert value == pytest.approx(ref, rel=1e-10)
 
@@ -251,42 +232,41 @@ class TestF4General:
                  (-1.0, 0.5), (-1.0, 0.65), (-1.0, math.nan)]
         for x, y in cases:
             with pytest.raises(ValueError):
-                _f4_eval(x, y, SeriesControl())
+                _f4_eval(x, y)
 
     def test_tiny_argument(self):
         # g_0(x) = (e^x - 1)/x computed naively is 0 for |x| below ~1e-16
-        assert _f4_eval(-1e-310, 0.125, SeriesControl())[0] == pytest.approx(1.0 / 0.75, rel=1e-9)
-        assert _f4_eval(-1e-20, 0.25, SeriesControl())[0] == pytest.approx(2.0, rel=1e-9)
+        assert _f4_eval(-1e-310, 0.125)[0] == pytest.approx(1.0 / 0.75, rel=1e-9)
+        assert _f4_eval(-1e-20, 0.25)[0] == pytest.approx(2.0, rel=1e-9)
 
     def test_underflowing_exponential(self):
         # e^x = 0: g_n = 0 past g_0 = -1/x, though L_k^(1)(2000) overflows from k = 236
-        value, err = _f4_eval(-2000.0, 0.1, SeriesControl())
+        value, err = _f4_eval(-2000.0, 0.1)
         assert value == pytest.approx(0.0005**2, rel=1e-15) and 0.0 < err < 1e-16
         assert humbert_psi2(-1e7, 0.5) == pytest.approx(1e-7, rel=1e-15)
 
     def test_error_bound_covers_oracle(self):
         # the frozen oracle of test_bruteforce_oracle_frozen
-        value, err = _f4_eval(-0.3, 0.2, SeriesControl())
+        value, err = _f4_eval(-0.3, 0.2)
         assert 0.0 < err < 1e-9
         assert abs(value - 1.1346448714393208) <= err
 
-    def test_non_convergence_near_boundary(self):
-        ctl = SeriesControl(max_terms_per_index=32)
+    def test_non_convergence_near_boundary(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_INDEX", 32)
         with pytest.raises(SeriesConvergenceError):
-            _f4_eval(0.0, 0.4999, ctl)
+            _f4_eval(0.0, 0.4999)
 
     def test_refused_before_summing(self):
         # 0.9998^401 / 2e-4 > 2 rel_tol / 2e-4: no shell up to the cap can stop the
         # sum, so none is summed and there is no partial value to report
         with pytest.raises(SeriesConvergenceError) as info:
-            _f4_eval(-1.0, 0.4999, SeriesControl())
+            _f4_eval(-1.0, 0.4999)
         assert math.isnan(info.value.value)
         y2 = 0.4999 + 0.4999
         assert info.value.err_est == y2**401 / (1.0 - y2)
 
     def test_deterministic(self):
-        ctl = SeriesControl()
-        assert _f4_eval(-0.3, 0.2, ctl) == _f4_eval(-0.3, 0.2, ctl)
+        assert _f4_eval(-0.3, 0.2) == _f4_eval(-0.3, 0.2)
 
 
 class TestIntegrateSemiInfinite:
@@ -295,8 +275,9 @@ class TestIntegrateSemiInfinite:
         assert value == pytest.approx(1.0, abs=1e-10)
         assert err <= 1e-9
 
-    def test_exponential(self):
-        value, _ = integrate_semi_infinite(lambda r: np.exp(-r), 1.0, QuadControl(tail_cutoff_sigmas=40.0))
+    def test_exponential(self, monkeypatch):
+        monkeypatch.setattr(specfun, "QUAD_TAIL_CUTOFF", 40.0)
+        value, _ = integrate_semi_infinite(lambda r: np.exp(-r), 1.0)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_moment(self):
@@ -312,20 +293,21 @@ class TestIntegrateSemiInfinite:
         value, _ = integrate_semi_infinite(f, 1.0, breakpoints=(center,))
         assert value == pytest.approx(math.sqrt(math.pi) * width, rel=1e-8)
 
-    def test_exhaustion_reported_with_estimate(self):
-        ctl = QuadControl(rel_tol=1e-13, max_subdivisions=4)
+    def test_exhaustion_reported_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(specfun, "QUAD_REL_TOL", 1e-13)
+        monkeypatch.setattr(specfun, "QUAD_MAX_SUBDIVISIONS", 4)
         f = lambda r: np.sin(40.0 * r) ** 2 * np.exp(-r)
         with pytest.raises(QuadratureExhaustedError) as info:
-            integrate_semi_infinite(f, 1.0, ctl)
+            integrate_semi_infinite(f, 1.0)
         assert math.isfinite(info.value.value) and math.isfinite(info.value.err_est)
         assert info.value.err_est > 1e-13 * abs(info.value.value)
 
-    def test_initial_partition_counts_against_budget(self):
+    def test_initial_partition_counts_against_budget(self, monkeypatch):
         # Five breakpoints give six segments, halved into twelve initial
         # intervals: more than four, however easy the integrand.
-        ctl = QuadControl(max_subdivisions=4)
+        monkeypatch.setattr(specfun, "QUAD_MAX_SUBDIVISIONS", 4)
         with pytest.raises(QuadratureExhaustedError) as info:
-            integrate_semi_infinite(lambda r: np.exp(-r), 1.0, ctl, breakpoints=(1, 2, 3, 4, 5))
+            integrate_semi_infinite(lambda r: np.exp(-r), 1.0, breakpoints=(1, 2, 3, 4, 5))
         assert info.value.value == pytest.approx(1.0 - math.exp(-10.0), rel=1e-12)
         assert math.isfinite(info.value.err_est)
 
@@ -349,19 +331,20 @@ class TestIntegrateSemiInfinite:
             one_res, one_err = _gk21(f, lo[i:i + 1], hi[i:i + 1])
             assert (one_res[0], one_err[0]) == (res[i], err[i])
 
-    def test_batch_equals_lone_integrals(self):
+    def test_batch_equals_lone_integrals(self, monkeypatch):
         # Scales far apart: any sum shared across integrals would swamp the small ones.
         rates, scales = np.array([1.0, 3.0, 0.5]), np.array([1e12, 1.0, 1e-6])
         f = lambda r, owner: scales[owner] * np.sin(40.0 * r) ** 2 * np.exp(-rates[owner] * r)
         decay, marks = [1.0, 2.0, 4.0], [(), (1.0,), (0.5, 2.0)]
         exhausted = []
-        for ctl in (QuadControl(), QuadControl(rel_tol=1e-13, max_subdivisions=6),
-                    QuadControl(rel_tol=1e-6)):
-            batch = integrate_semi_infinite_batch(f, decay, marks, ctl)
+        for rel_tol, cap in ((1e-9, 2000), (1e-13, 6), (1e-6, 2000)):
+            monkeypatch.setattr(specfun, "QUAD_REL_TOL", rel_tol)
+            monkeypatch.setattr(specfun, "QUAD_MAX_SUBDIVISIONS", cap)
+            batch = integrate_semi_infinite_batch(f, decay, marks)
             for i in range(3):
                 lone = lambda r, i=i: f(r, np.full(r.size, i))
                 try:
-                    assert batch[i] == integrate_semi_infinite(lone, decay[i], ctl, marks[i])
+                    assert batch[i] == integrate_semi_infinite(lone, decay[i], marks[i])
                 except QuadratureExhaustedError as exc:
                     assert isinstance(batch[i], QuadratureExhaustedError)
                     assert str(batch[i]) == str(exc)
@@ -369,18 +352,16 @@ class TestIntegrateSemiInfinite:
             exhausted.append([isinstance(result, QuadratureExhaustedError) for result in batch])
         assert exhausted[1][1] and not exhausted[0][0]
 
-    def test_the_first_partition_is_the_sorted_list_construction(self):
+    def test_the_first_partition_is_the_sorted_list_construction(self, monkeypatch):
         # The per-integral loop the batch's array construction replaced, as the reference:
         # 0, the breakpoints inside (0, cutoff) once each, the cutoff and every midpoint.
-        def reference(scale, ctl, marks):
-            cutoff = ctl.tail_cutoff_sigmas * scale
+        def reference(scale, cutoff_scales, marks):
+            cutoff = cutoff_scales * scale
             points = [0.0, *sorted({p for p in marks if 0.0 < p < cutoff}), cutoff]
             return sorted(points + [0.5 * (a + b) for a, b in zip(points, points[1:])])
 
         scales = [1.0, 2e-3, 5.0, 1e-6, 0.25]
-        ctls = [QuadControl(), QuadControl(tail_cutoff_sigmas=6.0),
-                QuadControl(tail_cutoff_sigmas=8), QuadControl(),
-                QuadControl(tail_cutoff_sigmas=40.0)]
+        cutoffs = [10.0, 6.0, 8, 10.0, 40.0]
         marks = [(), (2e-3, 4e-3, 2e-3, 0.0, -1.0, 0.012, 1.0), (3, 1.5, 3.0, math.nan, 40.0),
                  (1e-6,), (0.5, 0.25, 0.125, 10.0, 9.9999)]
         rng = np.random.default_rng(5)
@@ -388,14 +369,15 @@ class TestIntegrateSemiInfinite:
             scale = float(rng.choice([1e-6, 3e-4, 1.0, 7.0])) * float(rng.uniform(0.5, 2.0))
             pool = [scale, 2.0 * scale, 0.5 * scale, 0.0, -scale, 20.0 * scale, math.nan]
             scales.append(scale)
-            ctls.append(QuadControl(tail_cutoff_sigmas=float(rng.choice([6.0, 10.0, 20.0]))))
+            cutoffs.append(float(rng.choice([6.0, 10.0, 20.0])))
             marks.append(tuple(pool[i] for i in rng.integers(0, len(pool), rng.integers(0, 6))))
-        for ctl in dict.fromkeys(ctls):  # one batch per control
-            at = [i for i, c in enumerate(ctls) if c == ctl]
+        for cutoff in dict.fromkeys(cutoffs):  # one batch per cutoff
+            monkeypatch.setattr(specfun, "QUAD_TAIL_CUTOFF", cutoff)
+            at = [i for i, c in enumerate(cutoffs) if c == cutoff]
             calls = []
             integrate_semi_infinite_batch(lambda x, owner: calls.append(x) or np.zeros_like(x),
-                                          [scales[i] for i in at], [marks[i] for i in at], ctl)
-            edges = [reference(scales[i], ctl, marks[i]) for i in at]
+                                          [scales[i] for i in at], [marks[i] for i in at])
+            edges = [reference(scales[i], cutoff, marks[i]) for i in at]
             lo = np.concatenate([e[:-1] for e in edges])
             hi = np.concatenate([e[1:] for e in edges])
             center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -25,10 +25,6 @@ class TestReproducibility:
         b = sample_rayleigh(RngStream(7, 1), 2.0, n=100)
         assert not np.array_equal(a, b)
 
-    def test_scalar_draw_is_first_of_sequence(self):
-        s = RngStream(99, 3)
-        assert sample_rayleigh(s, 1.5) == sample_rayleigh(s, 1.5, n=4)[0]
-
 
 class TestStreamIndependence:
     def test_cross_correlation_small(self):
@@ -65,7 +61,7 @@ class TestRayleigh:
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
-            sample_rayleigh(RngStream(0, 0), 0.0)
+            sample_rayleigh(RngStream(0, 0), 0.0, 1)
         with pytest.raises(ValueError):
             next(rayleigh_chunks(RngStream(0, 0), 0.0, 10, 4))
 
@@ -78,7 +74,6 @@ class TestRayleigh:
 
 class TestPoisson:
     def test_zero_mean_always_zero(self):
-        assert sample_poisson(RngStream(5, 0), 0.0) == 0
         assert np.all(sample_poisson(RngStream(5, 0), 0.0, n=1000) == 0)
 
     def test_pmf_at_zero(self):
@@ -129,8 +124,8 @@ class TestPoisson:
 
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError):
-            sample_poisson(RngStream(0, 0), -1.0)
+            sample_poisson(RngStream(0, 0), -1.0, 1)
         with pytest.raises(ValueError):
-            sample_poisson(RngStream(0, 0), math.inf)
+            sample_poisson(RngStream(0, 0), math.inf, 1)
         with pytest.raises(ValueError):
             sample_poisson(RngStream(0, 0), np.array([1.0, math.nan]), n=2)

@@ -1,6 +1,5 @@
 """Sweep engine: grids, CSV schema and bytes, failure tolerance."""
 
-import functools
 import json
 import math
 import re
@@ -272,8 +271,7 @@ class TestBatchedQuadrature:
 
     def test_exhausted_points_carry_the_lone_error(self, monkeypatch):
         # Every quadrature under a 10-interval cap, so some jitters exhaust.
-        monkeypatch.setattr(specfun, "QuadControl",
-                            functools.partial(specfun.QuadControl, max_subdivisions=10))
+        monkeypatch.setattr(specfun, "QUAD_MAX_SUBDIVISIONS", 10)
         cfg = load_preset("fig5")
         sigmas = (0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
         # Both powers share each jitter's integral, and its error when it exhausts.
