@@ -36,6 +36,37 @@ class TestControls:
         assert (specfun.QUAD_REL_TOL, specfun.QUAD_ABS_TOL, specfun.QUAD_MAX_SUBDIVISIONS,
                 specfun.QUAD_TAIL_CUTOFF) == (1e-9, 1e-300, 2000, 10.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [pytest.param(name, value, id=name) for name, value in [
+            ("SERIES_REL_TOL", 1e-3), ("SERIES_ABS_TOL", 1e-3), ("SERIES_MAX_INDEX", 8),
+            ("QUAD_REL_TOL", 1e-3), ("QUAD_ABS_TOL", 1.0), ("QUAD_MAX_SUBDIVISIONS", 4),
+            ("QUAD_TAIL_CUTOFF", 40.0)]],
+    )
+    def test_engine_reads_constant_at_call_time(self, monkeypatch, name, value):
+        # Every engine of the constant's family must see a patched value: one that bound
+        # it at import (say, as a default argument) would give the same outcome twice.
+        f = lambda r: np.sin(40.0 * r) ** 2 * np.exp(-r)
+        engines = {
+            "SERIES": [lambda: humbert_psi2(-1.0, 6.0), lambda: _f4_eval(-0.3, 0.2)],
+            "QUAD": [lambda: integrate_semi_infinite(f, 1.0),
+                     lambda: integrate_semi_infinite_batch(lambda r, owner: f(r), [1.0], [()])[0]],
+        }[name.split("_")[0]]
+
+        def outcome(engine):
+            try:
+                result = engine()
+            except specfun.NumericalError as exc:
+                return type(exc).__name__, exc.value, exc.err_est
+            return result if not isinstance(result, Exception) else (
+                type(result).__name__, result.value, result.err_est)
+
+        before = [outcome(engine) for engine in engines]
+        monkeypatch.setattr(specfun, name, value)
+        after = [outcome(engine) for engine in engines]
+        for old, new in zip(before, after):
+            assert new != old
+
 
 class TestBesselKernels:
     def test_j1_matches_mpmath(self):

@@ -25,6 +25,11 @@ class TestReproducibility:
         b = sample_rayleigh(RngStream(7, 1), 2.0, n=100)
         assert not np.array_equal(a, b)
 
+    def test_scalar_draw_is_first_of_sequence(self):
+        s = RngStream(99, 3)
+        assert sample_rayleigh(s, 1.5, 1)[0] == sample_rayleigh(s, 1.5, n=4)[0]
+        assert sample_poisson(s, 3.5, 1)[0] == sample_poisson(s, 3.5, n=4)[0]
+
 
 class TestStreamIndependence:
     def test_cross_correlation_small(self):
