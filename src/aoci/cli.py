@@ -158,7 +158,8 @@ def _cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows = _evaluate_point(cfg, tuple(EVAL_ROWS), args.method, args.samples, args.seed, flux)
+        rows = _evaluate_point(cfg, tuple(EVAL_ROWS), args.method, args.samples, args.seed, flux,
+                               (ph, pd_))
         with open(out / "eval.csv", "w", encoding="utf-8", newline="") as fh_out:
             writer = csv.writer(fh_out, lineterminator="\n")
             writer.writerow(["quantity", *METRIC_COLUMNS[:5], "config_hash"])

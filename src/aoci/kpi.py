@@ -8,32 +8,21 @@ the excitation threshold ``y_th``; it is harmful when it reaches the damage
 threshold ``d_th``.
 
 The exceedance probabilities are Monte Carlo estimates with Wilson 95%
-intervals. One estimator serves both thresholds and all parameter
-comparisons are run under common random numbers (same seed, same block
-structure), which makes the monotonicity relations exact per seed:
-``p_damage <= p_hearing`` whenever ``d_th >= y_th``, and ``p_hearing`` is
-nondecreasing in transmit power. Since both thresholds meet the same totals,
-``p_hearing_and_damage`` counts one pass's totals against both: figure 8's
-sweep and ``kpi_report`` form each block's totals once, and each estimate is
-bitwise the one ``p_hearing`` or ``p_damage`` alone gives.
+intervals from one estimator, ``p_hearing_and_damage_batch``, which takes a
+sweep's configs; ``p_hearing``, ``p_damage`` and ``p_hearing_and_damage`` are
+its batch of one. Block b draws its displacements from stream (seed, 2b) and
+its background counts from stream (seed, 2b + 1), so every comparison runs
+under common random numbers, which makes the monotonicity relations exact per
+seed: ``p_damage <= p_hearing`` whenever ``d_th >= y_th``, and ``p_hearing``
+is nondecreasing in transmit power.
 
-Common random numbers also make the draws reusable. A block's displacements
-r, their coupling efficiencies eta(r) and its background counts depend only
-on (seed, block, block size) and on sigma_s and the coupling geometry, or on
-the mean background B; its pointing gains h_p(r) = A0 exp(-2 r^2 / w_eq^2)
-depend on r and the beam geometry's (A0, w_eq) alone. Power, threshold and
-gain enter afterwards, as factors of eta(r) h_p(r) and the comparison. So
-every exceedance call keeps them in three least-recently-used caches,
-``(seed, block, count, sigma_s, coupling) -> (r, eta(r))``, ``(seed, block,
-count, sigma_s, coupling, A0, w_eq) -> h_p(r)`` and ``(seed, block, count, B)
--> counts``, of ``DRAW_CACHE_ENTRIES`` = 64 entries each: at most 1 MiB per
-(r, eta) entry and 0.5 MiB per h_p or counts entry, 128 MiB in all. A power
-sweep, figure 7 (10 sigma_s x up to 6 blocks), figure 8 (one h_p per skin
-thickness, one pass per grid point) or the dynamic range of ``safety_check``
-then draws, evaluates the coupling kernel and the pointing gain once per
-block and geometry, bit-identical to drawing afresh. A cached (r, eta) block is filled from the
-chunks of 2^13 samples that ``mean_flux_mc`` streams through, drawn from one
-generator on the block's stream, so a block is the same drawn either way.
+The draws are reusable across calls: a block's displacements r and their
+coupling efficiencies eta(r) depend only on (seed, block, block size, sigma_s,
+coupling), and its background counts on (seed, block, block size, mean
+background). Two least-recently-used caches keep them, of
+``DRAW_CACHE_ENTRIES`` = 64 entries each: at most 1 MiB per (r, eta) entry and
+0.5 MiB per counts entry, 96 MiB in all. A stream is a pure function of its
+(seed, id), so every estimate is bit-identical to drawing afresh.
 
 ``p_false_hearing`` exposes two numbers on purpose: the survival probability
 ``Pr(N >= y_th)`` that matches the verbal definition of a false trigger, and
@@ -77,6 +66,7 @@ __all__ = [
     "p_false_hearing",
     "p_damage",
     "p_hearing_and_damage",
+    "p_hearing_and_damage_batch",
     "safety_check",
     "kpi_report",
 ]
@@ -127,79 +117,60 @@ def _block_background(seed: int, block: int, count: int, b_mean: float) -> np.nd
     return counts
 
 
-@functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)
-def _block_pointing(seed: int, block: int, count: int, sigma_s: float,
-                    coupling: optics.CouplingParams, a0: float, w_eq: float) -> np.ndarray:
-    """Block ``block``'s h_p(r) at (a0, w_eq), read-only, on ``_block_displacements``' r."""
-    r, _ = _block_displacements(seed, block, count, sigma_s, coupling)
-    h_p = channel.pointing_gain(a0, w_eq, r)
-    h_p.flags.writeable = False
-    return h_p
-
-
-def _blocks(cfg: "LinkConfig", n: int, seed: int):
-    """Each block's (index, r, eta(r), h_p(r)) for n samples at ``cfg``'s geometry, cached."""
+def _block_counts(n: int) -> list[int]:
+    """The sizes of the blocks of n samples; n below ``MIN_SAMPLES`` is refused."""
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    drawn, pointing = (cfg.beam.sigma_s, cfg.coupling), (cfg.state.a0, cfg.state.w_eq)
-    counts = [min(MC_BLOCK_SIZE, n - start) for start in range(0, n, MC_BLOCK_SIZE)]
-    return ((block, *_block_displacements(seed, block, count, *drawn),
-             _block_pointing(seed, block, count, *drawn, *pointing))
-            for block, count in enumerate(counts))
+    return [min(MC_BLOCK_SIZE, n - start) for start in range(0, n, MC_BLOCK_SIZE)]
 
 
-def _exceedance(
-    cfg: "LinkConfig",
-    thresholds: tuple[float, ...],
-    n: int,
-    seed: int,
-    signal_shot_noise: bool,
-) -> tuple[ProbabilityEstimate, ...]:
-    """Pr(total count over one window >= t) for each threshold t, common-random-number MC.
+def p_hearing_and_damage_batch(
+    cfgs: list["LinkConfig"],
+    n: int = 100_000,
+    seed: int = 1234,
+    signal_shot_noise: bool = False,
+) -> list[tuple[ProbabilityEstimate, ProbabilityEstimate]]:
+    """Each config's ``(p_hearing, p_damage)``: Pr(count over one window >= y_th, d_th).
 
-    Block b draws its displacements from stream (seed, 2b) and its background
-    counts from stream (seed, 2b+1), so two calls with the same (n, seed) see
-    identical randomness regardless of threshold or transmit power: estimates
-    are pathwise comparable across parameter values, and one pass counted
-    against several thresholds gives each the estimate of a pass of its own.
-
-    The draws come from the per-block caches of the module docstring: (r,
-    eta(r)) under (seed, block, count, sigma_s, coupling), h_p(r) under those
-    and (A0, w_eq), the counts under (seed, block, count, B), each bounded at
-    ``DRAW_CACHE_ENTRIES`` entries. A stream is a pure function of its (seed,
-    id), so a cached block is the block a fresh draw would give. Each block's
-    totals ``(prefactor eta) h_p gain + N`` are formed once, in that order, in
-    the array ``received_flux_batch`` returns. With ``signal_shot_noise`` the
-    count's Poisson mean holds the signal, so its draw is made per call; only
-    (r, eta, h_p) come from the cache. An infinite threshold (damage
-    disabled) is never reached: (0, 0, 0), with no pass for it.
+    Configs are grouped by (sigma_s, coupling), whose blocks' (r, eta(r)) come from
+    the draw cache, then by (A0, w_eq), whose h_p(r) is computed once per block.
+    Each config's totals ``((prefactor eta) h_p) gain + N`` are formed once per
+    block, in that order, by ``received_flux_batch``, and counted against both
+    thresholds: its pair is bitwise that of a batch of it alone. With
+    ``signal_shot_noise`` the Poisson mean holds the signal, drawn per config. An
+    infinite d_th (damage disabled) gives (0, 0, 0).
     """
-    never = ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
-    hits = dict.fromkeys((t for t in thresholds if t < math.inf), 0)
-    if not hits:
-        return (never,) * len(thresholds)
-    blocks = _blocks(cfg, n, seed)
-    if min(hits) < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {min(hits)}")
+    counts = _block_counts(n)
+    groups: dict = {}  # (sigma_s, coupling) -> (a0, w_eq) -> indices into cfgs
+    for i, cfg in enumerate(cfgs):
+        if cfg.neural.y_th < 0.0:  # and so d_th, which NeuralParams holds above y_th
+            raise ValueError(f"threshold must be >= 0, got {cfg.neural.y_th}")
+        drawn, pointing = (cfg.beam.sigma_s, cfg.coupling), (cfg.state.a0, cfg.state.w_eq)
+        groups.setdefault(drawn, {}).setdefault(pointing, []).append(i)
 
-    gain = response_window_gain(cfg.neural.tau)
-    b_mean = cfg.neural.mean_background
+    hits = [[0, 0] for _ in cfgs]
+    for drawn, pointings in groups.items():
+        for block, count in enumerate(counts):
+            r, eta = _block_displacements(seed, block, count, *drawn)
+            for (a0, w_eq), members in pointings.items():
+                h_p = channel.pointing_gain(a0, w_eq, r)
+                for i in members:
+                    neural = cfgs[i].neural
+                    totals = received_flux_batch(r, cfgs[i], eta=eta, h_p=h_p)
+                    totals *= response_window_gain(neural.tau)
+                    if signal_shot_noise:
+                        # Beyond the additive model: the whole count is Poisson, signal and all.
+                        totals += neural.mean_background
+                        totals = sample_poisson(RngStream(seed, 2 * block + 1), totals, count)
+                    else:
+                        totals += _block_background(seed, block, count, neural.mean_background)
+                    hits[i][0] += int(np.count_nonzero(totals >= neural.y_th))
+                    hits[i][1] += int(np.count_nonzero(totals >= neural.d_th))
 
-    for block, r, eta, h_p in blocks:
-        totals = received_flux_batch(r, cfg, eta=eta, h_p=h_p)
-        totals *= gain
-        if signal_shot_noise:
-            # Extension beyond the additive model: the whole count is Poisson
-            # with the signal folded into the mean.
-            totals += b_mean
-            totals = sample_poisson(RngStream(seed, 2 * block + 1), totals, r.size)
-        else:
-            totals += _block_background(seed, block, r.size, b_mean)
-        for threshold in hits:
-            hits[threshold] += int(np.count_nonzero(totals >= threshold))
-
-    return tuple(ProbabilityEstimate(hits[t] / n, *wilson_interval(hits[t], n), n, seed)
-                 if t in hits else never for t in thresholds)
+    return [tuple(ProbabilityEstimate(k / n, *wilson_interval(k, n), n, seed)
+                  if threshold < math.inf else ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
+                  for k, threshold in zip(counted, (cfg.neural.y_th, cfg.neural.d_th)))
+            for cfg, counted in zip(cfgs, hits)]
 
 
 def p_hearing(
@@ -209,7 +180,7 @@ def p_hearing(
     signal_shot_noise: bool = False,
 ) -> ProbabilityEstimate:
     """Probability that a transmitted stimulus excites the neurons."""
-    return _exceedance(cfg, (cfg.neural.y_th,), n, seed, signal_shot_noise)[0]
+    return p_hearing_and_damage_batch([cfg], n, seed, signal_shot_noise)[0][0]
 
 
 def p_damage(
@@ -218,14 +189,11 @@ def p_damage(
     seed: int = 1234,
     signal_shot_noise: bool = False,
 ) -> ProbabilityEstimate:
-    """Probability that the delivered count reaches the damage threshold.
-
-    Same estimator and randomness as ``p_hearing`` with the higher threshold;
-    the background-only branch is dropped since the background count is
-    negligible against any damage threshold. A disabled threshold (d_th =
-    inf) gives (0, 0, 0) without drawing.
-    """
-    return _exceedance(cfg, (cfg.neural.d_th,), n, seed, signal_shot_noise)[0]
+    """Probability that the delivered count reaches the damage threshold, by
+    ``p_hearing``'s estimator; (0, 0, 0) without drawing if d_th = inf (disabled)."""
+    if cfg.neural.d_th == math.inf:
+        return ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
+    return p_hearing_and_damage_batch([cfg], n, seed, signal_shot_noise)[0][1]
 
 
 def p_hearing_and_damage(
@@ -235,7 +203,7 @@ def p_hearing_and_damage(
     signal_shot_noise: bool = False,
 ) -> tuple[ProbabilityEstimate, ProbabilityEstimate]:
     """``(p_hearing, p_damage)`` from one pass over the draws, each bitwise its own call's."""
-    return _exceedance(cfg, (cfg.neural.y_th, cfg.neural.d_th), n, seed, signal_shot_noise)
+    return p_hearing_and_damage_batch([cfg], n, seed, signal_shot_noise)[0]
 
 
 def p_false_hearing(neural: NeuralParams) -> FalseHearing:
@@ -306,27 +274,28 @@ def safety_check(
     """
     if not 0.0 < hearing_target <= 1.0:
         raise ValueError(f"hearing_target must be in (0, 1], got {hearing_target}")
-    blocks = _blocks(cfg, n, seed)
+    counts = _block_counts(n)
     skin_irr, neuron_irr = _irradiances(cfg, cfg.source.power_tx)
     skin_1w, neuron_1w = _irradiances(cfg, 1.0)
     # A limit whose irradiance is 0 at 1 W (the skin absorbs every photon) never binds.
     x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w if neuron_1w else math.inf)
 
-    y_th, b_mean = cfg.neural.y_th, cfg.neural.mean_background
+    state, y_th, b_mean = cfg.state, cfg.neural.y_th, cfg.neural.mean_background
     gain = response_window_gain(cfg.neural.tau)
     powers = []
-    for block, r, eta, h_p in blocks:
-        short = y_th - _block_background(seed, block, r.size, b_mean)  # count the signal must add
-        per_watt = cfg.state.flux_per_watt * eta * h_p * gain
+    for block, count in enumerate(counts):
+        r, eta = _block_displacements(seed, block, count, cfg.beam.sigma_s, cfg.coupling)
+        short = y_th - _block_background(seed, block, count, b_mean)  # count the signal must add
+        per_watt = state.flux_per_watt * eta * channel.pointing_gain(state.a0, state.w_eq, r) * gain
         x = np.where(short > 0.0, np.inf, 0.0)  # a zero flux needs infinite power
         with np.errstate(over="ignore"):  # and a near-zero flux overflows to the same verdict
             np.divide(short, per_watt, out=x, where=(short > 0.0) & (per_watt > 0.0))
         powers.append(x)
     k = math.ceil(hearing_target * n)
     edge = float(np.partition(np.concatenate(powers), k - 1)[k - 1])
-    while edge <= x_max and _exceedance(
-        cfg.with_value("source.power_mw", edge * 1e3), (y_th,), n, seed, False
-    )[0].value < hearing_target:
+    while edge <= x_max and p_hearing_and_damage_batch(
+        [cfg.with_value("source.power_mw", edge * 1e3)], n, seed
+    )[0][0].value < hearing_target:
         edge = math.nextafter(edge, math.inf)
     dynamic_range = (edge, x_max) if edge <= x_max else None
     return (skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron,

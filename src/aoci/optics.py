@@ -211,27 +211,29 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 class _CouplingKernel:
     """Piecewise polynomial interpolant of eta(s), s = r / w0, for one coupling argument a.
 
-    In units of w0 the overlap integral depends on a alone (c = 2 sqrt(a)), so
-    one table serves every configuration with that a, whichever built it.
-    Unit panel k covers s in [k, k + 1]; it is fitted on demand, to Gauss-Legendre
-    quadrature over [max(0, s - 8), s + 8] at its first-kind Chebyshev points,
-    with the lowest degree D above which a degree-40 fit of panels 0-3 has no
-    coefficient over 1e-15. One linear map then interpolates each unit series at
-    the d + 1 Chebyshev points of its SUB sub-panels, 1/16 wide (column 16 k + m
-    is sub-panel m), in powers of the local x = 2 (16 s - 16 k - m) - 1 for
-    Horner's rule. Coefficients decay faster on the shorter panels: d (5 to 8) is
-    one less than the first index at which the probe so re-expanded is < 1e-15.
-    Both degrees are at least 0: below a ~ 5e-16 (eta ~ 2a) no coefficient reaches
-    1e-15, and the table holds one row.
+    In units of w0 the overlap integral depends on a alone (c = 2 sqrt(a)), so one table
+    serves every configuration with that a, whichever built it. Unit panel k covers s in
+    [k, k + 1]; it is fitted on demand, to Gauss-Legendre quadrature over
+    [max(0, s - 8), s + 8] at its first-kind Chebyshev points, with the lowest degree D
+    above which a degree-40 fit of panels 0-3 has no coefficient over the floor: 1e-15,
+    or the fit's roundoff level (8 x the median of coefficients 30-40) where lower, as
+    at small a. One linear map then interpolates each unit series at the d + 1 Chebyshev
+    points of its SUB sub-panels, 1/16 wide (column 16 k + m is sub-panel m), in powers
+    of the local x = 2 (16 s - 16 k - m) - 1 for Horner's rule. Coefficients decay
+    faster on the shorter panels: d (5 to 8 at a in [0.05, 300]) is one less than the
+    first index at which the probe so re-expanded is under the floor. Both degrees are
+    at least 0: where eta varies by less than roundoff (a ~ 1e-16) the table has one row.
     """
 
     def __init__(self, a: float):
         self.c = 2.0 * math.sqrt(a)
         self.xi, self.wi = _gauss_legendre(64 + 24 * int(math.sqrt(a)))
         probe = self._chebyshev(np.arange(4), 40)
-        self.degree = int(np.flatnonzero(np.abs(probe).max(axis=0) > 1e-15).max(initial=0))
+        peaks = np.abs(probe).max(axis=0)  # each coefficient's largest over panels 0-3
+        floor = min(1e-15, 8.0 * float(np.median(peaks[30:])))  # the probe's roundoff level
+        self.degree = int(np.flatnonzero(peaks > floor).max(initial=0))
         sub = np.einsum("pi,imj->pjm", probe[:, :self.degree + 1], self._sub_map(self.degree))
-        d = int(np.argmax(np.append(np.abs(sub).max(axis=(0, 2)), 0.0) < 1e-15)) - 1  # d <= D
+        d = int(np.argmax(np.append(np.abs(sub).max(axis=(0, 2)), 0.0) < floor)) - 1  # d <= D
         d = max(d, 0)
         to_power = np.eye(d + 1)  # row i: T_i's coefficients of 1, x, x^2, ...
         for i in range(2, d + 1):

@@ -291,7 +291,7 @@ def humbert_psi2(x: float, y: float) -> float:
     if y > cap:
         raise SeriesConvergenceError(
             f"humbert_psi2: the y-weights peak near index {y:.3g}, beyond "
-            f"max_terms_per_index={cap}; use the integral route instead"
+            f"SERIES_MAX_INDEX={cap}; use the integral route instead"
         )
     total = 0.0
     weight = 1.0  # y^n / n!
@@ -312,7 +312,7 @@ def humbert_psi2(x: float, y: float) -> float:
             below = 0
         weight *= y / (n + 1.0)
     raise SeriesConvergenceError(
-        f"humbert_psi2 did not converge within max_terms_per_index={cap} "
+        f"humbert_psi2 did not converge within SERIES_MAX_INDEX={cap} "
         f"(x={x}, y={y}); y is too large for the series route",
         value=total,
         err_est=abs(term),
@@ -373,9 +373,10 @@ def _f4_eval(x: float, y: float) -> tuple[float, float]:
     largest stop tolerance that |F4| allows, no shell can stop the sum, and
     ``SeriesConvergenceError`` is raised before any summing, with a NaN value.
     Otherwise summing stops at the first complete shell whose bound is within
-    ``max(SERIES_REL_TOL |sum|, SERIES_ABS_TOL)``; the bound plus a roundoff term is the returned
-    error. Each shell is summed exactly rounded and the shells are added with
-    compensation; a cancellation guard raises ``PrecisionLossError``.
+    ``max(SERIES_REL_TOL |sum|, SERIES_ABS_TOL)`` (the bound plus roundoff is the error),
+    or is refused, naming the shells summed, once no later one can: a later |sum| is
+    within |sum_t| + 2 bound_t, a later bound over the cap's. Shells are summed exactly
+    rounded, with compensation; a cancellation guard raises ``PrecisionLossError``.
     """
     if not (-math.inf < x <= 0.0):
         raise ValueError(f"F4 requires a finite x <= 0, got {x}")
@@ -393,7 +394,7 @@ def _f4_eval(x: float, y: float) -> tuple[float, float]:
     log_y = math.log(y) if y > 0.0 else 0.0
 
     total = comp = abs_total = 0.0
-    result = math.nan
+    result, summed = math.nan, 0
     for t in range(shells):
         n = np.arange(t + 1)
         l = t - n
@@ -408,14 +409,17 @@ def _f4_eval(x: float, y: float) -> tuple[float, float]:
             comp += (shell - s) + total
         total = s
         tail = y2 ** (t + 1) / (1.0 - y2)
-        result = total + comp
+        result, summed = total + comp, t + 1
         if tail <= max(SERIES_REL_TOL * abs(result), SERIES_ABS_TOL):
             if abs_total > _CANCELLATION_LIMIT * max(abs(result), 1.0e-300):
                 raise PrecisionLossError("F4: cancellation exceeds double precision",
                                          value=result, err_est=abs_total * 1.0e-16)
             return result, tail + 1.0e-16 * abs_total
+        reachable = abs(result) + 2.0 * tail + 2.0e-16 * abs_total  # bounds any later |sum|
+        if cap_tail > max(SERIES_REL_TOL * reachable, SERIES_ABS_TOL):
+            break
     raise SeriesConvergenceError(
-        f"F4 did not converge within max_terms_per_index={cap} "
+        f"F4 did not converge within SERIES_MAX_INDEX={cap}: refused after {summed} shells "
         f"(x1={x}, x2={x}, y1={y}, y2={y}); "
         "use the quadrature route for this argument regime",
         value=result, err_est=cap_tail)
@@ -510,7 +514,7 @@ def integrate_semi_infinite_batch(f, decay_scales, breakpoints) -> list:
         for i in np.flatnonzero(exhausted):
             results[i] = QuadratureExhaustedError(
                 f"integrate_semi_infinite: error {err_est[i]:.3g} (tolerance {tol[i]:.3g}) with "
-                f"{count[i]} intervals, max_subdivisions={cap}",
+                f"{count[i]} intervals, QUAD_MAX_SUBDIVISIONS={cap}",
                 value=float(value[i]), err_est=float(err_est[i]))
         live = ~(done | exhausted)[owner]
         owner, lo, hi, res, err = owner[live], lo[live], hi[live], res[live], err[live]

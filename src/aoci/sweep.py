@@ -1,19 +1,19 @@
 """Parameter sweeps over link configurations with CSV emission.
 
-A sweep varies one or two raw config fields (dotted paths into the
-unit-suffixed document, e.g. ``beam.sigma_s_mm``) over explicit value lists
-and evaluates one or more metrics per grid point. Each point's config is
-built with all its axis values set at once and validated once, by
-``with_value``, which takes the config sections the axes touch from a memo
-of section patches; the config and its hash serve every metric, and
-``p_hearing`` with ``p_damage`` come from one exceedance pass. Quadrature
-flux points (``mean_flux`` / ``link_budget``) go ``BATCH_POINTS`` at a time
-through one quadrature, one integral per distinct integrand (power only
-scales it), bitwise as lone evaluations. A point's fixed cost is that config,
-its hash and one tuple per metric, laid out by column index. Rows are written
-metric by metric, each in grid order: axis2 outer, axis1 inner, so axis1 is
-the natural x-axis of a plotted curve family. Per-point numerical failures
-are recorded in the ``error`` column and the run continues.
+A sweep varies one or two raw config fields (dotted paths into the unit-
+suffixed document, e.g. ``beam.sigma_s_mm``) over explicit value lists and
+evaluates one or more metrics per grid point. Each point's config is built
+with all its axis values set at once and validated once, by ``with_value``,
+which takes the config sections the axes touch from a memo of section patches;
+the config and its hash serve every metric. Points go ``BATCH_POINTS`` at a
+time: their quadrature flux (``mean_flux`` / ``link_budget``) through one
+quadrature, one integral per distinct integrand (power only scales it), and
+their ``p_hearing`` and ``p_damage`` through one exceedance pass, each bitwise
+as lone evaluations. A point's fixed cost is that config, its hash and one
+tuple per metric, laid out by column index. Rows are written metric by metric,
+each in grid order: axis2 outer, axis1 inner, so axis1 is the natural x-axis
+of a plotted curve family. Per-point numerical failures are recorded in the
+``error`` column and the run continues.
 
 CSV is RFC-4180 with LF line endings, '.' decimal separator, UTF-8; floats
 are written with shortest round-trip repr, so re-running an identical sweep
@@ -140,11 +140,9 @@ METRIC_COLUMNS = ("value", "err_bound", "method", "n_samples", "seed", "ci_low",
 
 
 def _evaluate_point(cfg: LinkConfig, metrics: tuple[str, ...], method: str, n: int, seed: int,
-                    est=None) -> list[tuple]:
-    """One point's ``METRIC_COLUMNS`` per metric ("" where unset): Monte Carlo at (n, seed),
-    flux by ``method`` unless ``est`` is given, both exceedances in one pass if both named."""
-    both = len(metrics) > 1 and set(EXCEEDANCES) <= set(metrics)
-    pair = dict(zip(EXCEEDANCES, kpi.p_hearing_and_damage(cfg, n=n, seed=seed))) if both else {}
+                    est=None, pair=None) -> list[tuple]:
+    """One point's ``METRIC_COLUMNS`` per metric ("" where unset): flux by ``method`` at
+    (n, seed) unless ``est`` is given, and the exceedances from its (p_hearing, p_damage)."""
     fields = []
     for metric in metrics:
         if metric in ("mean_flux", "link_budget"):
@@ -157,7 +155,7 @@ def _evaluate_point(cfg: LinkConfig, metrics: tuple[str, ...], method: str, n: i
             drawn = (est.n_samples, est.seed) if est.method == "monte_carlo" else ("", "")
             fields.append((value, err, est.method, *drawn, "", "", ""))
         elif metric in EXCEEDANCES:
-            p = pair[metric] if both else getattr(kpi, metric)(cfg, n=n, seed=seed)
+            p = pair[EXCEEDANCES.index(metric)]
             fields.append((p.value, 0.5 * (p.ci_high - p.ci_low), "monte_carlo", p.n_samples,
                            p.seed, p.ci_low, p.ci_high, ""))
         else:  # p_false_hearing
@@ -183,7 +181,8 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
     """Evaluate every metric of ``spec`` over the full grid, tolerating per-point failures.
 
     ``BATCH_POINTS`` points at a time (bounded memory): their configs first, then
-    their quadrature flux together by ``photometry.mean_flux_quadrature_batch``.
+    their quadrature flux together by ``photometry.mean_flux_quadrature_batch`` and
+    their exceedances by ``kpi.p_hearing_and_damage_batch``.
     A point's config, and its error if it fails, serve every metric's row; each row
     is laid out by column index: the axes, the metric, its columns, hash and error.
     """
@@ -204,16 +203,20 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
         points = grid[start:start + BATCH_POINTS]
         cfgs = [_build_point(base_cfg, paths, values) for values in points]
         valid = [cfg for cfg in cfgs if isinstance(cfg, LinkConfig)]
-        estimates = iter(photometry.mean_flux_quadrature_batch(valid) if batched else ())
+        # (flux, exceedance pair) per valid point, in order: a failed flux shifts no pair
+        results = zip(
+            photometry.mean_flux_quadrature_batch(valid) if batched else itertools.repeat(None),
+            kpi.p_hearing_and_damage_batch(valid, spec.mc_n, spec.mc_seed)
+            if set(EXCEEDANCES) & set(metrics) else itertools.repeat(None))
         for values, cfg in zip(points, cfgs):
             head = tuple(itertools.chain.from_iterable(zip(paths, values)))
             config_hash = "" if isinstance(cfg, ConfigError) else cfg.config_hash()
             try:
-                est = cfg if isinstance(cfg, ConfigError) else next(estimates, None)
+                est, pair = (cfg, None) if isinstance(cfg, ConfigError) else next(results)
                 if isinstance(est, (ConfigError, NumericalError)):
                     raise est
                 fields = [pick(out) for out in _evaluate_point(
-                    cfg, metrics, spec.method, spec.mc_n, spec.mc_seed, est)]
+                    cfg, metrics, spec.method, spec.mc_n, spec.mc_seed, est, pair)]
                 error = ""
             except (ConfigError, NumericalError) as exc:
                 fields, error = [failed] * len(metrics), f"{type(exc).__name__}: {exc}"

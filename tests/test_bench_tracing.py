@@ -1,9 +1,11 @@
-"""The benchmark's tracer can rebind every layer it names.
+"""The benchmark's tracer can rebind every layer it names; the package's imports and
+process-wide caches are what it declares.
 
 ``bench/tracing.py``'s ``Tracer.install`` reads ``owner.__dict__[attr]`` for each
 (module, attribute) of ``LAYERS``, so a name the package stops defining (or
 importing) at that place would crash a ``--trace 1`` run. The tracer file is
-only read here, never changed.
+only read here, never changed. The import and cache tests read ``src/aoci`` with
+``ast``.
 """
 
 import ast
@@ -61,6 +63,58 @@ def test_every_import_is_used_or_rebound_by_the_tracer():
               for path in sorted((ROOT / "src" / "aoci").glob("*.py"))
               for name in _unused_imports(path)}
     assert unused <= traced, f"unused imports: {sorted(unused - traced)}"
+
+
+# Every process-wide cache in the package, as (module, name). A new one is added here
+# on purpose, with its bound.
+CACHES = {
+    ("optics", "_gauss_legendre"),  # Gauss-Legendre rules, 16 entries
+    ("optics", "_coupling_kernel"),  # kernel tables, COUPLING_KERNELS entries
+    ("kpi", "_block_displacements"),  # (r, eta) per block, DRAW_CACHE_ENTRIES entries
+    ("kpi", "_block_background"),  # background counts per block, DRAW_CACHE_ENTRIES entries
+    ("config", "_patches"),  # section patches, SECTION_PATCHES entries
+    ("config", "_states"),  # channel states, CHANNEL_STATES entries
+}
+
+
+def _is_cache(node) -> bool:
+    """``lru_cache`` or ``cache``, bare, as a module attribute, or called with a bound."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache")
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, (ast.List, ast.Set)):
+        return not node.elts
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+def _caches(path: Path) -> set[str]:
+    """The names ``path`` binds to an ``lru_cache`` (as a decorator or a call) or, at module
+    level, to an empty dict, list or set, which the module can only fill as a memo."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = set(tree.body)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if any(map(_is_cache, node.decorator_list)):
+                found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if (isinstance(value, ast.Call) and _is_cache(value.func)) or (
+                    node in top and _is_empty_container(value)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(target.id for target in targets)
+    return found
+
+
+def test_every_process_wide_cache_is_declared():
+    found = {(path.stem, name) for path in sorted((ROOT / "src" / "aoci").glob("*.py"))
+             for name in _caches(path)}
+    assert found == CACHES
 
 
 def test_figure8_counts_under_the_tracer(tmp_path):

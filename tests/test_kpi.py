@@ -19,12 +19,12 @@ from aoci.figures import (
 from aoci.kpi import (
     DRAW_CACHE_ENTRIES,
     MIN_SAMPLES,
-    _exceedance,
     kpi_report,
     p_damage,
     p_false_hearing,
     p_hearing,
     p_hearing_and_damage,
+    p_hearing_and_damage_batch,
     safety_check,
     wilson_interval,
 )
@@ -54,8 +54,9 @@ class TestWilsonInterval:
 
 class TestHearingProbability:
     def test_zero_threshold_always_heard(self, baseline_cfg):
-        (est,) = _exceedance(baseline_cfg, (0.0,), 10_000, seed=1, signal_shot_noise=False)
-        assert est.value == 1.0
+        # The least positive threshold a config admits: every positive total is heard.
+        cfg = baseline_cfg.with_value("neural.y_th_photons", 5e-324)
+        assert p_hearing(cfg, n=10_000, seed=1).value == 1.0
 
     def test_strong_signal_tight_pointing(self, baseline_doc):
         baseline_doc["beam"]["sigma_s_mm"] = 0.01
@@ -364,8 +365,20 @@ def bisection_edge(cfg, target, n, seed, x_max):
 
 def clear_draw_caches():
     kpi._block_displacements.cache_clear()
-    kpi._block_pointing.cache_clear()
     kpi._block_background.cache_clear()
+
+
+@pytest.fixture
+def pointing_calls(monkeypatch):
+    """The (A0, w_eq) of every ``channel.pointing_gain`` call the test makes."""
+    calls, pointing_gain = [], channel.pointing_gain
+
+    def counted(a0, w_eq, r):
+        calls.append((a0, w_eq))
+        return pointing_gain(a0, w_eq, r)
+
+    monkeypatch.setattr(channel, "pointing_gain", counted)
+    return calls
 
 
 def uncached_exceedance(cfg, threshold, n, seed, signal_shot_noise):
@@ -465,53 +478,48 @@ class TestDrawCache:
         p_hearing(baseline_cfg, n=10_000, seed=5)
         beam = baseline_cfg.beam.sigma_s, baseline_cfg.coupling
         r, eta = kpi._block_displacements(5, 0, 10_000, *beam)
-        h_p = kpi._block_pointing(5, 0, 10_000, *beam, baseline_cfg.state.a0,
-                                  baseline_cfg.state.w_eq)
         counts = kpi._block_background(5, 0, 10_000, baseline_cfg.neural.mean_background)
-        assert kpi._block_pointing.cache_info().misses == 1  # the call above was a hit
-        for array in (r, eta, h_p, counts):
+        assert kpi._block_displacements.cache_info().misses == 1  # the calls above were hits
+        assert kpi._block_background.cache_info().misses == 1
+        for array in (r, eta, counts):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
 
     def test_bounded(self, baseline_cfg):
         cp, sigma, b_mean = baseline_cfg.coupling, baseline_cfg.beam.sigma_s, 1.5
-        geometry = baseline_cfg.state.a0, baseline_cfg.state.w_eq
         clear_draw_caches()
         for seed in range(DRAW_CACHE_ENTRIES + 5):
             kpi._block_displacements(seed, 0, 16, sigma, cp)
-            kpi._block_pointing(seed, 0, 16, sigma, cp, *geometry)
             kpi._block_background(seed, 0, 16, b_mean)
-        for cache in (kpi._block_displacements, kpi._block_pointing, kpi._block_background):
+        for cache in (kpi._block_displacements, kpi._block_background):
             info = cache.cache_info()
             assert info.maxsize == DRAW_CACHE_ENTRIES
             assert info.currsize == DRAW_CACHE_ENTRIES
-        # the per-entry sizes the stated byte bound (128 MiB) rests on
+        # the per-entry sizes the stated byte bound (96 MiB) rests on
         r, eta = kpi._block_displacements(1, 0, MC_BLOCK_SIZE, sigma, cp)
         assert r.nbytes + eta.nbytes == 1 << 20
-        assert kpi._block_pointing(1, 0, MC_BLOCK_SIZE, sigma, cp, *geometry).nbytes == 1 << 19
         assert kpi._block_background(1, 0, MC_BLOCK_SIZE, b_mean).nbytes == 1 << 19
-        assert DRAW_CACHE_ENTRIES * ((1 << 20) + 2 * (1 << 19)) == 128 << 20
+        assert DRAW_CACHE_ENTRIES * ((1 << 20) + (1 << 19)) == 96 << 20
         clear_draw_caches()
 
     def test_figure7_sweep_stays_warm(self, baseline_cfg):
-        # Figure 7's inner loop runs over its 10 sigma_s values; at 300,000
-        # samples each needs 5 blocks, so 50 keys cycle through the cache
-        # once per power value, and every one must still be there the next time.
-        # Each block's first pointing-gain miss reads its r back (one more hit).
+        # Figure 7's 10 sigma_s values at 300,000 samples need 5 blocks each: one
+        # batch reads each of the 50 keys once, for every power value at that sigma_s.
         spec = SweepSpec(SweepAxis("beam.sigma_s_mm", SIGMA_GRID_FIG7_MM),
                          SweepAxis("source.power_mw", (20.0, 30.0)), "p_hearing", mc_n=300_000)
         clear_draw_caches()
         run_sweep(baseline_cfg, spec)
         info = kpi._block_displacements.cache_info()
-        assert (info.misses, info.hits) == (50, 100)
+        assert (info.misses, info.hits) == (50, 0)
         clear_draw_caches()
 
 
 class TestPointingCache:
-    """h_p(r) is cached per (block draw, A0, w_eq): once per beam geometry, not per power."""
+    """h_p(r) is computed once per (block, A0, w_eq) within a batch: once per beam
+    geometry, not per power."""
 
-    def test_figure8_grid_is_bitwise_fresh(self):
+    def test_figure8_grid_is_bitwise_fresh(self, pointing_calls):
         fig8 = load_preset("fig8")
         cfgs = [fig8.with_value("skin.delta_mm", delta).with_value("source.power_mw", power)
                 for delta in DELTA_CURVES_MM for power in POWER_GRID_FIG8_MW]
@@ -520,23 +528,26 @@ class TestPointingCache:
         assert len({hearing for hearing, _ in expected}) > 10  # the grid crosses the threshold
         assert any(damage > 0.0 for _, damage in expected)
         clear_draw_caches()
+        pointing_calls.clear()
         for state in ("cold", "warm"):
-            got = [(p_hearing(c, n=10_000, seed=9).value, p_damage(c, n=10_000, seed=9).value)
-                   for c in cfgs]
-            assert got == expected, state
-        assert kpi._block_pointing.cache_info().misses == len(DELTA_CURVES_MM)
+            got = p_hearing_and_damage_batch(cfgs, n=10_000, seed=9)
+            assert [(h.value, d.value) for h, d in got] == expected, state
+        assert len(pointing_calls) == 2 * len(DELTA_CURVES_MM)
         assert kpi._block_displacements.cache_info().misses == 1
+        lone = [(p_hearing(c, n=10_000, seed=9).value, p_damage(c, n=10_000, seed=9).value)
+                for c in cfgs]
+        assert lone == expected
 
-    def test_power_sweep_computes_pointing_once(self, baseline_cfg):
+    def test_power_sweep_computes_pointing_once(self, baseline_cfg, pointing_calls):
         spec = SweepSpec(SweepAxis("source.power_mw", POWER_GRID_FIG8_MW), None, "p_hearing",
                          mc_n=10_000)
         clear_draw_caches()
         run_sweep(baseline_cfg, spec)
-        assert kpi._block_pointing.cache_info().misses == 1
+        assert pointing_calls == [(baseline_cfg.state.a0, baseline_cfg.state.w_eq)]
         assert kpi._block_displacements.cache_info().misses == 1
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # 12 mm of skin: a study-range notice
-    def test_a_new_geometry_is_a_new_entry(self, baseline_cfg):
+    def test_a_new_geometry_is_a_new_entry(self, baseline_cfg, pointing_calls):
         # Twice the skin and twice the aperture keep upsilon, so A0 is bitwise the
         # same and only w_eq tells the two geometries apart.
         scaled = baseline_cfg.with_value("skin.delta_mm", 12.0).with_value("beam.beta_mm", 4.0)
@@ -545,26 +556,48 @@ class TestPointingCache:
         variants = [baseline_cfg, baseline_cfg.with_value("skin.delta_mm", 8.0),
                     baseline_cfg.with_value("beam.theta_deg", 25.0), scaled]
         clear_draw_caches()
-        for misses, cfg in enumerate(variants, start=1):
-            fresh = uncached_exceedance(cfg, cfg.neural.y_th, 10_000, 5, False)
-            assert p_hearing(cfg, n=10_000, seed=5).value == fresh
-            assert kpi._block_pointing.cache_info().misses == misses
+        got = p_hearing_and_damage_batch(variants, n=10_000, seed=5)
+        assert pointing_calls == [(cfg.state.a0, cfg.state.w_eq) for cfg in variants]
         assert kpi._block_displacements.cache_info().misses == 1
+        assert [hearing.value for hearing, _ in got] == [
+            uncached_exceedance(cfg, cfg.neural.y_th, 10_000, 5, False) for cfg in variants]
 
-    def test_seed_and_sigma_never_alias(self, baseline_cfg):
-        variants = {"base": (baseline_cfg, 5), "seed": (baseline_cfg, 8),
-                    "sigma": (baseline_cfg.with_value("beam.sigma_s_mm", 0.2), 5)}
+    def test_seed_and_sigma_never_alias(self, baseline_cfg, pointing_calls):
+        base, sigma = baseline_cfg, baseline_cfg.with_value("beam.sigma_s_mm", 0.2)
+        assert (sigma.state.a0, sigma.state.w_eq) == (base.state.a0, base.state.w_eq)
         clear_draw_caches()
-        gains = {}
-        for name, (cfg, seed) in variants.items():
-            fresh = uncached_exceedance(cfg, cfg.neural.y_th, 10_000, seed, False)
-            assert p_hearing(cfg, n=10_000, seed=seed).value == fresh, name
-            (_, r, _, h_p), = kpi._blocks(cfg, 10_000, seed)
-            assert np.array_equal(h_p, channel.pointing_gain(cfg.state.a0, cfg.state.w_eq, r))
-            gains[name] = h_p
-        assert kpi._block_pointing.cache_info().misses == 3
-        assert not np.array_equal(gains["seed"], gains["base"])
-        assert not np.array_equal(gains["sigma"], gains["base"])
+        got = {seed: p_hearing_and_damage_batch([base, sigma], n=10_000, seed=seed)
+               for seed in (5, 8)}
+        # one h_p per (draw group, block): a shared (A0, w_eq) does not merge two sigma_s
+        assert len(pointing_calls) == 4
+        assert kpi._block_displacements.cache_info().misses == 4
+        assert got[5][0] != got[8][0] and got[5][0] != got[5][1]
+        for seed, pairs in got.items():
+            for cfg, (hearing, _) in zip((base, sigma), pairs):
+                assert hearing.value == uncached_exceedance(cfg, cfg.neural.y_th, 10_000, seed,
+                                                            False)
+
+    def test_figure8_sweep_is_one_batch(self, pointing_calls, monkeypatch):
+        fig8 = load_preset("fig8")
+        spec = SweepSpec(SweepAxis("source.power_mw", POWER_GRID_FIG8_MW),
+                         SweepAxis("skin.delta_mm", DELTA_CURVES_MM), ("p_hearing", "p_damage"),
+                         mc_n=10_000, mc_seed=9)
+        batches, batch = [], kpi.p_hearing_and_damage_batch
+
+        def counted(cfgs, *args, **kwargs):
+            batches.append(len(cfgs))
+            return batch(cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(kpi, "p_hearing_and_damage_batch", counted)
+        rows = run_sweep(fig8, spec).rows
+        points = len(DELTA_CURVES_MM) * len(POWER_GRID_FIG8_MW)
+        assert batches == [points]
+        assert len(pointing_calls) == len(DELTA_CURVES_MM)  # one block, one h_p per thickness
+        cfgs = [fig8.with_value({"skin.delta_mm": delta, "source.power_mw": power})
+                for delta in DELTA_CURVES_MM for power in POWER_GRID_FIG8_MW]
+        expected = [uncached_exceedance(c, getattr(c.neural, threshold), 10_000, 9, False)
+                    for threshold in ("y_th", "d_th") for c in cfgs]
+        assert [row[5] for row in rows] == expected
 
 
 class TestSharedPass:
@@ -599,18 +632,18 @@ class TestSharedPass:
 
     def test_figure8_builds_and_passes_each_point_once(self, tmp_path, monkeypatch):
         calls = {"with_value": 0, "pass": 0}
-        with_value, exceedance = LinkConfig.with_value, kpi._exceedance
+        with_value, batch = LinkConfig.with_value, kpi.p_hearing_and_damage_batch
 
         def counted_with_value(self, *args, **kwargs):
             calls["with_value"] += 1
             return with_value(self, *args, **kwargs)
 
-        def counted_exceedance(*args, **kwargs):
-            calls["pass"] += 1
-            return exceedance(*args, **kwargs)
+        def counted_batch(cfgs, *args, **kwargs):
+            calls["pass"] += len(cfgs)
+            return batch(cfgs, *args, **kwargs)
 
         monkeypatch.setattr(LinkConfig, "with_value", counted_with_value)
-        monkeypatch.setattr(kpi, "_exceedance", counted_exceedance)
+        monkeypatch.setattr(kpi, "p_hearing_and_damage_batch", counted_batch)
         run_figure(8, tmp_path, mc_n=10_000)
         points = len(DELTA_CURVES_MM) * len(POWER_GRID_FIG8_MW)
         assert points == 68

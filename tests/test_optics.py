@@ -8,6 +8,8 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoci import kpi, optics
 from aoci.figures import POWER_GRID_FIG8_MW, load_preset
@@ -188,6 +190,18 @@ class TestCouplingKernel:
         integral = np.array(optics.coupling_eta_integrals([cp] * 20, s[:20] * cp.omega0))
         assert np.all(np.abs(batch[:20] - integral) <= 1e-8 * integral + 1e-9 * batch.max())
 
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @example(log10_a=-8.0, s=[20.0, 40.0])  # an absolute 1e-15 floor kept degree 0 here
+    @given(log10_a=st.floats(-13.0, 3.0),
+           s=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8))
+    def test_matches_the_adaptive_integral_at_any_argument(self, log10_a, s):
+        # the tolerance of `aoci validate`: relative 1e-8 plus 1e-9 of the largest value
+        cp = cp_for(10.0**log10_a)
+        s = np.array([0.0, *s])
+        batch = coupling_eta_batch(cp, s * cp.omega0)
+        integral = np.array(coupling_eta_integrals([cp] * s.size, s * cp.omega0))
+        assert np.all(np.abs(batch - integral) <= 1e-8 * integral + 1e-9 * batch.max())
+
     @pytest.mark.parametrize("a", ORACLE_ARGS)
     def test_both_sides_of_every_sub_panel_edge_match_its_quadrature(self, a):
         # s = j / 16 opens sub-panel j at x = -1; the float below it closes sub-panel
@@ -220,7 +234,8 @@ class TestCouplingKernel:
 
     @pytest.mark.parametrize("a", [1e-12, 1e-9])
     def test_a_near_zero_keeps_its_few_rows(self, a):
-        # eta ~ 2a: unit degree 0, whose one coefficient stays over 1e-15 on every sub-panel.
+        # eta ~ 2a varies by a relative a s^2: unit degree 2, measured against the probe's
+        # own roundoff level, not the absolute 1e-15 that eta itself nearly is.
         cp = cp_for(a)
         s = np.linspace(0.0, 20.0, 401)
         kernel = optics._coupling_kernel(cp.coupling_argument)
@@ -229,7 +244,7 @@ class TestCouplingKernel:
 
     @pytest.mark.parametrize("a", [1e-16, 1e-20])
     def test_a_below_every_coefficient_floor_keeps_one_row(self, a):
-        # eta ~ 2a: no probe coefficient reaches 1e-15, so both degrees floor at 0.
+        # eta ~ 2a varies by less than roundoff, so both degrees floor at 0.
         cp = cp_for(a)
         s = np.linspace(0.0, 20.0, 41)
         batch = coupling_eta_batch(cp, s * cp.omega0)

@@ -6,6 +6,7 @@ noted next to each constant.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,11 +211,11 @@ class TestHumbertPsi2:
     def test_non_convergence_raised(self, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(specfun, "SERIES_MAX_INDEX", 8)
-            with pytest.raises(SeriesConvergenceError) as info:
+            with pytest.raises(SeriesConvergenceError, match="within SERIES_MAX_INDEX=8 ") as info:
                 humbert_psi2(-1.0, 6.0)
         assert math.isfinite(info.value.value) and info.value.err_est > 0.0
         # a y-weight peak far beyond the index cap is refused upfront
-        with pytest.raises(SeriesConvergenceError):
+        with pytest.raises(SeriesConvergenceError, match="beyond SERIES_MAX_INDEX=400;"):
             humbert_psi2(-1.2, 2500.0)
 
     def test_invalid_parameters(self):
@@ -293,8 +294,26 @@ class TestF4General:
         with pytest.raises(SeriesConvergenceError) as info:
             _f4_eval(-1.0, 0.4999)
         assert math.isnan(info.value.value)
+        assert "SERIES_MAX_INDEX=400: refused after 0 shells" in str(info.value)
         y2 = 0.4999 + 0.4999
         assert info.value.err_est == y2**401 / (1.0 - y2)
+
+    # (x, y) of `aoci validate`'s three-way configs 1 and 4 (2y = 0.9445, 0.9386), which
+    # the series refuses, and of configs 10 and 14 (2y = 0.9215, 0.9264), which converge.
+    @pytest.mark.parametrize("x, y, most", [(-2.570097056283146, 0.47226659208605554, 20),
+                                            (-0.6732554702826343, 0.4693181505956316, 100)])
+    def test_refused_once_no_later_shell_can_stop(self, x, y, most):
+        with pytest.raises(SeriesConvergenceError) as info:
+            _f4_eval(x, y)
+        summed = re.search(r"SERIES_MAX_INDEX=400: refused after (\d+) shells", str(info.value))
+        assert 0 < int(summed.group(1)) < most  # not the cap's 401
+        assert info.value.err_est == (y + y) ** 401 / (1.0 - (y + y))
+
+    @pytest.mark.parametrize("x, y", [(-2.7026607499935453, 0.46072903104465457),
+                                      (-2.2005305475406356, 0.4632244953438854)])
+    def test_near_the_boundary_still_converges(self, x, y):
+        value, err = _f4_eval(x, y)
+        assert 0.0 < err <= 2e-10 * abs(value)
 
     def test_deterministic(self):
         assert _f4_eval(-0.3, 0.2) == _f4_eval(-0.3, 0.2)
@@ -328,7 +347,7 @@ class TestIntegrateSemiInfinite:
         monkeypatch.setattr(specfun, "QUAD_REL_TOL", 1e-13)
         monkeypatch.setattr(specfun, "QUAD_MAX_SUBDIVISIONS", 4)
         f = lambda r: np.sin(40.0 * r) ** 2 * np.exp(-r)
-        with pytest.raises(QuadratureExhaustedError) as info:
+        with pytest.raises(QuadratureExhaustedError, match="QUAD_MAX_SUBDIVISIONS=4$") as info:
             integrate_semi_infinite(f, 1.0)
         assert math.isfinite(info.value.value) and math.isfinite(info.value.err_est)
         assert info.value.err_est > 1e-13 * abs(info.value.value)

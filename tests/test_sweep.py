@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from aoci import optics, photometry, specfun, sweep
+from aoci import kpi, optics, photometry, specfun, sweep
 from aoci.config import ConfigError, LinkConfig
 from aoci.figures import FIGURES, load_preset
 from aoci.photometry import mean_flux_quadrature, response_window_gain
@@ -290,6 +290,23 @@ class TestBatchedQuadrature:
                 assert record["error"] == ""
                 assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
         assert 0 < failed < 2 * len(sigmas) and failed % 2 == 0
+
+    def test_failed_points_shift_no_exceedance(self, monkeypatch):
+        # Flux and p_hearing over one grid, with exhausted quadratures and a refused
+        # config among the points: every other point keeps its own p_hearing.
+        monkeypatch.setattr(specfun, "QUAD_MAX_SUBDIVISIONS", 10)
+        cfg = load_preset("fig5")
+        sigmas = (2.0, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, -0.5)  # the failures first
+        result = run_sweep(cfg, SweepSpec(SweepAxis("beam.sigma_s_mm", sigmas), None,
+                                          ("mean_flux", "p_hearing"), mc_n=10_000, mc_seed=3))
+        flux, hearing = _records(result)[:len(sigmas)], _records(result)[len(sigmas):]
+        assert sum(bool(record["error"]) for record in flux) >= 2  # a ConfigError and more
+        for flux_row, record in zip(flux, hearing):
+            assert record["error"] == flux_row["error"]
+            if not record["error"]:
+                lone = kpi.p_hearing(_point(cfg, record), n=10_000, seed=3)
+                assert (record["value"], record["ci_low"]) == (lone.value, lone.ci_low)
+        assert len({record["value"] for record in hearing if not record["error"]}) > 2
 
     def test_batch_of_invalid_points_records_each_config_error(self, baseline_cfg, monkeypatch):
         # The second batch holds only invalid points; the first batch's rows survive.
