@@ -13,13 +13,15 @@ cannot converge raises instead of handing over to quadrature.
 
 import time
 
+import numpy as np
+
 from aoci.figures import load_preset
 from aoci.photometry import (
     mean_flux,
     mean_flux_mc,
     mean_flux_quadrature,
     mean_flux_series,
-    received_flux_at,
+    received_flux_batch,
 )
 from aoci.specfun import NumericalError
 
@@ -55,7 +57,7 @@ print("2. The degenerate-pointing limit")
 print("=" * 70)
 tight = cfg.with_value("beam.sigma_s_mm", 1e-4)
 print(f"flux at sigma_s -> 0   : {mean_flux_quadrature(tight).value:.6e} 1/s")
-print(f"flux at perfect aim    : {received_flux_at(0.0, cfg):.6e} 1/s  (should match)")
+print(f"flux at perfect aim    : {received_flux_batch(np.zeros(1), cfg)[0]:.6e} 1/s  (should match)")
 
 print()
 print("=" * 70)

@@ -33,7 +33,6 @@ from aoci.photometry import (
     mean_flux_mc,
     mean_flux_quadrature,
     mean_flux_series,
-    received_flux_at,
 )
 from aoci.specfun import (
     NumericalError,
@@ -54,7 +53,6 @@ __all__ = [
     "p_damage",
     "FluxEstimate",
     "derive_state",
-    "received_flux_at",
     "mean_flux",
     "mean_flux_series",
     "mean_flux_quadrature",

@@ -12,8 +12,8 @@ by ``_finite`` (finite; an int for counts), and a config whose fields give no
 finite channel state is refused; checked states come from a bounded memo
 keyed by the numbers ``derive_state`` reads. The stored document is the
 canonical JSON fragment of each top-level key, keys sorted: the provenance
-hash is taken over their join, ``raw`` is a parse of it and ``to_dict`` a
-fresh one.
+hash is taken over their join, and ``to_dict`` is a fresh parse of it;
+``resolve`` parses only the fragment of the key it reads.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def _checked_state(cfg: "LinkConfig") -> ChannelState:
 class LinkConfig:
     """One validated link instance, all fields SI, with its derived channel ``state``.
 
-    The document is stored only as ``_fragments``; ``raw`` is parsed from them once.
+    The document is stored only as ``_fragments``; a dict read from them is a fresh parse.
     """
 
     source: SourceParams
@@ -331,11 +331,6 @@ class LinkConfig:
         return "{" + ",".join([f'"{key}":{text}' for key, text in self._fragments.items()]) + "}"
 
     @functools.cached_property
-    def raw(self) -> dict:
-        """The unit-suffixed document (keys sorted), parsed once; read-only."""
-        return json.loads(self._document())
-
-    @functools.cached_property
     def state(self) -> ChannelState:
         """``photometry.derive_state`` of this config, checked when the config is built."""
         return _checked_state(self)
@@ -356,7 +351,7 @@ class LinkConfig:
         change together). Each top-level key the paths touch (and coupling, when
         ``source.lambda_nm`` changes) takes its fragment and fields from ``_patch``, which
         validates it as ``from_dict`` does. The memo is read first: the paths of a key that
-        misses are checked in ``raw`` before anything is built. Every other field and
+        misses are checked by ``resolve`` before anything is built. Every other field and
         fragment is shared with ``self``, and the state comes from ``_checked_state``.
         """
         items = [(path, value)] if isinstance(path, str) else list(path.items())
@@ -376,11 +371,10 @@ class LinkConfig:
         if len(patches) < len(assigned) or None in patches.values():
             for dotted, _ in items:  # every path of a miss is checked before any build
                 if patches.get(dotted.partition(".")[0]) is None:
-                    _numeric_field(self.raw, dotted)
+                    self.resolve(dotted)
         cfg = object.__new__(type(self))
         fields = cfg.__dict__  # the fields of self, and its state until replaced below
         fields.update(self.__dict__)
-        fields.pop("raw", None)  # a parse of self's document, not of this one
         fragments = fields["_fragments"] = fragments.copy()
         for key, patch in patches.items():  # builder order: coupling reads the new source
             fragments[key], built = patch or _patch(
@@ -390,6 +384,10 @@ class LinkConfig:
         return cfg
 
     def resolve(self, path: str) -> float:
-        """Read a raw numeric field by dotted path; a null field reads as inf."""
-        node, key = _numeric_field(self.raw, path)
+        """Read a numeric field of the document by dotted path; a null field reads as inf.
+
+        Only the fragment of the path's top-level key is parsed."""
+        top = path.partition(".")[0]
+        doc = {top: json.loads(self._fragments[top])} if top in self._fragments else {}
+        node, key = _numeric_field(doc, path)
         return math.inf if node[key] is None else float(node[key])

@@ -9,12 +9,11 @@ threshold ``d_th``.
 
 The exceedance probabilities are Monte Carlo estimates with Wilson 95%
 intervals from one estimator, ``p_hearing_and_damage_batch``, which takes a
-sweep's configs; ``p_hearing``, ``p_damage`` and ``p_hearing_and_damage`` are
-its batch of one. Block b draws its displacements from stream (seed, 2b) and
-its background counts from stream (seed, 2b + 1), so every comparison runs
-under common random numbers, which makes the monotonicity relations exact per
-seed: ``p_damage <= p_hearing`` whenever ``d_th >= y_th``, and ``p_hearing``
-is nondecreasing in transmit power.
+sweep's configs; ``p_hearing`` and ``p_damage`` are its batch of one. Block b
+draws its displacements from stream (seed, 2b) and its background counts from
+stream (seed, 2b + 1), so every comparison runs under common random numbers,
+which makes the monotonicity relations exact per seed: ``p_damage <= p_hearing``
+whenever ``d_th >= y_th``, and ``p_hearing`` is nondecreasing in transmit power.
 
 The draws are reusable across calls: a block's displacements r and their
 coupling efficiencies eta(r) depend only on (seed, block, block size, sigma_s,
@@ -65,7 +64,6 @@ __all__ = [
     "p_hearing",
     "p_false_hearing",
     "p_damage",
-    "p_hearing_and_damage",
     "p_hearing_and_damage_batch",
     "safety_check",
     "kpi_report",
@@ -143,8 +141,6 @@ def p_hearing_and_damage_batch(
     counts = _block_counts(n)
     groups: dict = {}  # (sigma_s, coupling) -> (a0, w_eq) -> indices into cfgs
     for i, cfg in enumerate(cfgs):
-        if cfg.neural.y_th < 0.0:  # and so d_th, which NeuralParams holds above y_th
-            raise ValueError(f"threshold must be >= 0, got {cfg.neural.y_th}")
         drawn, pointing = (cfg.beam.sigma_s, cfg.coupling), (cfg.state.a0, cfg.state.w_eq)
         groups.setdefault(drawn, {}).setdefault(pointing, []).append(i)
 
@@ -183,27 +179,12 @@ def p_hearing(
     return p_hearing_and_damage_batch([cfg], n, seed, signal_shot_noise)[0][0]
 
 
-def p_damage(
-    cfg: "LinkConfig",
-    n: int = 100_000,
-    seed: int = 1234,
-    signal_shot_noise: bool = False,
-) -> ProbabilityEstimate:
+def p_damage(cfg: "LinkConfig", n: int = 100_000, seed: int = 1234) -> ProbabilityEstimate:
     """Probability that the delivered count reaches the damage threshold, by
     ``p_hearing``'s estimator; (0, 0, 0) without drawing if d_th = inf (disabled)."""
     if cfg.neural.d_th == math.inf:
         return ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
-    return p_hearing_and_damage_batch([cfg], n, seed, signal_shot_noise)[0][1]
-
-
-def p_hearing_and_damage(
-    cfg: "LinkConfig",
-    n: int = 100_000,
-    seed: int = 1234,
-    signal_shot_noise: bool = False,
-) -> tuple[ProbabilityEstimate, ProbabilityEstimate]:
-    """``(p_hearing, p_damage)`` from one pass over the draws, each bitwise its own call's."""
-    return p_hearing_and_damage_batch([cfg], n, seed, signal_shot_noise)[0]
+    return p_hearing_and_damage_batch([cfg], n, seed)[0][1]
 
 
 def p_false_hearing(neural: NeuralParams) -> FalseHearing:
@@ -302,17 +283,11 @@ def safety_check(
             dynamic_range)
 
 
-def kpi_report(
-    cfg: "LinkConfig",
-    n: int = 100_000,
-    seed: int = 1234,
-    signal_shot_noise: bool = False,
-) -> KpiReport:
+def kpi_report(cfg: "LinkConfig", n: int = 100_000, seed: int = 1234) -> KpiReport:
     """Every indicator for one configuration: p_hearing and p_damage from one pass, and
     the dynamic range, on the same (n, seed) draws."""
     skin_irr, neuron_irr, skin_ok, neuron_ok, dyn = safety_check(cfg, n=n, seed=seed)
-    hearing, damage = p_hearing_and_damage(cfg, n=n, seed=seed,
-                                           signal_shot_noise=signal_shot_noise)
+    hearing, damage = p_hearing_and_damage_batch([cfg], n, seed)[0]
     return KpiReport(
         p_hearing=hearing,
         p_false_hearing=p_false_hearing(cfg.neural),

@@ -56,7 +56,6 @@ __all__ = [
     "ChannelState",
     "FluxEstimate",
     "derive_state",
-    "received_flux_at",
     "received_flux_batch",
     "mean_flux_series",
     "mean_flux_quadrature",
@@ -187,15 +186,6 @@ class FluxEstimate:
         is_mc = self.method == "monte_carlo"
         if is_mc != (self.n_samples is not None) or is_mc != (self.seed is not None):
             raise ValueError("n_samples and seed are present exactly for monte_carlo")
-
-
-def received_flux_at(r: float, cfg: "LinkConfig") -> float:
-    """Instantaneous photon flux [1/s] at pointing displacement r.
-
-    ``Phi(r) = k eta(r) G_c h_l h_p(r) (lambda / h c) x``, evaluated by
-    ``received_flux_batch`` on the one displacement.
-    """
-    return float(received_flux_batch(np.array([r], dtype=np.float64), cfg)[0])
 
 
 def received_flux_batch(
@@ -329,9 +319,8 @@ def _block_chunks(
 ):
     """Block ``block``'s displacements r and eta(r), ``MC_CHUNK`` samples at a time.
 
-    Yields (the chunk's slice of the block, r, eta(r)). One generator on stream
-    (seed, 2 block) draws the chunks, so r of all of them is bit for bit
-    ``sample_rayleigh(RngStream(seed, 2 block), sigma_s, count)``.
+    Yields (the chunk's slice of the block, r, eta(r)). The chunks are
+    ``rayleigh_chunks`` of stream (seed, 2 block), one generator for the block.
     """
     chunks = rayleigh_chunks(RngStream(seed, 2 * block), sigma_s, count, MC_CHUNK)
     for start, r in zip(range(0, count, MC_CHUNK), chunks):
@@ -403,7 +392,7 @@ def mean_flux(
     n: int = 1_000_000,
     seed: int = 1234,
 ) -> FluxEstimate:
-    """Average flux by the requested route: quadrature, series or mc (monte_carlo).
+    """Average flux by the requested route: quadrature, series or mc.
 
     The route either returns its estimate or raises its ``NumericalError``;
     no route falls back to another.
@@ -412,7 +401,7 @@ def mean_flux(
         return mean_flux_series(cfg)
     if method == "quadrature":
         return mean_flux_quadrature(cfg)
-    if method in ("mc", "monte_carlo"):
+    if method == "mc":
         return mean_flux_mc(cfg, n=n, seed=seed)
     raise ValueError(f"unknown method {method!r}")
 

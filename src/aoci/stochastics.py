@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStream", "sample_rayleigh", "rayleigh_chunks", "sample_poisson"]
+__all__ = ["RngStream", "rayleigh_chunks", "sample_poisson"]
 
 
 @dataclass(frozen=True)
@@ -33,32 +33,17 @@ class RngStream:
         """n uniforms on the half-open interval (0, 1]."""
         return 1.0 - self.generator().random(n)
 
-    def uniform_chunks(self, n: int, size: int):
-        """``uniforms(n)`` as successive arrays of at most ``size``, from one generator."""
-        generator = self.generator()
-        return (1.0 - generator.random(min(size, n - start)) for start in range(0, n, size))
-
-
-def _rayleigh(sigma_s: float, u: np.ndarray) -> np.ndarray:
-    """The Rayleigh transform ``sigma_s sqrt(-2 ln u)`` of uniforms u on (0, 1]."""
-    if not (sigma_s > 0.0):
-        raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
-    return sigma_s * np.sqrt(-2.0 * np.log(u))
-
-
-def sample_rayleigh(stream: RngStream, sigma_s: float, n: int) -> np.ndarray:
-    """The stream's first n Rayleigh radial displacements ``r = sigma_s sqrt(-2 ln u)``.
-
-    u ~ U(0, 1]. Every sample is finite and >= 0: u never equals 0, and u = 1 gives r = 0.
-    """
-    return _rayleigh(sigma_s, stream.uniforms(n))
-
 
 def rayleigh_chunks(stream: RngStream, sigma_s: float, n: int, size: int):
-    """``sample_rayleigh(stream, sigma_s, n)`` as successive arrays of at most ``size``
-    samples from one generator: concatenated, they are that array bit for bit. A bad
-    sigma_s is refused as the first chunk is drawn."""
-    return (_rayleigh(sigma_s, u) for u in stream.uniform_chunks(n, size))
+    """The stream's first n Rayleigh radial displacements ``r = sigma_s sqrt(-2 ln u)``,
+    u ~ U(0, 1], as successive arrays of at most ``size`` samples from one generator: a
+    prefix does not depend on n or size. Every sample is finite and >= 0: u never equals
+    0, and u = 1 gives r = 0. A bad sigma_s is refused as the first chunk is drawn."""
+    if not (sigma_s > 0.0):
+        raise ValueError(f"sigma_s must be > 0, got {sigma_s}")
+    generator = stream.generator()
+    for start in range(0, n, size):
+        yield sigma_s * np.sqrt(-2.0 * np.log(1.0 - generator.random(min(size, n - start))))
 
 
 def sample_poisson(stream: RngStream, mean, n: int) -> np.ndarray:

@@ -181,8 +181,8 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
     """Evaluate every metric of ``spec`` over the full grid, tolerating per-point failures.
 
     ``BATCH_POINTS`` points at a time (bounded memory): their configs first, then
-    their quadrature flux together by ``photometry.mean_flux_quadrature_batch`` and
-    their exceedances by ``kpi.p_hearing_and_damage_batch``.
+    their quadrature flux together by ``photometry.mean_flux_quadrature_batch``, then
+    the exceedances of those whose flux held by ``kpi.p_hearing_and_damage_batch``.
     A point's config, and its error if it fails, serve every metric's row; each row
     is laid out by column index: the axes, the metric, its columns, hash and error.
     """
@@ -203,20 +203,21 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
         points = grid[start:start + BATCH_POINTS]
         cfgs = [_build_point(base_cfg, paths, values) for values in points]
         valid = [cfg for cfg in cfgs if isinstance(cfg, LinkConfig)]
-        # (flux, exceedance pair) per valid point, in order: a failed flux shifts no pair
-        results = zip(
-            photometry.mean_flux_quadrature_batch(valid) if batched else itertools.repeat(None),
-            kpi.p_hearing_and_damage_batch(valid, spec.mc_n, spec.mc_seed)
-            if set(EXCEEDANCES) & set(metrics) else itertools.repeat(None))
+        fluxes = photometry.mean_flux_quadrature_batch(valid) if batched else [None] * len(valid)
+        # an exceedance pair per point whose flux held, in order; a failed flux draws none
+        pairs = iter(kpi.p_hearing_and_damage_batch(
+            [cfg for cfg, est in zip(valid, fluxes) if not isinstance(est, NumericalError)],
+            spec.mc_n, spec.mc_seed) if set(EXCEEDANCES) & set(metrics) else ())
+        results = iter(fluxes)
         for values, cfg in zip(points, cfgs):
             head = tuple(itertools.chain.from_iterable(zip(paths, values)))
             config_hash = "" if isinstance(cfg, ConfigError) else cfg.config_hash()
             try:
-                est, pair = (cfg, None) if isinstance(cfg, ConfigError) else next(results)
+                est = cfg if isinstance(cfg, ConfigError) else next(results)
                 if isinstance(est, (ConfigError, NumericalError)):
                     raise est
                 fields = [pick(out) for out in _evaluate_point(
-                    cfg, metrics, spec.method, spec.mc_n, spec.mc_seed, est, pair)]
+                    cfg, metrics, spec.method, spec.mc_n, spec.mc_seed, est, next(pairs, None))]
                 error = ""
             except (ConfigError, NumericalError) as exc:
                 fields, error = [failed] * len(metrics), f"{type(exc).__name__}: {exc}"

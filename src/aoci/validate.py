@@ -261,10 +261,11 @@ def check_monotonicity(quick: bool) -> CheckResult:
     ]
     failures = [name for name, ys, holds in orderings if not all(map(holds, ys, ys[1:]))]
 
-    for p in (40.0, 2000.0, 20000.0):
-        hearing, damage = kpi.p_hearing_and_damage(cfg.with_value("source.power_mw", p), n=n,
-                                                   seed=55)
-        if damage.value > hearing.value:
+    loud = (40.0, 2000.0, 20000.0)
+    pairs = kpi.p_hearing_and_damage_batch([cfg.with_value("source.power_mw", p) for p in loud],
+                                           n, 55)
+    for p, (heard, harmed) in zip(loud, pairs):
+        if harmed.value > heard.value:
             failures.append(f"damage exceeds hearing at {p} mW")
 
     return CheckResult(

@@ -1,12 +1,16 @@
-"""Independent extended-precision oracles used to pin the library.
+"""Independent oracles used to pin the library.
 
-Every oracle here is a brute-force series / continued-fraction evaluation in
-mpmath working precision, deliberately sharing no code path with the package
-under test. Term counts are capped at 200 per index (the quadruple sum at 30
-per index), which is ample for the argument ranges exercised by the tests.
+Every oracle here but ``sample_rayleigh`` is a brute-force series /
+continued-fraction evaluation in mpmath working precision, deliberately sharing
+no code path with the package under test. Term counts are capped at 200 per
+index (the quadruple sum at 30 per index), which is ample for the argument
+ranges exercised by the tests. ``sample_rayleigh`` draws the package's
+Rayleigh stream from numpy's generators directly, as a reference for how
+streams are keyed.
 """
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -119,3 +123,14 @@ def f4_bruteforce(x1, x2, y1, y2, terms: int = 30) -> mp.mpf:
                         / mp.factorial(l) ** 2
                     )
     return total
+
+
+def sample_rayleigh(seed: int, stream_id: int, sigma_s: float, n: int) -> np.ndarray:
+    """The first n Rayleigh displacements ``sigma_s sqrt(-2 ln u)`` of stream (seed, stream_id).
+
+    Built on numpy alone: the stream is a Philox generator keyed by
+    ``SeedSequence(seed, spawn_key=(stream_id,))``, and u = 1 - U[0, 1) lies in (0, 1].
+    """
+    keyed = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+    u = 1.0 - np.random.Generator(np.random.Philox(keyed)).random(n)
+    return sigma_s * np.sqrt(-2.0 * np.log(u))

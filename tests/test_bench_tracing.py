@@ -4,12 +4,13 @@ process-wide caches are what it declares.
 ``bench/tracing.py``'s ``Tracer.install`` reads ``owner.__dict__[attr]`` for each
 (module, attribute) of ``LAYERS``, so a name the package stops defining (or
 importing) at that place would crash a ``--trace 1`` run. The tracer file is
-only read here, never changed. The import and cache tests read ``src/aoci`` with
-``ast``.
+only read here, never changed. The import, definition and cache tests read
+``src/aoci`` with ``ast``.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,41 @@ def test_every_import_is_used_or_rebound_by_the_tracer():
               for path in sorted((ROOT / "src" / "aoci").glob("*.py"))
               for name in _unused_imports(path)}
     assert unused <= traced, f"unused imports: {sorted(unused - traced)}"
+
+
+def _definitions(path: Path) -> set[str]:
+    """The functions, classes and methods ``path`` defines, dunder methods aside (Python
+    calls those itself)."""
+    return {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _references(path: Path, strings: bool = False) -> set[str]:
+    """The names ``path`` reads as a variable or an attribute, and with ``strings`` the
+    identifiers its string constants spell (the tracer names what it rebinds so). An
+    import is not a reference, nor is an ``__all__`` entry."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def test_every_definition_is_referenced_by_the_package_or_the_benchmark():
+    # A function, class or method that only tests, demos or the package's re-exports
+    # reach is a second way to do a job, or dead code.
+    package = sorted((ROOT / "src" / "aoci").glob("*.py"))
+    defined = {(path.stem, name) for path in package for name in _definitions(path)}
+    used = set().union(*(_references(path) for path in package),
+                       *(_references(path, strings=path == TRACING)
+                         for path in sorted((ROOT / "bench").glob("*.py"))))
+    unused = sorted((module, name) for module, name in defined if name not in used)
+    assert not unused, f"defined but never referenced: {unused}"
 
 
 # Every process-wide cache in the package, as (module, name). A new one is added here

@@ -58,8 +58,8 @@ def _assert_same_as_from_dict(cfg, paths):
         assert got == want, paths
         return
     assert isinstance(got, LinkConfig), (paths, got)
-    assert got == want and got.raw == want.raw, paths
-    canonical = json.dumps(want.raw, sort_keys=True, separators=(",", ":"))
+    assert got == want and got.to_dict() == want.to_dict(), paths
+    canonical = json.dumps(want.to_dict(), sort_keys=True, separators=(",", ":"))
     assert got.config_hash() == hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
     assert got.config_hash() == want.config_hash()
 
@@ -207,14 +207,8 @@ class TestMutation:
         before = baseline_cfg.config_hash()
         other = baseline_cfg.with_value("skin.delta_mm", 8.0)
 
-        def nodes(doc):
-            yield doc
-            for value in doc.values():
-                if isinstance(value, dict):
-                    yield from nodes(value)
-
-        assert not {id(node) for node in nodes(baseline_cfg.raw)} & {
-            id(node) for node in nodes(other.raw)}
+        assert other._fragments is not baseline_cfg._fragments
+        assert all(type(text) is str for text in other._fragments.values())  # immutable
         assert baseline_cfg.config_hash() == before
         doc = baseline_cfg.to_dict()
         doc["skin"]["delta_mm"] = 8.0
@@ -274,7 +268,7 @@ class TestSectionPatches:
         got = baseline_cfg.with_value("source.power_mw", then)
         want = LinkConfig.from_dict(_edited(baseline_cfg, {"source.power_mw": then}))
         assert got.config_hash() == want.config_hash()
-        assert json.dumps(got.raw["source"]["power_mw"]) == json.dumps(then)
+        assert json.dumps(got.to_dict()["source"]["power_mw"]) == json.dumps(then)
 
     def test_a_bool_stays_refused_after_its_int_is_accepted(self, baseline_cfg):
         assert baseline_cfg.with_value("fiber.n_fbg", 1).fiber.n_fbg == 1
@@ -293,14 +287,23 @@ class TestSectionPatches:
             messages.add(str(err.value))
         assert len(messages) == 1
 
-    def test_mutating_raw_or_to_dict_changes_neither_hash_nor_with_value(self, baseline_cfg):
+    def test_mutating_a_handed_out_dict_changes_no_hash_resolve_or_with_value(
+            self, baseline_cfg):
+        # Every dict the config hands out (to_dict, and any public attribute) is the
+        # caller's own: editing it moves no hash, no resolve and no with_value, whether
+        # its patch is a memo hit or a miss checked against the document.
         want = baseline_cfg.with_value("beam.sigma_s_mm", 0.2).config_hash()
         before = baseline_cfg.config_hash()
-        for doc in (baseline_cfg.raw, baseline_cfg.to_dict()):
-            doc["beam"]["sigma_s_mm"] = 0.3
-            doc["skin"]["delta_mm"] = 9.0
+        public = [getattr(baseline_cfg, name) for name in dir(baseline_cfg)
+                  if not name.startswith("_")]
+        for doc in [baseline_cfg.to_dict(), *(v for v in public if isinstance(v, dict))]:
+            doc["beam"]["sigma_s_mm"] = 9.0
+            del doc["skin"]["delta_mm"]
             assert baseline_cfg.config_hash() == before
+            assert baseline_cfg.resolve("beam.sigma_s_mm") == 0.1
             assert baseline_cfg.with_value("beam.sigma_s_mm", 0.2).config_hash() == want
+            config._patches.clear()
+            assert baseline_cfg.with_value("skin.delta_mm", 7.0).skin.delta == 7.0 * 1e-3
         assert baseline_cfg.to_dict()["skin"]["delta_mm"] == 6.0
 
     def test_concurrent_points_get_their_own_patches(self, baseline_cfg, monkeypatch):
@@ -437,7 +440,7 @@ class TestStateMemo:
 
 
 class TestSweepPointsEqualFromDict:
-    """``with_value`` reads the memo of section patches before it walks ``raw``: a point
+    """``with_value`` reads the memo of section patches before it parses a fragment: a point
     built from hits or from misses is the config ``from_dict`` builds, and a path that
     does not exist is refused before anything is built or memoized."""
 
@@ -455,7 +458,7 @@ class TestSweepPointsEqualFromDict:
                 got = base.with_value(paths)
                 assert type(got) is LinkConfig and got == expected, paths
                 assert list(got._fragments.items()) == list(expected._fragments.items())
-                assert got.raw == expected.raw
+                assert got.to_dict() == expected.to_dict()
                 assert got.config_hash() == expected.config_hash()
                 assert _bits(got.state) == _bits(expected.state)
                 assert _bits(got.state) == _bits(photometry.derive_state(got))
@@ -517,7 +520,7 @@ class TestWithValueEqualsFromDict:
     @pytest.mark.parametrize("name", PRESETS)
     def test_every_numeric_leaf_of_every_preset(self, name):
         cfg = load_preset(name)
-        leaves = list(_numeric_leaves(cfg.raw))
+        leaves = list(_numeric_leaves(cfg.to_dict()))
         assert {"source.lambda_nm", "mpe.skin_mw_per_mm2", "skin_spot_radius_mm"} <= set(leaves)
         for path in leaves:
             old = cfg.resolve(path)
@@ -554,7 +557,7 @@ FUZZ_VALUES = ["x", None, True, math.nan, math.inf, -math.inf, -1, 0, 1e300, [],
 
 def _fuzz_cases():
     for name in PRESETS:
-        for path in _numeric_leaves({**load_preset(name).raw, "numerics": NUMERICS}):
+        for path in _numeric_leaves({**load_preset(name).to_dict(), "numerics": NUMERICS}):
             for value in FUZZ_VALUES:
                 yield pytest.param(name, path, value, id=f"{name}-{path}-{value!r}")
 
@@ -583,7 +586,7 @@ def test_a_number_from_outside_is_finite_or_refused(name, path, value):
         return
     numbers = list(dataclasses.astuple(photometry.derive_state(cfg)))
     numbers += [cfg.mpe_skin, cfg.mpe_neuron, cfg.skin_spot_radius]
-    null_d_th = cfg.raw["neural"]["d_th_photons"] is None
+    null_d_th = cfg.to_dict()["neural"]["d_th_photons"] is None
     for part in ("source", "skin", "beam", "mem", "coupling", "fiber", "neural"):
         numbers += [getattr(getattr(cfg, part), f.name)
                     for f in dataclasses.fields(getattr(cfg, part))

@@ -23,13 +23,12 @@ from aoci.kpi import (
     p_damage,
     p_false_hearing,
     p_hearing,
-    p_hearing_and_damage,
     p_hearing_and_damage_batch,
     safety_check,
     wilson_interval,
 )
 from aoci.photometry import MC_BLOCK_SIZE, NeuralParams, received_flux_batch, response_window_gain
-from aoci.stochastics import RngStream, sample_poisson, sample_rayleigh
+from aoci.stochastics import RngStream, sample_poisson
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 
 NEURAL_SMALL = NeuralParams(f0=10.0, tau=0.15, y_th=5.0, d_th=50.0)
@@ -308,14 +307,13 @@ class TestKpiReport:
         assert report.dynamic_range_w is not None
         assert report.dynamic_range_w == safety_check(cfg, n=20_000, seed=4)[4]  # same draws
 
-    @pytest.mark.parametrize("shot", [False, True])
     @pytest.mark.parametrize("d_th", [3.2e17, None])
-    def test_both_probabilities_from_one_pass(self, baseline_doc, monkeypatch, shot, d_th):
+    def test_both_probabilities_from_one_pass(self, baseline_doc, monkeypatch, d_th):
         baseline_doc["beam"]["sigma_s_mm"] = 0.02
         baseline_doc["neural"]["d_th_photons"] = d_th
         cfg = LinkConfig.from_dict(baseline_doc)
-        hearing = p_hearing(cfg, n=10_000, seed=4, signal_shot_noise=shot)
-        damage = p_damage(cfg, n=10_000, seed=4, signal_shot_noise=shot)
+        hearing = p_hearing(cfg, n=10_000, seed=4)
+        damage = p_damage(cfg, n=10_000, seed=4)
         assert 0.0 < hearing.value < 1.0
 
         def refuse(*args, **kwargs):
@@ -323,7 +321,7 @@ class TestKpiReport:
 
         monkeypatch.setattr(kpi, "p_hearing", refuse)
         monkeypatch.setattr(kpi, "p_damage", refuse)
-        report = kpi_report(cfg, n=10_000, seed=4, signal_shot_noise=shot)
+        report = kpi_report(cfg, n=10_000, seed=4)
         assert (report.p_hearing, report.p_damage) == (hearing, damage)
 
     def test_reads_the_config_state(self, baseline_doc, monkeypatch):
@@ -388,7 +386,7 @@ def uncached_exceedance(cfg, threshold, n, seed, signal_shot_noise):
     hits = produced = block = 0
     while produced < n:
         count = min(MC_BLOCK_SIZE, n - produced)
-        r = sample_rayleigh(RngStream(seed, 2 * block), cfg.beam.sigma_s, count)
+        r = oracles.sample_rayleigh(seed, 2 * block, cfg.beam.sigma_s, count)
         signal_counts = received_flux_batch(r, cfg) * gain
         noise_stream = RngStream(seed, 2 * block + 1)
         if signal_shot_noise:
@@ -417,16 +415,14 @@ class TestDrawCache:
         for section, values in LINKS[link].items():
             baseline_doc[section].update(values)
         cfg = LinkConfig.from_dict(baseline_doc)
-        expected = {
-            p_hearing: uncached_exceedance(cfg, cfg.neural.y_th, n, 7, shot),
-            p_damage: uncached_exceedance(cfg, cfg.neural.d_th, n, 7, shot),
-        }
-        assert 0.0 < expected[p_damage] < expected[p_hearing] < 1.0
+        expected = (uncached_exceedance(cfg, cfg.neural.y_th, n, 7, shot),
+                    uncached_exceedance(cfg, cfg.neural.d_th, n, 7, shot))
+        assert 0.0 < expected[1] < expected[0] < 1.0
         clear_draw_caches()
         for state in ("cold", "warm"):
-            for fn, value in expected.items():
-                est = fn(cfg, n=n, seed=7, signal_shot_noise=shot)
-                assert est.value == value, (state, fn.__name__)
+            (pair,) = p_hearing_and_damage_batch([cfg], n=n, seed=7, signal_shot_noise=shot)
+            for est, value, name in zip(pair, expected, ("hearing", "damage")):
+                assert est.value == value, (state, name)
                 assert (est.ci_low, est.ci_high) == kpi.wilson_interval(round(value * n), n)
         blocks = -(-n // MC_BLOCK_SIZE)
         assert kpi._block_displacements.cache_info().misses == blocks
@@ -609,26 +605,28 @@ class TestSharedPass:
         cfgs = [fig8.with_value({"skin.delta_mm": delta, "source.power_mw": power})
                 for delta in DELTA_CURVES_MM for power in POWER_GRID_FIG8_MW]
         clear_draw_caches()
-        got = [p_hearing_and_damage(c, n=10_000, seed=9, signal_shot_noise=shot) for c in cfgs]
+        got = [p_hearing_and_damage_batch([c], 10_000, 9, shot)[0] for c in cfgs]
         expected = [(uncached_exceedance(c, c.neural.y_th, 10_000, 9, shot),
                      uncached_exceedance(c, c.neural.d_th, 10_000, 9, shot)) for c in cfgs]
         assert [(h.value, d.value) for h, d in got] == expected
         assert len({hearing for hearing, _ in expected}) > 10  # the grid crosses both thresholds
         assert any(damage > 0.0 for _, damage in expected)
-        for cfg, pair in zip(cfgs, got):
-            assert pair == (p_hearing(cfg, n=10_000, seed=9, signal_shot_noise=shot),
-                            p_damage(cfg, n=10_000, seed=9, signal_shot_noise=shot))
+        assert p_hearing_and_damage_batch(cfgs, 10_000, 9, shot) == got
+        for cfg, (hearing, damage) in zip(cfgs, got):
+            assert hearing == p_hearing(cfg, n=10_000, seed=9, signal_shot_noise=shot)
+            if not shot:  # p_damage reads the additive model only
+                assert damage == p_damage(cfg, n=10_000, seed=9)
 
     def test_disabled_damage_threshold_is_never_reached(self, baseline_doc):
         baseline_doc["neural"]["d_th_photons"] = None
         cfg = LinkConfig.from_dict(baseline_doc)
-        hearing, damage = p_hearing_and_damage(cfg, n=10_000, seed=1)
+        ((hearing, damage),) = p_hearing_and_damage_batch([cfg], n=10_000, seed=1)
         assert damage == (0.0, 0.0, 0.0, 10_000, 1) == p_damage(cfg, n=10_000, seed=1)
         assert hearing == p_hearing(cfg, n=10_000, seed=1)
         # as before, no draw and so no sample floor for a disabled threshold alone
         assert p_damage(cfg, n=500, seed=1) == (0.0, 0.0, 0.0, 500, 1)
         with pytest.raises(ValueError):
-            p_hearing_and_damage(cfg, n=500, seed=1)
+            p_hearing_and_damage_batch([cfg], n=500, seed=1)
 
     def test_figure8_builds_and_passes_each_point_once(self, tmp_path, monkeypatch):
         calls = {"with_value": 0, "pass": 0}

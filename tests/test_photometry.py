@@ -5,10 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from aoci import kpi, photometry, specfun, validate
+import _oracles as oracles
+from aoci import channel, kpi, photometry, specfun, validate
+from aoci.config import ConfigError
 from aoci.figures import load_preset
-from aoci.optics import coupling_eta_batch
+from aoci.optics import coupling_eta_batch, coupling_eta_closed
 from aoci.photometry import (
     MC_BLOCK_SIZE,
     MC_CHUNK,
@@ -21,12 +25,10 @@ from aoci.photometry import (
     mean_flux_mc,
     mean_flux_quadrature,
     mean_flux_series,
-    received_flux_at,
     received_flux_batch,
     response_window_gain,
 )
 from aoci.specfun import SeriesConvergenceError
-from aoci.stochastics import RngStream, sample_rayleigh
 
 
 class TestReceivedFlux:
@@ -37,40 +39,44 @@ class TestReceivedFlux:
 
     def test_zero_power(self, baseline_cfg):
         cfg = baseline_cfg.with_value("source.power_mw", 0.0)
-        assert received_flux_at(0.0, cfg) == 0.0
+        assert received_flux_batch(np.zeros(3), cfg).tolist() == [0.0, 0.0, 0.0]
 
     def test_chain_factorization(self, baseline_cfg):
         # Phi(0) = k eta(0) G_c h_l A0 (lambda/hc) x
-        from aoci.optics import coupling_eta_closed
-
         state = derive_state(baseline_cfg)
         eta0 = coupling_eta_closed(baseline_cfg.coupling, 0.0)
         expected = (
             state.k * eta0 * state.g_c * state.h_l * state.a0
             * state.photons_per_joule * baseline_cfg.source.power_tx
         )
-        assert received_flux_at(0.0, baseline_cfg) == pytest.approx(expected, rel=1e-12)
+        assert received_flux_batch(np.zeros(1), baseline_cfg)[0] == pytest.approx(
+            expected, rel=1e-12)
 
     def test_decreasing_within_main_lobe(self, baseline_cfg):
         cp = baseline_cfg.coupling
         r_null = 3.8317 * cp.omega0 / (2.0 * math.sqrt(cp.coupling_argument))
         rs = np.linspace(0.0, 0.9 * r_null, 30)
-        vals = [received_flux_at(float(r), baseline_cfg) for r in rs]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        vals = received_flux_batch(rs, baseline_cfg)
+        assert np.all(np.diff(vals) < 0.0)
 
     def test_scalar_is_batch_bitwise(self, baseline_cfg):
-        # One code path for Phi(r), out to r = 50 w0 where the closed-form
-        # coupling series no longer converges.
+        # A lone displacement gets bitwise its value within a batch, out to r = 50 w0
+        # where the closed-form coupling series no longer converges.
         w0 = baseline_cfg.coupling.omega0
-        for r in (0.0, 0.3 * w0, 2.0 * w0, 50.0 * w0):
-            batch = received_flux_batch(np.array([r]), baseline_cfg)[0]
-            assert received_flux_at(r, baseline_cfg) == batch
+        rs = np.array([0.0, 0.3 * w0, 2.0 * w0, 50.0 * w0])
+        batch = received_flux_batch(rs, baseline_cfg)
+        for r, phi in zip(rs, batch):
+            assert received_flux_batch(np.array([r]), baseline_cfg)[0] == phi
 
     def test_batch_matches_scalar(self, baseline_cfg):
-        rs = np.linspace(0.0, 5.0 * baseline_cfg.coupling.omega0, 7)
-        batch = received_flux_batch(rs, baseline_cfg)
+        # The kernel's Phi(r) against the chain with the closed-form coupling.
+        cfg, state = baseline_cfg, baseline_cfg.state
+        rs = np.linspace(0.0, 5.0 * cfg.coupling.omega0, 7)
+        batch = received_flux_batch(rs, cfg)
         for i, r in enumerate(rs):
-            scalar = received_flux_at(float(r), baseline_cfg)
+            scalar = (state.flux_per_watt * cfg.source.power_tx
+                      * coupling_eta_closed(cfg.coupling, float(r))
+                      * float(channel.pointing_gain(state.a0, state.w_eq, r)))
             assert batch[i] == pytest.approx(scalar, rel=1e-9)
 
 
@@ -80,6 +86,31 @@ class TestMeanFluxRoutes:
         fq = mean_flux_quadrature(baseline_cfg)
         assert fs.method == "series" and fq.method == "quadrature"
         assert abs(fs.value - fq.value) / fq.value <= 1e-6
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(sigma_s=st.floats(0.005, 3.0), delta=st.floats(2.0, 12.0),
+           theta=st.floats(2.0, 40.0), beta=st.floats(0.2, 4.0), log10_a=st.floats(-3.0, 3.0),
+           w0=st.floats(0.01, 0.5), power=st.floats(0.1, 500.0))
+    def test_series_and_quadrature_agree_within_their_bounds(
+            self, sigma_s, delta, theta, beta, log10_a, w0, power):
+        # Wherever the series converges, the two routes differ by at most the sum of
+        # their error bounds (lengths in mm, angles in degrees, power in mW).
+        base = load_preset("default")
+        lens, lam = base.resolve("coupling.lens_diameter_mm"), base.resolve("source.lambda_nm")
+        try:
+            cfg = base.with_value({
+                "beam.sigma_s_mm": sigma_s, "skin.delta_mm": delta, "beam.theta_deg": theta,
+                "beam.beta_mm": beta, "coupling.omega0_mm": w0, "source.power_mw": power,
+                "coupling.focal_length_mm":  # the focal length that gives a = 10^log10_a
+                    3.83 * lens * w0 / (1.22 * lam * 1e-6 * 10.0 ** (0.5 * log10_a))})
+        except ConfigError:  # the beam model refuses an aperture far wider than the beam
+            assume(False)
+        fq = mean_flux_quadrature(cfg)
+        try:
+            fs = mean_flux_series(cfg)
+        except SeriesConvergenceError:
+            return
+        assert abs(fs.value - fq.value) <= fs.err_bound + fq.err_bound
 
     def test_mc_agrees_with_quadrature(self, baseline_cfg):
         fq = mean_flux_quadrature(baseline_cfg)
@@ -115,7 +146,7 @@ class TestMeanFluxRoutes:
         produced = 0
         for block, start in enumerate(range(0, n, MC_BLOCK_SIZE)):
             count = min(MC_BLOCK_SIZE, n - start)
-            r = sample_rayleigh(RngStream(seed, 2 * block), sigma, count)
+            r = oracles.sample_rayleigh(seed, 2 * block, sigma, count)
             if block == 0:
                 cached = kpi._block_displacements(seed, 0, count, sigma, baseline_cfg.coupling)
                 assert np.array_equal(r, cached[0])
@@ -137,7 +168,7 @@ class TestMeanFluxRoutes:
         starts = range(0, count, MC_CHUNK)
         assert at == tuple(slice(i, min(i + MC_CHUNK, count)) for i in starts)
         r, eta = np.concatenate(r), np.concatenate(eta)
-        want = sample_rayleigh(RngStream(6, 6), sigma, count)
+        want = oracles.sample_rayleigh(6, 6, sigma, count)
         assert r.tobytes() == want.tobytes()
         assert eta.tobytes() == coupling_eta_batch(cp, want).tobytes()
         drawn = photometry._draw_block(6, 3, count, sigma, cp)
@@ -167,7 +198,7 @@ class TestMeanFluxRoutes:
         # sum-of-squares variance cancels to zero there, a centred one does not.
         cfg = load_preset("default").with_value("beam.sigma_s_mm", 1e-7)
         fm = mean_flux_mc(cfg, n=1000, seed=1)
-        phi = received_flux_batch(sample_rayleigh(RngStream(1, 0), cfg.beam.sigma_s, 1000), cfg)
+        phi = received_flux_batch(oracles.sample_rayleigh(1, 0, cfg.beam.sigma_s, 1000), cfg)
         two_pass = math.sqrt(np.sum((phi - np.mean(phi)) ** 2) / 1000) / math.sqrt(1000)
         assert fm.err_bound > 0.0
         assert fm.err_bound == pytest.approx(two_pass, rel=1e-6)
@@ -175,7 +206,7 @@ class TestMeanFluxRoutes:
     def test_degenerate_pointing_limit(self, baseline_cfg):
         cfg = baseline_cfg.with_value("beam.sigma_s_mm", 1e-4)  # 0.1 um
         fq = mean_flux_quadrature(cfg)
-        phi0 = received_flux_at(0.0, cfg)
+        phi0 = received_flux_batch(np.zeros(1), cfg)[0]
         assert abs(fq.value - phi0) / phi0 <= 1e-3
 
     def test_zero_power_all_routes(self, baseline_cfg):
@@ -220,6 +251,12 @@ class TestMeanFluxRoutes:
         assert mean_flux(baseline_cfg).method == "quadrature"
         assert mean_flux(baseline_cfg, method="series").method == "series"
         assert mean_flux(baseline_cfg, method="mc", n=2000, seed=3).method == "monte_carlo"
+
+    @pytest.mark.parametrize("method", ["monte_carlo", "MC", "quad", ""])
+    def test_only_the_three_route_names_are_accepted(self, baseline_cfg, method):
+        # The MC route's request name is "mc"; "monte_carlo" is its result's tag only.
+        with pytest.raises(ValueError, match="unknown method"):
+            mean_flux(baseline_cfg, method=method, n=2000, seed=3)
 
     def test_series_pinned_on_validate_configs(self):
         # float.hex of (value, err_bound) on configs 0 and 5 of the validate suite's

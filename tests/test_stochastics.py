@@ -5,29 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from aoci.stochastics import RngStream, rayleigh_chunks, sample_poisson, sample_rayleigh
+import _oracles as oracles
+from aoci.stochastics import RngStream, rayleigh_chunks, sample_poisson
+
+
+def draw_rayleigh(stream, sigma_s, n):
+    """The package's first n Rayleigh displacements of ``stream``, drawn as one chunk."""
+    return next(rayleigh_chunks(stream, sigma_s, n, n))
 
 
 class TestReproducibility:
     def test_identical_streams_identical_sequences(self):
-        a = sample_rayleigh(RngStream(20240901, 5), 1e-4, n=10_000)
-        b = sample_rayleigh(RngStream(20240901, 5), 1e-4, n=10_000)
+        a = draw_rayleigh(RngStream(20240901, 5), 1e-4, n=10_000)
+        b = draw_rayleigh(RngStream(20240901, 5), 1e-4, n=10_000)
         assert np.array_equal(a, b)
 
     def test_prefix_stability(self):
         # The first k samples do not depend on how many were requested.
-        a = sample_rayleigh(RngStream(7, 0), 2.0, n=100)
-        b = sample_rayleigh(RngStream(7, 0), 2.0, n=10_000)
+        a = draw_rayleigh(RngStream(7, 0), 2.0, n=100)
+        b = draw_rayleigh(RngStream(7, 0), 2.0, n=10_000)
         assert np.array_equal(a, b[:100])
 
     def test_distinct_streams_differ(self):
-        a = sample_rayleigh(RngStream(7, 0), 2.0, n=100)
-        b = sample_rayleigh(RngStream(7, 1), 2.0, n=100)
+        a = draw_rayleigh(RngStream(7, 0), 2.0, n=100)
+        b = draw_rayleigh(RngStream(7, 1), 2.0, n=100)
         assert not np.array_equal(a, b)
 
     def test_scalar_draw_is_first_of_sequence(self):
         s = RngStream(99, 3)
-        assert sample_rayleigh(s, 1.5, 1)[0] == sample_rayleigh(s, 1.5, n=4)[0]
+        assert draw_rayleigh(s, 1.5, 1)[0] == draw_rayleigh(s, 1.5, n=4)[0]
         assert sample_poisson(s, 3.5, 1)[0] == sample_poisson(s, 3.5, n=4)[0]
 
 
@@ -47,34 +53,39 @@ class TestStreamIndependence:
 class TestRayleigh:
     def test_mean_matches_moment_identity(self):
         sigma = 2.0
-        r = sample_rayleigh(RngStream(42, 0), sigma, n=1_000_000)
+        r = draw_rayleigh(RngStream(42, 0), sigma, n=1_000_000)
         expected = sigma * math.sqrt(math.pi / 2.0)
         stderr = sigma * math.sqrt((4.0 - math.pi) / 2.0) / math.sqrt(r.size)
         assert abs(r.mean() - expected) < 3.0 * stderr
 
     def test_kolmogorov_smirnov_against_analytic_cdf(self):
         sigma = 1.3
-        r = np.sort(sample_rayleigh(RngStream(11, 2), sigma, n=1_000_000))
+        r = np.sort(draw_rayleigh(RngStream(11, 2), sigma, n=1_000_000))
         cdf = 1.0 - np.exp(-(r * r) / (2.0 * sigma * sigma))
         grid = (np.arange(1, r.size + 1)) / r.size
         ks = np.max(np.abs(cdf - grid))
         assert ks < 0.002
 
     def test_strictly_positive_support(self):
-        r = sample_rayleigh(RngStream(0, 0), 1e-4, n=1_000_000)
+        r = draw_rayleigh(RngStream(0, 0), 1e-4, n=1_000_000)
         assert np.all(r > 0.0)
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            sample_rayleigh(RngStream(0, 0), 0.0, 1)
-        with pytest.raises(ValueError):
-            next(rayleigh_chunks(RngStream(0, 0), 0.0, 10, 4))
+        for sigma in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                next(rayleigh_chunks(RngStream(0, 0), sigma, 10, 4))
 
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 10_000, 65536])
     def test_chunks_from_one_generator_are_the_whole_draw(self, n):
         chunks = list(rayleigh_chunks(RngStream(3, 4), 0.7, n, 8192))
         assert [c.size for c in chunks] == [min(8192, n - i) for i in range(0, n, 8192)]
-        assert np.concatenate(chunks).tobytes() == sample_rayleigh(RngStream(3, 4), 0.7, n).tobytes()
+        assert np.concatenate(chunks).tobytes() == oracles.sample_rayleigh(3, 4, 0.7, n).tobytes()
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (1, 0), (1, 1), (20240901, 5),
+                                                 (2**63, 2**40)])
+    def test_streams_are_keyed_by_seed_and_id_through_philox(self, seed, stream_id):
+        got = draw_rayleigh(RngStream(seed, stream_id), 1.3, 1000)
+        assert got.tobytes() == oracles.sample_rayleigh(seed, stream_id, 1.3, 1000).tobytes()
 
 
 class TestPoisson:

@@ -1,5 +1,6 @@
 """Sweep engine: grids, CSV schema and bytes, failure tolerance."""
 
+import hashlib
 import json
 import math
 import re
@@ -291,16 +292,28 @@ class TestBatchedQuadrature:
                 assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
         assert 0 < failed < 2 * len(sigmas) and failed % 2 == 0
 
-    def test_failed_points_shift_no_exceedance(self, monkeypatch):
+    def test_failed_points_shift_no_exceedance(self, monkeypatch, tmp_path):
         # Flux and p_hearing over one grid, with exhausted quadratures and a refused
-        # config among the points: every other point keeps its own p_hearing.
+        # config among the points: every other point keeps its own p_hearing, and a
+        # point whose flux failed draws no exceedance.
         monkeypatch.setattr(specfun, "QUAD_MAX_SUBDIVISIONS", 10)
+        passed, batch = [], kpi.p_hearing_and_damage_batch
+
+        def counted_batch(cfgs, *args, **kwargs):
+            passed.extend(cfgs)
+            return batch(cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(kpi, "p_hearing_and_damage_batch", counted_batch)
         cfg = load_preset("fig5")
         sigmas = (2.0, 1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01, -0.5)  # the failures first
         result = run_sweep(cfg, SweepSpec(SweepAxis("beam.sigma_s_mm", sigmas), None,
                                           ("mean_flux", "p_hearing"), mc_n=10_000, mc_seed=3))
         flux, hearing = _records(result)[:len(sigmas)], _records(result)[len(sigmas):]
-        assert sum(bool(record["error"]) for record in flux) >= 2  # a ConfigError and more
+        assert [bool(record["error"]) for record in flux] == [True] * 3 + [False] * 5 + [True]
+        assert [c.beam.sigma_s for c in passed] == [s * 1e-3 for s in sigmas[3:8]]
+        write_csv(result, tmp_path / "out.csv")  # the bytes of the sweep before the skip
+        assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == (
+            "5235d3aa6a3cea49fb6bd6bbf52e6ab960ce5faec32035ee4cf56991afe863a9")
         for flux_row, record in zip(flux, hearing):
             assert record["error"] == flux_row["error"]
             if not record["error"]:
