@@ -232,16 +232,13 @@ def _memo(key: str, fragment: str | None, assigned: list, lam: float) -> tuple:
             lam if key == "coupling" else None)
 
 
-def _patch(key: str, fragment: str, assigned: list, source: SourceParams) -> tuple[str, dict]:
+def _patch(key: str, fragment: str, assigned: list, source: SourceParams,
+           doc: dict) -> tuple[str, dict]:
     """Top-level ``key`` (canonical ``fragment``) with the ``assigned`` (path, value) pairs
-    set: its new fragment and builder output, from the memo or built and validated now."""
+    set, as in ``doc``: its new fragment and builder output, from the memo or built now."""
     memo = _memo(key, fragment, assigned, source.lam)
     patch = _patches.get(memo)
     if patch is None:
-        doc = {key: json.loads(fragment)}
-        for dotted, new in assigned:
-            node, leaf = _numeric_field(doc, dotted)
-            node[leaf] = new
         patch = _canonical(doc[key]), _BUILDERS[key](doc, {"source": source})
         if len(_patches) >= SECTION_PATCHES:
             _patches.clear()
@@ -350,9 +347,9 @@ class LinkConfig:
         of paths to values, all set before validation (so fields valid only together can
         change together). Each top-level key the paths touch (and coupling, when
         ``source.lambda_nm`` changes) takes its fragment and fields from ``_patch``, which
-        validates it as ``from_dict`` does. The memo is read first: the paths of a key that
-        misses are checked by ``resolve`` before anything is built. Every other field and
-        fragment is shared with ``self``, and the state comes from ``_checked_state``.
+        validates it as ``from_dict`` does. The memo is read first: a missed key's fragment
+        is parsed once, and its paths are checked and set on that parse before any build.
+        Every other field and fragment is shared with ``self``; the state is checked.
         """
         items = [(path, value)] if isinstance(path, str) else list(path.items())
         assigned: dict[str, list] = {}
@@ -368,17 +365,19 @@ class LinkConfig:
             patches["coupling"] = new_source and _patches.get(_memo(
                 "coupling", fragments["coupling"], assigned["coupling"],
                 new_source[1]["source"].lam))
-        if len(patches) < len(assigned) or None in patches.values():
-            for dotted, _ in items:  # every path of a miss is checked before any build
-                if patches.get(dotted.partition(".")[0]) is None:
-                    self.resolve(dotted)
+        docs = {key: {key: json.loads(fragments[key])} if key in fragments else {}
+                for key, patch in patches.items() if patch is None}  # each miss parsed once
+        for dotted, new in items:  # every path of a miss is checked and set before any build
+            if patches.get(top := dotted.partition(".")[0]) is None:
+                node, leaf = _numeric_field(docs.get(top, {}), dotted)
+                node[leaf] = new
         cfg = object.__new__(type(self))
         fields = cfg.__dict__  # the fields of self, and its state until replaced below
         fields.update(self.__dict__)
         fragments = fields["_fragments"] = fragments.copy()
         for key, patch in patches.items():  # builder order: coupling reads the new source
             fragments[key], built = patch or _patch(
-                key, fragments[key], assigned[key], fields["source"])
+                key, fragments[key], assigned[key], fields["source"], docs[key])
             fields.update(built)
         fields["state"] = _checked_state(cfg)  # the cached state, checked now
         return cfg

@@ -69,6 +69,13 @@ def load_preset(name: str) -> LinkConfig:
     return LinkConfig.from_file(preset_path(f"{name}.json"))
 
 
+class _Grid(dict):
+    """``grid_values``' map: reading a point that failed raises a LookupError naming it."""
+
+    def __missing__(self, key: tuple) -> float:
+        raise LookupError(f"grid point {key} failed")
+
+
 def grid_values(result: SweepResult, metric: str | None = None) -> dict[tuple, float]:
     """Value of each grid point that did not fail, keyed ``(axis1, axis2)`` in row
     order; the axis-2 value is None for a one-axis sweep. Only ``metric``'s rows
@@ -76,9 +83,9 @@ def grid_values(result: SweepResult, metric: str | None = None) -> dict[tuple, f
     at = {name: i for i, name in enumerate(result.columns)}
     x, y, name, value, error = (at.get(column) for column in (
         "axis1_value", "axis2_value", "metric", "value", "error"))
-    return {(float(row[x]), None if y is None else row[y]): float(row[value])
-            for row in result.rows
-            if metric in (None, row[name]) and not row[error] and row[value] != ""}
+    return _Grid({(float(row[x]), None if y is None else row[y]): float(row[value])
+                  for row in result.rows
+                  if metric in (None, row[name]) and not row[error] and row[value] != ""})
 
 
 def curve(values: dict[tuple, float], axis2_value=None) -> tuple[list[float], list[float]]:
@@ -96,10 +103,18 @@ def sweep_heatmap(result: SweepResult, values: dict[tuple, float], path: str | P
                     log_values=result.spec.metrics[0] in _LOG_SCALE, provenance=provenance)
 
 
-def _trend(name: str, ys: list[float], sign: int, fmt: str = ".3e") -> TrendCheck:
+def _judge(name: str, verdict: Callable[[], tuple[bool, str]]) -> TrendCheck:
+    """``TrendCheck(name, *verdict())``, or failed with why ``verdict`` could not judge."""
+    try:
+        return TrendCheck(name, *verdict())
+    except (LookupError, ZeroDivisionError) as exc:
+        return TrendCheck(name, False, str(exc))
+
+
+def _trend(ys: list[float], sign: int, fmt: str = ".3e") -> tuple[bool, str]:
     """Whether ``ys`` never moves against ``sign``, with its end points."""
     monotone = all(sign * (b - a) >= 0.0 for a, b in zip(ys, ys[1:]))
-    return TrendCheck(name, monotone, f"{ys[0]:{fmt}} -> {ys[-1]:{fmt}}")
+    return monotone, f"{ys[0]:{fmt}} -> {ys[-1]:{fmt}}"
 
 
 def _threshold_line(cfg: LinkConfig) -> dict:
@@ -113,61 +128,59 @@ def _exposure_cap_mw(cfg: LinkConfig) -> float:
 
 def _check3(cfg: LinkConfig, flux: dict) -> list[TrendCheck]:
     checks = [
-        _trend(f"flux decreasing in skin thickness at theta={theta:g} deg",
-               curve(flux, theta)[1], -1)
+        _judge(f"flux decreasing in skin thickness at theta={theta:g} deg",
+               lambda: _trend([flux[delta, theta] for delta in DELTA_GRID_MM], -1))
         for theta in (10.0, 20.0, 30.0)
     ]
-    by_theta = [flux[6.0, theta] for theta in THETA_GRID_DEG]
-    checks.append(_trend("flux decreasing in divergence angle at delta=6 mm", by_theta, -1))
+    checks.append(_judge("flux decreasing in divergence angle at delta=6 mm",
+                         lambda: _trend([flux[6.0, theta] for theta in THETA_GRID_DEG], -1)))
     return checks
 
 
 def _check4(cfg: LinkConfig, flux: dict) -> list[TrendCheck]:
-    at_6mm = [flux[6.0, p] for p in POWER_GRID_MW]
-    linear = abs(flux[6.0, 10.0] / flux[6.0, 20.0] - 0.5) < 1e-9
     return [
-        _trend("flux increasing in transmit power at delta=6 mm", at_6mm, +1),
-        TrendCheck("halving power halves the flux (linearity)", linear, "ratio at 10/20 mW"),
+        _judge("flux increasing in transmit power at delta=6 mm",
+               lambda: _trend([flux[6.0, p] for p in POWER_GRID_MW], +1)),
+        _judge("halving power halves the flux (linearity)", lambda: (
+            abs(flux[6.0, 10.0] / flux[6.0, 20.0] - 0.5) < 1e-9, "ratio at 10/20 mW")),
     ]
 
 
 def _check5(cfg: LinkConfig, flux: dict) -> list[TrendCheck]:
-    ratio = flux[1.0, 6.0] / flux[0.1, 6.0]
-    return [TrendCheck(
-        "flux(sigma=1 mm) / flux(sigma=0.1 mm) in [0.01, 0.05] at delta=6 mm",
-        0.01 <= ratio <= 0.05, f"ratio = {ratio:.4f}",
-    )] + [_trend(f"flux decreasing in jitter at delta={d:g} mm", curve(flux, d)[1], -1)
-          for d in DELTA_CURVES_MM]
+    return [_judge(
+        "flux(sigma=1 mm) / flux(sigma=0.1 mm) in [0.01, 0.05] at delta=6 mm", lambda: (
+            0.01 <= (ratio := flux[1.0, 6.0] / flux[0.1, 6.0]) <= 0.05, f"ratio = {ratio:.4f}"),
+    )] + [_judge(f"flux decreasing in jitter at delta={d:g} mm",
+                 lambda: _trend([flux[s, d] for s in SIGMA_GRID_MM], -1)) for d in DELTA_CURVES_MM]
 
 
 def _check6(cfg: LinkConfig, flux: dict) -> list[TrendCheck]:
-    ratio = flux[20.0, 0.1] / flux[20.0, 0.5]
-    return [TrendCheck("flux(sigma=0.1) / flux(sigma=0.5) >= 10 at 20 mW", ratio >= 10.0,
-                       f"ratio = {ratio:.2f}")]
+    return [_judge("flux(sigma=0.1) / flux(sigma=0.5) >= 10 at 20 mW", lambda: (
+        (ratio := flux[20.0, 0.1] / flux[20.0, 0.5]) >= 10.0, f"ratio = {ratio:.2f}"))]
 
 
 def _check7(cfg: LinkConfig, hearing: dict) -> list[TrendCheck]:
-    by_power = [hearing[SIGMA_GRID_FIG7_MM[0], p] for p in POWER_GRID_FIG7_MW]
-    by_sigma = [hearing[s, POWER_GRID_FIG7_MW[-1]] for s in SIGMA_GRID_FIG7_MM]
     return [
-        _trend("hearing probability nondecreasing in power (common random numbers)",
-               by_power, +1, ".3f"),
-        _trend("hearing probability nonincreasing in jitter (common random numbers)",
-               by_sigma, -1, ".3f"),
+        _judge("hearing probability nondecreasing in power (common random numbers)", lambda: _trend(
+            [hearing[SIGMA_GRID_FIG7_MM[0], p] for p in POWER_GRID_FIG7_MW], +1, ".3f")),
+        _judge("hearing probability nonincreasing in jitter (common random numbers)", lambda: _trend(
+            [hearing[s, POWER_GRID_FIG7_MW[-1]] for s in SIGMA_GRID_FIG7_MM], -1, ".3f")),
     ]
 
 
 def _check8(cfg: LinkConfig, hearing: dict, damage: dict) -> list[TrendCheck]:
     cap_mw = _exposure_cap_mw(cfg)
-    cap_grid_mw = max(p for p in POWER_GRID_FIG8_MW if p <= cap_mw)
-    at_cap = {d: damage[cap_grid_mw, d] for d in DELTA_CURVES_MM}
-    checks = [
-        TrendCheck(f"skin exposure limit binds before damage at delta={d:g} mm", p_d < 1e-3,
-                   f"p_damage({cap_grid_mw:.0f} mW) = {p_d:.2e}, cap = {cap_mw:.0f} mW")
-        for d, p_d in at_cap.items()
-    ]
-    return checks + [_trend("damage probability nondecreasing in power at delta=4 mm",
-                            curve(damage, 4.0)[1], +1, ".3f")]
+    cap_grid_mw = max((p for p in POWER_GRID_FIG8_MW if p <= cap_mw), default=None)
+
+    def at_cap(d: float) -> tuple[bool, str]:
+        if cap_grid_mw is None:
+            raise LookupError(f"no grid power at or below the cap of {cap_mw:.0f} mW")
+        p_d = damage[cap_grid_mw, d]
+        return p_d < 1e-3, f"p_damage({cap_grid_mw:.0f} mW) = {p_d:.2e}, cap = {cap_mw:.0f} mW"
+    checks = [_judge(f"skin exposure limit binds before damage at delta={d:g} mm",
+                     lambda: at_cap(d)) for d in DELTA_CURVES_MM]
+    return checks + [_judge("damage probability nondecreasing in power at delta=4 mm", lambda:
+                            _trend([damage[p, 4.0] for p in POWER_GRID_FIG8_MW], +1, ".3f"))]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ background). Two least-recently-used caches keep them, of
 
 ``p_false_hearing`` exposes two numbers on purpose: the survival probability
 ``Pr(N >= y_th)`` that matches the verbal definition of a false trigger, and
-the closed form ``Q(y_th + 1, B)``, which is the Poisson CDF
+the closed form ``Q(floor(y_th) + 1, B)``, which is the Poisson CDF
 ``Pr(N <= y_th)`` -- the complementary reading of the same definition. Both
 are returned so the discrepancy stays visible instead of being silently
 resolved; downstream reporting uses the survival reading, which also agrees
@@ -43,9 +43,9 @@ import numpy as np
 
 from aoci import channel, optics
 from aoci.photometry import (  # derive_state stays importable for bench/tracing.py
-    MC_BLOCK_SIZE,
     NeuralParams,
     _draw_block,
+    _mc_blocks,
     derive_state,
     received_flux_batch,
     response_window_gain,
@@ -115,13 +115,6 @@ def _block_background(seed: int, block: int, count: int, b_mean: float) -> np.nd
     return counts
 
 
-def _block_counts(n: int) -> list[int]:
-    """The sizes of the blocks of n samples; n below ``MIN_SAMPLES`` is refused."""
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
-    return [min(MC_BLOCK_SIZE, n - start) for start in range(0, n, MC_BLOCK_SIZE)]
-
-
 def p_hearing_and_damage_batch(
     cfgs: list["LinkConfig"],
     n: int = 100_000,
@@ -138,7 +131,7 @@ def p_hearing_and_damage_batch(
     ``signal_shot_noise`` the Poisson mean holds the signal, drawn per config. An
     infinite d_th (damage disabled) gives (0, 0, 0).
     """
-    counts = _block_counts(n)
+    n, seed, counts = _mc_blocks(n, seed, MIN_SAMPLES)
     groups: dict = {}  # (sigma_s, coupling) -> (a0, w_eq) -> indices into cfgs
     for i, cfg in enumerate(cfgs):
         drawn, pointing = (cfg.beam.sigma_s, cfg.coupling), (cfg.state.a0, cfg.state.w_eq)
@@ -181,32 +174,21 @@ def p_hearing(
 
 def p_damage(cfg: "LinkConfig", n: int = 100_000, seed: int = 1234) -> ProbabilityEstimate:
     """Probability that the delivered count reaches the damage threshold, by
-    ``p_hearing``'s estimator; (0, 0, 0) without drawing if d_th = inf (disabled)."""
-    if cfg.neural.d_th == math.inf:
-        return ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
+    ``p_hearing``'s estimator; (0, 0, 0) if d_th = inf (disabled)."""
     return p_hearing_and_damage_batch([cfg], n, seed)[0][1]
 
 
 def p_false_hearing(neural: NeuralParams) -> FalseHearing:
     """Probability of excitation by background alone, both readings.
 
-    literal: ``Pr(N >= y_th) = P(y_th, B)`` for integer y_th >= 1 (1 when
-    y_th = 0), the lower regularized gamma, free of the cancellation in
-    ``1 - Q(y_th, B)``. cdf_closed_form: ``Q(y_th + 1, B)``, the Poisson CDF
-    ``Pr(N <= y_th)``.
+    The count N is an integer, so any threshold y_th > 0 is exact: literal is
+    ``Pr(N >= y_th) = P(ceil(y_th), B)``, the lower regularized gamma, free of the
+    cancellation in ``1 - Q``; cdf_closed_form is ``Q(floor(y_th) + 1, B)``, the
+    Poisson CDF ``Pr(N <= y_th)``.
     """
-    y_th = neural.y_th
-    if not (y_th >= 0 and float(y_th).is_integer()):
-        raise ValueError(
-            f"count-domain false-hearing needs an integer threshold, got {y_th}"
-        )
-    b = neural.mean_background
-    closed_form = regularized_gamma_q(y_th + 1.0, b)
-    if y_th == 0:
-        literal = 1.0
-    else:
-        literal = regularized_gamma_p(float(y_th), b)
-    return FalseHearing(literal=literal, cdf_closed_form=closed_form)
+    y_th, b = neural.y_th, neural.mean_background
+    return FalseHearing(literal=regularized_gamma_p(float(math.ceil(y_th)), b),
+                        cdf_closed_form=regularized_gamma_q(math.floor(y_th) + 1.0, b))
 
 
 @dataclass(frozen=True)
@@ -255,7 +237,7 @@ def safety_check(
     """
     if not 0.0 < hearing_target <= 1.0:
         raise ValueError(f"hearing_target must be in (0, 1], got {hearing_target}")
-    counts = _block_counts(n)
+    n, seed, counts = _mc_blocks(n, seed, MIN_SAMPLES)
     skin_irr, neuron_irr = _irradiances(cfg, cfg.source.power_tx)
     skin_1w, neuron_1w = _irradiances(cfg, 1.0)
     # A limit whose irradiance is 0 at 1 W (the skin absorbs every photon) never binds.

@@ -72,6 +72,18 @@ SPEED_OF_LIGHT = 299792458.0  # m / s
 
 MC_BLOCK_SIZE = 1 << 16
 MC_CHUNK = 1 << 13  # samples a block streams through at once: 64 KiB float64 temporaries
+MC_MIN_SAMPLES = 1000
+
+
+def _mc_blocks(n: int, seed: int, floor: int) -> tuple[int, int, list[int]]:
+    """A Monte Carlo request's n and seed as plain ints and its block sizes; a ValueError
+    unless both are ints (numpy's too, bools not), n >= ``floor`` and seed >= 0."""
+    ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, seed))
+    if not (ints and n >= floor and seed >= 0):
+        raise ValueError(
+            f"need an int n >= {floor} and an int seed >= 0, got n={n!r}, seed={seed!r}")
+    n, seed = int(n), int(seed)
+    return n, seed, [min(MC_BLOCK_SIZE, n - start) for start in range(0, n, MC_BLOCK_SIZE)]
 
 
 @dataclass(frozen=True)
@@ -349,18 +361,13 @@ def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
     err_bound is one standard error of the mean, from per-block centred sums of
     squares merged by Chan, Golub and LeVeque's update.
     """
-    ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, seed))
-    if not (ints and n >= 1000 and seed >= 0):
-        raise ValueError(f"need an int n >= 1000 and an int seed >= 0, got n={n!r}, seed={seed!r}")
-    n, seed = int(n), int(seed)
-
+    n, seed, counts = _mc_blocks(n, seed, MC_MIN_SAMPLES)
     total = 0.0
     running_mean = 0.0
     sum_sq_dev = 0.0
     produced = 0
-    buffer = np.empty(min(n, MC_BLOCK_SIZE))
-    for block, start in enumerate(range(0, n, MC_BLOCK_SIZE)):
-        count = min(MC_BLOCK_SIZE, n - start)
+    buffer = np.empty(counts[0])
+    for block, count in enumerate(counts):
         phi = buffer[:count]
         for at, r, eta in _block_chunks(seed, block, count, cfg.beam.sigma_s, cfg.coupling):
             phi[at] = received_flux_batch(r, cfg, eta=eta)

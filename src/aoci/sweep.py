@@ -6,14 +6,14 @@ evaluates one or more metrics per grid point. Each point's config is built
 with all its axis values set at once and validated once, by ``with_value``,
 which takes the config sections the axes touch from a memo of section patches;
 the config and its hash serve every metric. Points go ``BATCH_POINTS`` at a
-time: their quadrature flux (``mean_flux`` / ``link_budget``) through one
-quadrature, one integral per distinct integrand (power only scales it), and
-their ``p_hearing`` and ``p_damage`` through one exceedance pass, each bitwise
-as lone evaluations. A point's fixed cost is that config, its hash and one
-tuple per metric, laid out by column index. Rows are written metric by metric,
-each in grid order: axis2 outer, axis1 inner, so axis1 is the natural x-axis
-of a plotted curve family. Per-point numerical failures are recorded in the
-``error`` column and the run continues.
+time: their flux (``mean_flux`` / ``link_budget``) by series or mc per point, or
+through one quadrature, one integral per distinct integrand (power only scales
+it), then the ``p_hearing`` and ``p_damage`` of those whose flux held through
+one exceedance pass, each bitwise as lone evaluations. A point's fixed cost is
+that config, its hash and one tuple per metric, laid out by column index. Rows
+are written metric by metric, each in grid order: axis2 outer, axis1 inner, so
+axis1 is the natural x-axis of a plotted curve family. Per-point numerical
+failures are recorded in the ``error`` column and the run continues.
 
 CSV is RFC-4180 with LF line endings, '.' decimal separator, UTF-8; floats
 are written with shortest round-trip repr, so re-running an identical sweep
@@ -38,6 +38,7 @@ __all__ = ["SweepAxis", "SweepSpec", "SweepResult", "run_sweep", "write_csv"]
 METRICS = ("mean_flux", "p_hearing", "p_false_hearing", "p_damage", "link_budget")
 METHODS = ("quadrature", "series", "mc")
 EXCEEDANCES = ("p_hearing", "p_damage")  # kpi's Monte Carlo probabilities
+FLUXES = ("mean_flux", "link_budget")  # read from the point's flux estimate
 BATCH_POINTS = 256  # points built and evaluated together; ~25 KB of temporaries each
 
 
@@ -75,8 +76,9 @@ class SweepSpec:
             raise ConfigError(f"sweep.method: unknown method {self.method!r}")
         if self.mc_seed < 0:
             raise ConfigError(f"sweep.mc.seed: must be >= 0, got {self.mc_seed}")
-        if self.mc_n < 1000:
-            raise ConfigError(f"sweep.mc.n: need at least 1000 samples, got {self.mc_n}")
+        if self.mc_n < photometry.MC_MIN_SAMPLES:
+            raise ConfigError(f"sweep.mc.n: need at least {photometry.MC_MIN_SAMPLES} samples, "
+                              f"got {self.mc_n}")
         for metric in EXCEEDANCES:
             if metric in self.metrics and self.mc_n < kpi.MIN_SAMPLES:
                 raise ConfigError(f"sweep.mc.n: {metric} needs at least {kpi.MIN_SAMPLES} "
@@ -139,15 +141,12 @@ METRIC_COLUMNS = ("value", "err_bound", "method", "n_samples", "seed", "ci_low",
                   "cdf_closed_form")
 
 
-def _evaluate_point(cfg: LinkConfig, metrics: tuple[str, ...], method: str, n: int, seed: int,
-                    est=None, pair=None) -> list[tuple]:
-    """One point's ``METRIC_COLUMNS`` per metric ("" where unset): flux by ``method`` at
-    (n, seed) unless ``est`` is given, and the exceedances from its (p_hearing, p_damage)."""
+def _evaluate_point(cfg: LinkConfig, metrics: tuple[str, ...], est, pair) -> list[tuple]:
+    """One point's ``METRIC_COLUMNS`` per metric ("" where unset): the flux metrics from
+    its flux estimate ``est``, and the exceedances from its (p_hearing, p_damage)."""
     fields = []
     for metric in metrics:
-        if metric in ("mean_flux", "link_budget"):
-            if est is None:
-                est = photometry.mean_flux(cfg, method=method, n=n, seed=seed)
+        if metric in FLUXES:
             value, err = est.value, est.err_bound
             if metric == "link_budget":
                 value = photometry.link_budget(cfg, est)
@@ -180,11 +179,12 @@ def _columns_for(spec: SweepSpec) -> tuple[str, ...]:
 def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
     """Evaluate every metric of ``spec`` over the full grid, tolerating per-point failures.
 
-    ``BATCH_POINTS`` points at a time (bounded memory): their configs first, then
-    their quadrature flux together by ``photometry.mean_flux_quadrature_batch``, then
-    the exceedances of those whose flux held by ``kpi.p_hearing_and_damage_batch``.
-    A point's config, and its error if it fails, serve every metric's row; each row
-    is laid out by column index: the axes, the metric, its columns, hash and error.
+    ``BATCH_POINTS`` points at a time (bounded memory): their configs first, then the
+    flux a metric needs (quadrature together by ``photometry.mean_flux_quadrature_batch``,
+    series or mc per point by ``photometry.mean_flux``), then the exceedances of those
+    whose flux held by ``kpi.p_hearing_and_damage_batch``. A point's config, and its
+    error if it fails, serve every metric's row; each row is laid out by column index:
+    the axes, the metric, its columns, hash and error.
     """
     axes = [axis for axis in (spec.axis1, spec.axis2) if axis is not None]
     for axis in axes:  # every path must resolve before any evaluation starts
@@ -192,8 +192,6 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
     paths = [axis.path for axis in axes]
     grid = [combo[::-1] for combo in itertools.product(*(a.values for a in axes[::-1]))]
     metrics = spec.metrics
-    batched = spec.method == "quadrature" and any(
-        m in ("mean_flux", "link_budget") for m in metrics)
     columns = _columns_for(spec)
     pick = operator.itemgetter(*(METRIC_COLUMNS.index(c) for c in columns
                                  if c in METRIC_COLUMNS))
@@ -201,9 +199,12 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
     rows: list[list[tuple]] = [[] for _ in metrics]
     for start in range(0, len(grid), BATCH_POINTS):
         points = grid[start:start + BATCH_POINTS]
-        cfgs = [_build_point(base_cfg, paths, values) for values in points]
+        cfgs = [_attempt(base_cfg.with_value, dict(zip(paths, values))) for values in points]
         valid = [cfg for cfg in cfgs if isinstance(cfg, LinkConfig)]
-        fluxes = photometry.mean_flux_quadrature_batch(valid) if batched else [None] * len(valid)
+        fluxes = ([None] * len(valid) if not set(FLUXES) & set(metrics) else
+                  photometry.mean_flux_quadrature_batch(valid) if spec.method == "quadrature" else
+                  [_attempt(photometry.mean_flux, cfg, spec.method, spec.mc_n, spec.mc_seed)
+                   for cfg in valid])
         # an exceedance pair per point whose flux held, in order; a failed flux draws none
         pairs = iter(kpi.p_hearing_and_damage_batch(
             [cfg for cfg, est in zip(valid, fluxes) if not isinstance(est, NumericalError)],
@@ -212,25 +213,23 @@ def run_sweep(base_cfg: LinkConfig, spec: SweepSpec) -> SweepResult:
         for values, cfg in zip(points, cfgs):
             head = tuple(itertools.chain.from_iterable(zip(paths, values)))
             config_hash = "" if isinstance(cfg, ConfigError) else cfg.config_hash()
-            try:
-                est = cfg if isinstance(cfg, ConfigError) else next(results)
-                if isinstance(est, (ConfigError, NumericalError)):
-                    raise est
-                fields = [pick(out) for out in _evaluate_point(
-                    cfg, metrics, spec.method, spec.mc_n, spec.mc_seed, est, next(pairs, None))]
-                error = ""
-            except (ConfigError, NumericalError) as exc:
-                fields, error = [failed] * len(metrics), f"{type(exc).__name__}: {exc}"
+            got = cfg if isinstance(cfg, ConfigError) else next(results)
+            if not isinstance(got, (ConfigError, NumericalError)):  # p_false_hearing may fail
+                got = _attempt(_evaluate_point, cfg, metrics, got, next(pairs, None))
+            if isinstance(got, (ConfigError, NumericalError)):
+                fields, error = [failed] * len(metrics), f"{type(got).__name__}: {got}"
+            else:
+                fields, error = [pick(out) for out in got], ""
             for metric_rows, metric, out in zip(rows, metrics, fields):
                 metric_rows.append((*head, metric, *out, config_hash, error))
     return SweepResult(columns=columns, rows=tuple(itertools.chain(*rows)), spec=spec)
 
 
-def _build_point(base_cfg: LinkConfig, paths: list, values: tuple) -> LinkConfig | ConfigError:
-    """A grid point's config, or the ConfigError refusing it."""
+def _attempt(call, *args):
+    """``call(*args)``, or the ConfigError or NumericalError it raised."""
     try:
-        return base_cfg.with_value(dict(zip(paths, values)))
-    except ConfigError as exc:
+        return call(*args)
+    except (ConfigError, NumericalError) as exc:
         return exc
 
 

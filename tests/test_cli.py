@@ -73,6 +73,15 @@ class TestEval:
         assert "Traceback" not in captured.err
         assert "dynamic range    = empty" in captured.out
 
+    def test_reachable_target_reports_the_dynamic_range(self, tmp_path, capsys):
+        # Tight pointing on the default preset: the hearing target is met below the cap.
+        path = tmp_path / "tight.json"
+        doc = load_preset("default").with_value("beam.sigma_s_mm", 0.02).to_dict()
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", str(path), "--samples", "10000"]) == 0
+        out = capsys.readouterr().out
+        assert "  dynamic range    = [34.32 mW, 66.78 mW]\n" in out
+
     def test_bad_config_exits_2(self, baseline_doc, tmp_path, capsys):
         baseline_doc["beam"]["sigma_s_mm"] = -1.0
         path = tmp_path / "bad.json"
@@ -336,6 +345,19 @@ class TestFigure:
         path.write_text(json.dumps(override.to_dict()))
         code = main(["figure", "6", "--config", str(path), "--out", str(tmp_path)])
         assert code == 0
+
+    def test_exposure_cap_below_the_power_grid_fails_its_checks(self, tmp_path, capsys):
+        # A 0.2 mm skin spot caps the power at 63 mW, below figure 8's lowest 100 mW.
+        path = tmp_path / "small_spot.json"
+        doc = load_preset("fig8").with_value("skin_spot_radius_mm", 0.2).to_dict()
+        path.write_text(json.dumps(doc))
+        code = main(["figure", "8", "--config", str(path), "--out", str(tmp_path),
+                     "--samples", "10000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert ("  FAIL - skin exposure limit binds before damage at delta=4 mm "
+                "(no grid power at or below the cap of 63 mW)\n") in captured.out
+        assert (tmp_path / "fig8.csv").is_file() and (tmp_path / "fig8.svg").is_file()
 
     def test_out_through_a_plain_file_exits_2_with_one_line(self, tmp_path, capsys):
         plain = tmp_path / "plain"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from aoci.figures import FIGURE_NUMBERS, grid_values, run_figure
+from aoci.figures import FIGURE_NUMBERS, FIGURES, grid_values, load_preset, run_figure
 from aoci.sweep import SweepAxis, SweepResult, SweepSpec
 
 DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
@@ -75,3 +75,32 @@ def test_grid_values_of_one_axis_keys_each_point_with_none():
     spec = SweepSpec(SweepAxis("beam.sigma_s_mm", (0.5, 0.2, 0.1)), None, "mean_flux")
     result = SweepResult(columns=columns, rows=tuple(rows), spec=spec)
     assert list(grid_values(result).items()) == [((0.5, None), 2.0), ((0.1, None), 8.0)]
+
+
+@pytest.mark.parametrize("number, failed", [
+    (3, (6.0, 10.0)), (4, (6.0, 10.0)), (5, (1.0, 6.0)), (6, (20.0, 0.1)), (7, (0.01, 20.0)),
+    (8, (1778.279410038923, 4.0)),  # the grid power under the exposure cap
+])
+def test_a_failed_point_fails_the_checks_that_read_it(number, failed):
+    # Every other point holds a value; each check reading the failed one fails naming it.
+    fig = FIGURES[number]
+    rows = [_row(x, y, metric, "", "NumericalError: no") if (x, y) == failed else
+            _row(x, y, metric, 1.0)
+            for metric in fig.metrics for y in fig.axis2.values for x in fig.axis1.values]
+    result = SweepResult(columns=TWO_AXES, rows=tuple(rows),
+                         spec=SweepSpec(fig.axis1, fig.axis2, fig.metrics, mc_n=10_000))
+    checks = fig.check(load_preset(f"fig{number}"), *(grid_values(result, metric)
+                                                      for metric in fig.metrics))
+    named = [check for check in checks if check.detail == f"grid point {failed} failed"]
+    assert named and not any(check.passed for check in named)
+
+
+@pytest.mark.parametrize("number", [4, 5, 6])
+def test_a_ratio_over_a_zero_flux_fails_and_the_trends_hold(number):
+    # Opaque skin gives a flux of 0 everywhere: no ratio is defined, no trend is broken.
+    fig = FIGURES[number]
+    rows = [_row(x, y, "mean_flux", 0.0) for y in fig.axis2.values for x in fig.axis1.values]
+    result = SweepResult(columns=TWO_AXES, rows=tuple(rows),
+                         spec=SweepSpec(fig.axis1, fig.axis2, fig.metrics))
+    checks = fig.check(load_preset(f"fig{number}"), grid_values(result))
+    assert [check.detail for check in checks if not check.passed] == ["float division by zero"]

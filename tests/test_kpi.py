@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracles
-from aoci import channel, kpi
+from aoci import channel, kpi, photometry
 from aoci.config import LinkConfig
 from aoci.figures import (
     DELTA_CURVES_MM,
@@ -138,10 +138,20 @@ class TestFalseHearing:
         assert fh.literal == 0.0
         assert fh.cdf_closed_form == 1.0
 
-    def test_rejects_fractional_threshold(self):
-        neural = NeuralParams(f0=10.0, tau=0.15, y_th=2.5, d_th=10.0)
-        with pytest.raises(ValueError):
-            p_false_hearing(neural)
+    def test_fractional_threshold_reads_the_integer_count(self):
+        # N is an integer: Pr(N >= 2.5) = Pr(N >= 3) = P(3, B), Pr(N <= 2.5) = Pr(N <= 2).
+        from aoci.specfun import regularized_gamma_p, regularized_gamma_q
+
+        fh = p_false_hearing(NeuralParams(f0=10.0, tau=0.15, y_th=2.5, d_th=10.0))
+        assert fh.literal == regularized_gamma_p(3.0, 1.5)
+        assert fh.cdf_closed_form == regularized_gamma_q(3.0, 1.5)
+        assert fh.literal == p_false_hearing(NeuralParams(10.0, 0.15, 3.0, 10.0)).literal
+        assert fh.cdf_closed_form == p_false_hearing(
+            NeuralParams(10.0, 0.15, 2.0, 10.0)).cdf_closed_form
+        b = 1.5  # 1 - e^-B (1 + B + B^2 / 2) and its complement
+        expected = 1.0 - math.exp(-b) * (1.0 + b + 0.5 * b * b)
+        assert fh.literal == pytest.approx(expected, rel=1e-14)
+        assert fh.cdf_closed_form == pytest.approx(1.0 - expected, rel=1e-14)
 
 
 class TestDamageProbability:
@@ -623,10 +633,12 @@ class TestSharedPass:
         ((hearing, damage),) = p_hearing_and_damage_batch([cfg], n=10_000, seed=1)
         assert damage == (0.0, 0.0, 0.0, 10_000, 1) == p_damage(cfg, n=10_000, seed=1)
         assert hearing == p_hearing(cfg, n=10_000, seed=1)
-        # as before, no draw and so no sample floor for a disabled threshold alone
-        assert p_damage(cfg, n=500, seed=1) == (0.0, 0.0, 0.0, 500, 1)
-        with pytest.raises(ValueError):
-            p_hearing_and_damage_batch([cfg], n=500, seed=1)
+        # refused like p_hearing: a disabled threshold takes the same request check
+        for n, seed in ((500, 1), (5, -3)):
+            with pytest.raises(ValueError):
+                p_damage(cfg, n=n, seed=seed)
+            with pytest.raises(ValueError):
+                p_hearing_and_damage_batch([cfg], n=n, seed=seed)
 
     def test_figure8_builds_and_passes_each_point_once(self, tmp_path, monkeypatch):
         calls = {"with_value": 0, "pass": 0}
@@ -646,3 +658,48 @@ class TestSharedPass:
         points = len(DELTA_CURVES_MM) * len(POWER_GRID_FIG8_MW)
         assert points == 68
         assert calls == {"with_value": points, "pass": points}
+
+
+# Every Monte Carlo estimate, as (cfg, n, seed) -> its result, with its sample floor.
+ESTIMATORS = {
+    "mean_flux_mc": (lambda cfg, n, seed: photometry.mean_flux_mc(cfg, n=n, seed=seed),
+                     photometry.MC_MIN_SAMPLES),
+    "p_hearing": (lambda cfg, n, seed: p_hearing(cfg, n=n, seed=seed), MIN_SAMPLES),
+    "p_damage": (lambda cfg, n, seed: p_damage(cfg, n=n, seed=seed), MIN_SAMPLES),
+    "p_damage_disabled": (lambda cfg, n, seed: p_damage(
+        cfg.with_value("neural.d_th_photons", None), n=n, seed=seed), MIN_SAMPLES),
+    "p_hearing_and_damage_batch": (
+        lambda cfg, n, seed: p_hearing_and_damage_batch([cfg], n, seed)[0][0], MIN_SAMPLES),
+    "safety_check": (lambda cfg, n, seed: safety_check(cfg, n=n, seed=seed), MIN_SAMPLES),
+}
+
+
+class TestMonteCarloRequests:
+    """Every estimate checks its (n, seed) one way: ints (not bools), n >= its floor,
+    seed >= 0, refused before anything is drawn, and numpy ints returned as plain ints."""
+
+    @pytest.mark.parametrize("n, seed", [(20_000, True), (20_000, -1), (20_000, 2.5),
+                                         (20_000.0, 4), ("floor - 1", 4)])
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_a_bad_request_is_refused_before_drawing(self, name, n, seed, monkeypatch):
+        estimate, floor = ESTIMATORS[name]
+
+        def draw(*args, **kwargs):
+            raise AssertionError("drew samples for a bad request")
+
+        for owner, attr in ((photometry, "_block_chunks"), (kpi, "_block_displacements"),
+                            (kpi, "_block_background"), (kpi, "sample_poisson")):
+            monkeypatch.setattr(owner, attr, draw)
+        with pytest.raises(ValueError, match=r"^need an int n >= \d+ and an int seed >= 0"):
+            estimate(load_preset("default"), floor - 1 if n == "floor - 1" else n, seed)
+
+    @pytest.mark.parametrize("name", ESTIMATORS)
+    def test_numpy_ints_give_the_plain_int_estimate(self, name):
+        estimate, _ = ESTIMATORS[name]
+        cfg = load_preset("default")
+        got = estimate(cfg, np.int64(20_000), np.uint32(4))
+        assert got == estimate(cfg, 20_000, 4)
+        if name != "safety_check":  # which returns no sample count
+            assert type(got.value) is float
+            assert type(got.n_samples) is int and type(got.seed) is int
+            assert (got.n_samples, got.seed) == (20_000, 4)

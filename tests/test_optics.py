@@ -8,7 +8,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from aoci import kpi, optics
@@ -190,7 +190,11 @@ class TestCouplingKernel:
         integral = np.array(optics.coupling_eta_integrals([cp] * 20, s[:20] * cp.omega0))
         assert np.all(np.abs(batch[:20] - integral) <= 1e-8 * integral + 1e-9 * batch.max())
 
-    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    # derandomize=True's seed for this test before it was pinned: hypothesis's
+    # function_digest of its source, read big-endian. Pinned, edits keep its examples.
+    @seed(int("274051917261139627751620683126289950487057666095393361972566"
+              "35182478742501622507351684205433699328485827334884212437"))
+    @settings(max_examples=12, database=None, deadline=None)
     @example(log10_a=-8.0, s=[20.0, 40.0])  # an absolute 1e-15 floor kept degree 0 here
     @given(log10_a=st.floats(-13.0, 3.0),
            s=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -87,7 +87,11 @@ class TestMeanFluxRoutes:
         assert fs.method == "series" and fq.method == "quadrature"
         assert abs(fs.value - fq.value) / fq.value <= 1e-6
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    # derandomize=True's seed for this test before it was pinned: hypothesis's
+    # function_digest of its source, read big-endian. Pinned, edits keep its examples.
+    @seed(int("325672817961525185007748759031640644356691572161283638927986"
+              "31653382685616270640384867571942083980450797648946967410"))
+    @settings(max_examples=40, database=None, deadline=None)
     @given(sigma_s=st.floats(0.005, 3.0), delta=st.floats(2.0, 12.0),
            theta=st.floats(2.0, 40.0), beta=st.floats(0.2, 4.0), log10_a=st.floats(-3.0, 3.0),
            w0=st.floats(0.01, 0.5), power=st.floats(0.1, 500.0))

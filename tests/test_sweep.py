@@ -360,6 +360,56 @@ class TestBatchedQuadrature:
             assert (record["value"], record["err_bound"]) == (est.value, est.err_bound)
 
 
+class TestSeriesAndMcRoutes:
+    """Series and mc flux run per point before the exceedance batch, which gets only
+    the points whose flux held; the CSV bytes are those of the parent's sweep."""
+
+    def counted_sweep(self, monkeypatch, tmp_path, cfg, spec):
+        sizes, batch = [], kpi.p_hearing_and_damage_batch
+
+        def counted(cfgs, *args, **kwargs):
+            sizes.append(len(cfgs))
+            return batch(cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(kpi, "p_hearing_and_damage_batch", counted)
+        result = run_sweep(cfg, spec)
+        write_csv(result, tmp_path / "out.csv")
+        digest = hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest()
+        return sizes, _records(result), digest
+
+    def test_series_refusals_draw_no_exceedance(self, monkeypatch, tmp_path):
+        cfg = load_preset("fig5")
+        sigmas = (0.05, 0.1, 0.5, 1.0)
+        sizes, records, digest = self.counted_sweep(monkeypatch, tmp_path, cfg, SweepSpec(
+            SweepAxis("beam.sigma_s_mm", sigmas), None, ("mean_flux", "p_hearing"),
+            method="series", mc_n=10_000, mc_seed=3))
+        assert sizes == [2]  # the series refuses sigma_s = 0.5 and 1 mm
+        assert digest == "ef99f79e82bc99b385a47f762762779f410cd0324fcc8122b8dc8f82b1326c6c"
+        flux, hearing = records[:len(sigmas)], records[len(sigmas):]
+        for record in flux:
+            try:
+                est = photometry.mean_flux_series(_point(cfg, record))
+            except specfun.SeriesConvergenceError as exc:
+                assert record["error"] == f"SeriesConvergenceError: {exc}"
+            else:
+                assert (record["value"], record["method"]) == (est.value, "series")
+        assert [bool(r["error"]) for r in hearing] == [False, False, True, True]
+
+    def test_mc_flux_rows_are_lone_estimates(self, monkeypatch, tmp_path):
+        cfg = load_preset("default")
+        metrics = ("mean_flux", "link_budget", "p_hearing", "p_damage")
+        sizes, records, digest = self.counted_sweep(monkeypatch, tmp_path, cfg, SweepSpec(
+            SweepAxis("beam.sigma_s_mm", (0.05, 0.1, 0.2)),
+            SweepAxis("source.power_mw", (10.0, 20.0)), metrics, method="mc", mc_n=10_000,
+            mc_seed=9))
+        assert sizes == [6]
+        assert digest == "04c5ba240e822f64a52f599685b1a8bd362765b8462abd3ae57e773ad673e985"
+        for record in records[:6]:
+            est = photometry.mean_flux_mc(_point(cfg, record), n=10_000, seed=9)
+            assert (record["value"], record["err_bound"], record["n_samples"], record["seed"]) == (
+                est.value, est.err_bound, 10_000, 9)
+
+
 class TestCsvEmission:
     def test_byte_identical_reruns(self, baseline_cfg, tmp_path):
         spec = SweepSpec.from_dict(
