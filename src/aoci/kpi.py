@@ -10,10 +10,14 @@ threshold ``d_th``.
 The exceedance probabilities are Monte Carlo estimates with Wilson 95%
 intervals from one estimator, ``p_hearing_and_damage_batch``, which takes a
 sweep's configs; ``p_hearing`` and ``p_damage`` are its batch of one. Block b
-draws its displacements from stream (seed, 2b) and its background counts from
-stream (seed, 2b + 1), so every comparison runs under common random numbers,
-which makes the monotonicity relations exact per seed: ``p_damage <= p_hearing``
-whenever ``d_th >= y_th``, and ``p_hearing`` is nondecreasing in transmit power.
+draws its displacements from stream (seed, 2b) and its background counts N from
+stream (seed, 2b + 1), so every comparison runs under common random numbers. At
+power P sample i counts P g Phi_1(r_i) + N_i (Phi_1 the flux at 1 W): it reaches a
+threshold from its threshold power x_i = (threshold - N_i) / (g Phi_1(r_i)) up, and
+an estimate at P counts the x_i <= P. One helper, ``_threshold_powers``, computes x
+for the estimator and for ``safety_check``'s dynamic range, and the monotonicity
+relations are exact per seed: ``p_damage <= p_hearing`` whenever ``d_th >= y_th``,
+and ``p_hearing`` is nondecreasing in transmit power.
 
 The draws are reusable across calls: a block's displacements r and their
 coupling efficiencies eta(r) depend only on (seed, block, block size, sigma_s,
@@ -109,10 +113,25 @@ _block_displacements = functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)(_draw_blo
 
 @functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)
 def _block_background(seed: int, block: int, count: int, b_mean: float) -> np.ndarray:
-    """Block ``block``'s background counts (stream (seed, 2 block + 1)), read-only."""
-    counts = sample_poisson(RngStream(seed, 2 * block + 1), b_mean, count)
+    """Block ``block``'s background counts (stream (seed, 2 block + 1)), read-only float64."""
+    counts = sample_poisson(RngStream(seed, 2 * block + 1), b_mean, count).astype(np.float64)
     counts.flags.writeable = False
     return counts
+
+
+def _threshold_powers(seed: int, block: int, eta, h_p, flux_per_watt: float, neural: NeuralParams):
+    """Block ``block``'s threshold powers x [W] for each finite threshold, y_th then d_th:
+    (threshold - N) / (flux_per_watt eta h_p g) in that order, N its background counts.
+    A sample is heard at power P unless its x > P: x is inf where the flux is 0, and at
+    most 0, or NaN (0 / 0), where N alone reaches the threshold."""
+    background = _block_background(seed, block, eta.size, neural.mean_background)
+    per_watt = flux_per_watt * eta * h_p * response_window_gain(neural.tau)
+    per_watt[per_watt <= 0.0] = 0.0  # a kernel roundoff below 0 (or a -0.0) is no flux
+    for threshold in (neural.y_th, neural.d_th):
+        if threshold < math.inf:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                x = (threshold - background) / per_watt
+            yield x  # outside the errstate, which would else hold while the caller runs
 
 
 def p_hearing_and_damage_batch(
@@ -124,37 +143,42 @@ def p_hearing_and_damage_batch(
     """Each config's ``(p_hearing, p_damage)``: Pr(count over one window >= y_th, d_th).
 
     Configs are grouped by (sigma_s, coupling), whose blocks' (r, eta(r)) come from
-    the draw cache, then by (A0, w_eq), whose h_p(r) is computed once per block.
-    Each config's totals ``((prefactor eta) h_p) gain + N`` are formed once per
-    block, in that order, by ``received_flux_batch``, and counted against both
-    thresholds: its pair is bitwise that of a batch of it alone. With
+    the draw cache, then by (A0, w_eq), whose h_p(r) is computed once per block, then
+    into power chains by all else, (flux_per_watt, neural). Each member of a chain
+    counts the samples whose ``_threshold_powers`` are not above its power: its pair is
+    bitwise that of a batch of it alone. In exact arithmetic x <= P exactly when the total
+    ``P g Phi_1 + N`` reaches the threshold; in floating point the two can disagree on
+    a sample whose total lies within a few ulps of it, and the count is x's. With
     ``signal_shot_noise`` the Poisson mean holds the signal, drawn per config. An
     infinite d_th (damage disabled) gives (0, 0, 0).
     """
     n, seed, counts = _mc_blocks(n, seed, MIN_SAMPLES)
-    groups: dict = {}  # (sigma_s, coupling) -> (a0, w_eq) -> indices into cfgs
+    groups: dict = {}  # (sigma_s, coupling) -> (a0, w_eq) -> chain -> indices into cfgs
     for i, cfg in enumerate(cfgs):
         drawn, pointing = (cfg.beam.sigma_s, cfg.coupling), (cfg.state.a0, cfg.state.w_eq)
-        groups.setdefault(drawn, {}).setdefault(pointing, []).append(i)
+        chain = (cfg.state.flux_per_watt, cfg.neural)
+        groups.setdefault(drawn, {}).setdefault(pointing, {}).setdefault(chain, []).append(i)
 
     hits = [[0, 0] for _ in cfgs]
     for drawn, pointings in groups.items():
         for block, count in enumerate(counts):
             r, eta = _block_displacements(seed, block, count, *drawn)
-            for (a0, w_eq), members in pointings.items():
+            for (a0, w_eq), chains in pointings.items():
                 h_p = channel.pointing_gain(a0, w_eq, r)
-                for i in members:
-                    neural = cfgs[i].neural
-                    totals = received_flux_batch(r, cfgs[i], eta=eta, h_p=h_p)
-                    totals *= response_window_gain(neural.tau)
-                    if signal_shot_noise:
-                        # Beyond the additive model: the whole count is Poisson, signal and all.
-                        totals += neural.mean_background
-                        totals = sample_poisson(RngStream(seed, 2 * block + 1), totals, count)
-                    else:
-                        totals += _block_background(seed, block, count, neural.mean_background)
-                    hits[i][0] += int(np.count_nonzero(totals >= neural.y_th))
-                    hits[i][1] += int(np.count_nonzero(totals >= neural.d_th))
+                for (flux_per_watt, neural), members in chains.items():
+                    if signal_shot_noise:  # beyond the additive model: all of the count is Poisson
+                        for i in members:
+                            totals = received_flux_batch(r, cfgs[i], eta=eta, h_p=h_p)
+                            totals *= response_window_gain(neural.tau)
+                            totals += neural.mean_background
+                            totals = sample_poisson(RngStream(seed, 2 * block + 1), totals, count)
+                            hits[i][0] += int(np.count_nonzero(totals >= neural.y_th))
+                            hits[i][1] += int(np.count_nonzero(totals >= neural.d_th))
+                        continue
+                    powers = _threshold_powers(seed, block, eta, h_p, flux_per_watt, neural)
+                    for t, x in enumerate(powers):
+                        for i in members:  # heard unless x is above the member's power
+                            hits[i][t] += count - int(np.count_nonzero(x > cfgs[i].source.power_tx))
 
     return [tuple(ProbabilityEstimate(k / n, *wilson_interval(k, n), n, seed)
                   if threshold < math.inf else ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
@@ -229,11 +253,10 @@ def safety_check(
 
     The irradiances are ``_irradiances`` at the transmit power. The dynamic
     range is the power interval where ``p_hearing(n, seed)`` meets
-    ``hearing_target`` while both exposure verdicts hold, None when empty.
-    Sample i is heard from power x_i = (y_th - N_i) / (g Phi_1(r_i)) up (Phi_1
-    the flux at 1 W, N_i the background count), so the lower edge is the
-    ceil(target n)-th smallest x_i, 0.0 when the background alone suffices,
-    raised by ulps until ``p_hearing``'s own arithmetic meets the target.
+    ``hearing_target`` while both exposure verdicts hold, None when empty. Its lower
+    edge is the ceil(target n)-th smallest of the ``_threshold_powers`` at y_th that
+    ``p_hearing`` counts, 0.0 when the background alone suffices, raised by ulps
+    while ``p_hearing`` at that power, read back from milliwatts, misses the target.
     """
     if not 0.0 < hearing_target <= 1.0:
         raise ValueError(f"hearing_target must be in (0, 1], got {hearing_target}")
@@ -243,22 +266,17 @@ def safety_check(
     # A limit whose irradiance is 0 at 1 W (the skin absorbs every photon) never binds.
     x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w if neuron_1w else math.inf)
 
-    state, y_th, b_mean = cfg.state, cfg.neural.y_th, cfg.neural.mean_background
-    gain = response_window_gain(cfg.neural.tau)
-    powers = []
+    state, neural, powers = cfg.state, cfg.neural, []
     for block, count in enumerate(counts):
         r, eta = _block_displacements(seed, block, count, cfg.beam.sigma_s, cfg.coupling)
-        short = y_th - _block_background(seed, block, count, b_mean)  # count the signal must add
-        per_watt = state.flux_per_watt * eta * channel.pointing_gain(state.a0, state.w_eq, r) * gain
-        x = np.where(short > 0.0, np.inf, 0.0)  # a zero flux needs infinite power
-        with np.errstate(over="ignore"):  # and a near-zero flux overflows to the same verdict
-            np.divide(short, per_watt, out=x, where=(short > 0.0) & (per_watt > 0.0))
-        powers.append(x)
+        h_p = channel.pointing_gain(state.a0, state.w_eq, r)
+        powers.append(next(_threshold_powers(seed, block, eta, h_p, state.flux_per_watt, neural)))
+    x = np.fmax(np.concatenate(powers), 0.0)  # NaN and x <= 0 are heard at 0 W
     k = math.ceil(hearing_target * n)
-    edge = float(np.partition(np.concatenate(powers), k - 1)[k - 1])
-    while edge <= x_max and p_hearing_and_damage_batch(
-        [cfg.with_value("source.power_mw", edge * 1e3)], n, seed
-    )[0][0].value < hearing_target:
+    x.partition(k - 1)
+    edge = float(x[k - 1])
+    # p_hearing at a config set to edge * 1e3 mW, which holds (edge * 1e3) * 1e-3 W
+    while edge <= x_max and (n - np.count_nonzero(x > edge * 1e3 * 1e-3)) / n < hearing_target:
         edge = math.nextafter(edge, math.inf)
     dynamic_range = (edge, x_max) if edge <= x_max else None
     return (skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron,

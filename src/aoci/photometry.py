@@ -75,11 +75,15 @@ MC_CHUNK = 1 << 13  # samples a block streams through at once: 64 KiB float64 te
 MC_MIN_SAMPLES = 1000
 
 
+def _ints(*values) -> bool:
+    """Whether every value is an int, numpy's too, and not a bool: a Monte Carlo n or seed."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
 def _mc_blocks(n: int, seed: int, floor: int) -> tuple[int, int, list[int]]:
     """A Monte Carlo request's n and seed as plain ints and its block sizes; a ValueError
-    unless both are ints (numpy's too, bools not), n >= ``floor`` and seed >= 0."""
-    ints = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, seed))
-    if not (ints and n >= floor and seed >= 0):
+    unless both are ``_ints``, n >= ``floor`` and seed >= 0."""
+    if not (_ints(n, seed) and n >= floor and seed >= 0):
         raise ValueError(
             f"need an int n >= {floor} and an int seed >= 0, got n={n!r}, seed={seed!r}")
     n, seed = int(n), int(seed)

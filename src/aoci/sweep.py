@@ -74,15 +74,16 @@ class SweepSpec:
             raise ConfigError(f"sweep.metric: need distinct metrics, got {self.metric!r}")
         if self.method not in METHODS:
             raise ConfigError(f"sweep.method: unknown method {self.method!r}")
+        exceedance = next((metric for metric in self.metrics if metric in EXCEEDANCES), None)
+        floor = kpi.MIN_SAMPLES if exceedance else photometry.MC_MIN_SAMPLES
+        if not photometry._ints(self.mc_n, self.mc_seed):  # as every estimator takes them
+            raise ConfigError(f"sweep.mc: need an int n and seed, got n={self.mc_n!r}, "
+                              f"seed={self.mc_seed!r}")
         if self.mc_seed < 0:
             raise ConfigError(f"sweep.mc.seed: must be >= 0, got {self.mc_seed}")
-        if self.mc_n < photometry.MC_MIN_SAMPLES:
-            raise ConfigError(f"sweep.mc.n: need at least {photometry.MC_MIN_SAMPLES} samples, "
-                              f"got {self.mc_n}")
-        for metric in EXCEEDANCES:
-            if metric in self.metrics and self.mc_n < kpi.MIN_SAMPLES:
-                raise ConfigError(f"sweep.mc.n: {metric} needs at least {kpi.MIN_SAMPLES} "
-                                  f"samples, got {self.mc_n}")
+        if self.mc_n < floor:
+            raise ConfigError(f"sweep.mc.n: {exceedance or 'Monte Carlo'} needs at least "
+                              f"{floor} samples, got {self.mc_n}")
 
     @property
     def metrics(self) -> tuple[str, ...]:

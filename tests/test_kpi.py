@@ -1,12 +1,16 @@
 """Hearing/safety indicators: estimator laws, CRN monotonicity, exposure."""
 
+import copy
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import _oracles as oracles
+from conftest import BASELINE_DOC
 from aoci import channel, kpi, photometry
 from aoci.config import LinkConfig
 from aoci.figures import (
@@ -390,7 +394,9 @@ def pointing_calls(monkeypatch):
 
 
 def uncached_exceedance(cfg, threshold, n, seed, signal_shot_noise):
-    """The block loop of the estimator, drawing every block afresh."""
+    """The block loop of the estimator, drawing every block afresh and counting the
+    totals; the estimator's threshold powers agree except on a total within a few ulps
+    of the threshold (``TestThresholdPowers``)."""
     gain = response_window_gain(cfg.neural.tau)
     b_mean = cfg.neural.mean_background
     hits = produced = block = 0
@@ -660,6 +666,81 @@ class TestSharedPass:
         assert calls == {"with_value": points, "pass": points}
 
 
+class TestThresholdPowers:
+    """Each sample's threshold power: the one definition that the batch and
+    ``safety_check`` count against."""
+
+    def test_heard_where_background_suffices_and_never_where_no_flux(self):
+        neural = NeuralParams(f0=10.0, tau=0.15, y_th=2.0, d_th=math.inf)  # B = 1.5
+        background = kpi._block_background(4, 0, 64, neural.mean_background)
+        assert 0 < np.count_nonzero(background == 2.0) and 0 < np.count_nonzero(background < 2.0)
+        # a kernel roundoff below 0, a -0.0 and a 0 carry no flux; so does h_p = 0
+        eta = np.resize([0.5, -1e-20, -0.0, 0.0, 0.25], 64)
+        h_p = np.resize([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0], 64)
+        (x,) = kpi._threshold_powers(4, 0, eta, h_p, 3.0, neural)  # d_th = inf: no array
+        per_watt = 3.0 * eta * h_p * response_window_gain(neural.tau)
+        reached, lit = background >= 2.0, per_watt > 0.0
+        # heard at every power >= 0: x <= 0, or NaN (0 / 0) where N = y_th carries no flux
+        assert not np.any(x[reached] > 0.0)
+        assert np.all(np.isnan(x[reached & ~lit]) == (background[reached & ~lit] == 2.0))
+        assert np.all(x[~reached & ~lit] == math.inf)
+        want = (2.0 - background) / np.where(lit, per_watt, 1.0)
+        assert np.array_equal(x[reached & lit], want[reached & lit])
+        assert np.array_equal(x[~reached & lit], want[~reached & lit])
+
+    def test_no_flux_leaves_the_background_alone(self, baseline_cfg):
+        # mu_a = 124/mm: no flux reaches the neurons, so a sample is heard where N >= y_th,
+        # N = y_th included (x = 0 / 0 there), at every power
+        cfg = baseline_cfg.with_value({"skin.mu_a_per_mm": 124.0, "neural.y_th_photons": 2.0})
+        assert cfg.state.flux_per_watt == 0.0
+        background = kpi._block_background(4, 0, 10_000, cfg.neural.mean_background)
+        heard = np.count_nonzero(background >= 2.0)
+        assert np.count_nonzero(background == 2.0) > 0
+        assert p_hearing(cfg, n=10_000, seed=4).value == heard / 10_000
+        # the background alone meets a target of heard / n at 0 W, and no power meets more
+        *_, dyn = safety_check(cfg, hearing_target=heard / 10_000, n=10_000, seed=4)
+        assert dyn is not None and dyn[0] == 0.0
+        *_, dyn = safety_check(cfg, hearing_target=(heard + 1) / 10_000, n=10_000, seed=4)
+        assert dyn is None
+
+    def test_an_edge_sample_is_counted_by_its_threshold_power(self, baseline_cfg):
+        # default at sigma_s = 0.02 mm, n = 10,000, seed 9: the 9,000th smallest x sits where
+        # the rounded total P g Phi_1 + N of one sample falls short of y_th: p_hearing
+        # meets 0.9 at that x, and counting the totals, as uncached_exceedance does, does not
+        cfg = baseline_cfg.with_value("beam.sigma_s_mm", 0.02)
+        *_, (lo, _) = safety_check(cfg, n=10_000, seed=9)
+        assert lo == float.fromhex("0x1.18ebacee3c636p-5")
+        at_lo = cfg.with_value("source.power_mw", lo * 1e3)
+        assert p_hearing(at_lo, n=10_000, seed=9).value == 0.9
+        assert uncached_exceedance(at_lo, at_lo.neural.y_th, 10_000, 9, False) == 0.8999
+        below = cfg.with_value("source.power_mw", math.nextafter(lo, 0.0) * 1e3)
+        assert p_hearing(below, n=10_000, seed=9).value == 0.8999
+
+    # A fixed hypothesis seed: the examples stay the same from run to run.
+    @seed(20_070_725)
+    @settings(max_examples=12, database=None, deadline=None)
+    @given(link=st.sampled_from(sorted(LINKS)), n=st.integers(MIN_SAMPLES, 2 * MC_BLOCK_SIZE),
+           draw_seed=st.integers(0, 2**32), decades=st.lists(st.floats(-2.0, 3.0), min_size=1,
+                                                             max_size=5))
+    def test_power_chain_is_fresh_draws_and_monotone_in_power(self, link, n, draw_seed,
+                                                               decades):
+        # One chain: the link at several powers (decades above or below its own power).
+        doc = copy.deepcopy(BASELINE_DOC)
+        for section, values in LINKS[link].items():
+            doc[section].update(values)
+        cfg = LinkConfig.from_dict(doc)
+        base_mw = cfg.source.power_tx * 1e3
+        chain = [cfg.with_value("source.power_mw", base_mw * 10.0**d) for d in decades]
+        got = [(h.value, d.value)
+               for h, d in p_hearing_and_damage_batch(chain, n=n, seed=draw_seed)]
+        assert got == [(uncached_exceedance(c, c.neural.y_th, n, draw_seed, False),
+                        uncached_exceedance(c, c.neural.d_th, n, draw_seed, False))
+                       for c in chain]
+        by_power = [pair for _, pair in sorted(zip(decades, got))]
+        for low, high in zip(by_power, by_power[1:]):
+            assert low[0] <= high[0] and low[1] <= high[1]
+
+
 # Every Monte Carlo estimate, as (cfg, n, seed) -> its result, with its sample floor.
 ESTIMATORS = {
     "mean_flux_mc": (lambda cfg, n, seed: photometry.mean_flux_mc(cfg, n=n, seed=seed),
@@ -678,8 +759,9 @@ class TestMonteCarloRequests:
     """Every estimate checks its (n, seed) one way: ints (not bools), n >= its floor,
     seed >= 0, refused before anything is drawn, and numpy ints returned as plain ints."""
 
-    @pytest.mark.parametrize("n, seed", [(20_000, True), (20_000, -1), (20_000, 2.5),
-                                         (20_000.0, 4), ("floor - 1", 4)])
+    @pytest.mark.parametrize("n, seed", [(20_000, True), (20_000, False), (20_000, -1),
+                                         (20_000, 2.5), (True, 4), (20_000.0, 4),
+                                         ("floor - 1", 4)])
     @pytest.mark.parametrize("name", ESTIMATORS)
     def test_a_bad_request_is_refused_before_drawing(self, name, n, seed, monkeypatch):
         estimate, floor = ESTIMATORS[name]

@@ -111,6 +111,15 @@ class TestSpecValidation:
             SweepSpec(SweepAxis("source.power_mw", (1.0,)), None, ("mean_flux", "p_damage"),
                       mc_n=2000)
 
+    @pytest.mark.parametrize("counts", [{"mc_seed": True}, {"mc_seed": False},
+                                        {"mc_seed": 2.5}, {"mc_n": 20_000.0}, {"mc_n": True},
+                                        {"mc_seed": None}, {"mc_n": "x"}])
+    @pytest.mark.parametrize("metric", ["mean_flux", "p_hearing"])
+    def test_counts_are_ints_as_every_estimator_checks_them(self, counts, metric):
+        # refused here, as a ConfigError, not by the estimator once the sweep runs
+        with pytest.raises(ConfigError, match=r"^sweep\.mc"):
+            SweepSpec(SweepAxis("source.power_mw", (1.0,)), None, metric, **counts)
+
     def test_integral_float_counts_read_as_ints(self):
         spec = SweepSpec.from_dict(spec_doc(mc={"n": 20000.0, "seed": 0.0}))
         assert (spec.mc_n, spec.mc_seed) == (20000, 0)
