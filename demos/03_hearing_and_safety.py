@@ -22,7 +22,7 @@ gain = response_window_gain(neural.tau)
 print(f"mean flux                 = {flux.value:.4e} photons/s")
 print(f"window integration factor = {gain:.6f} s  (tau = {neural.tau} s)")
 print(f"mean background count     = {neural.mean_background:.3g}")
-print(f"link budget (total count) = {link_budget(cfg, flux):.4e}")
+print(f"link budget (total count) = {link_budget(cfg, flux).value:.4e}")
 print(f"excitation threshold      = {neural.y_th:.3e} counts")
 print(f"damage threshold          = {neural.d_th:.3e} counts")
 
@@ -33,15 +33,16 @@ print("=" * 70)
 for power_mw in (10.0, 20.0, 30.0, 40.0, 60.0):
     est = p_hearing(cfg.with_value("source.power_mw", power_mw), n=40_000, seed=7)
     bar = "#" * round(40 * est.value)
-    print(f"{power_mw:6.1f} mW : {est.value:6.3f} [{est.ci_low:.3f}, {est.ci_high:.3f}] {bar}")
+    low, high = est.interval
+    print(f"{power_mw:6.1f} mW : {est.value:6.3f} [{low:.3f}, {high:.3f}] {bar}")
 
 print()
 print("=" * 70)
 print("3. False triggers from background alone")
 print("=" * 70)
 fh = p_false_hearing(neural)
-print(f"survival reading Pr(N >= y_th) = {fh.literal:.3e}")
-print(f"CDF closed form  Q(y_th+1, B)  = {fh.cdf_closed_form:.6f}")
+print(f"survival reading Pr(N >= y_th) = {fh.literal.value:.3e}")
+print(f"CDF closed form  Q(y_th+1, B)  = {fh.cdf_closed_form.value:.6f}")
 print("(the two readings answer complementary questions; the survival one is")
 print(" the false-trigger probability and is ~0 at realistic thresholds)")
 
@@ -50,8 +51,8 @@ print("=" * 70)
 print("4. Full indicator report with the safe power window")
 print("=" * 70)
 report = kpi_report(cfg, n=40_000, seed=7)
-print(f"p_hearing         = {report.p_hearing.value:.3f} "
-      f"[{report.p_hearing.ci_low:.3f}, {report.p_hearing.ci_high:.3f}]")
+low, high = report.p_hearing.interval
+print(f"p_hearing         = {report.p_hearing.value:.3f} [{low:.3f}, {high:.3f}]")
 print(f"p_damage          = {report.p_damage.value:.3e}")
 print(f"skin irradiance   = {report.skin_irradiance * 1e-3:.3f} mW/mm^2 "
       f"(ok: {report.mpe_skin_ok})")

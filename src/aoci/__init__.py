@@ -13,7 +13,7 @@ Module map
 specfun     special functions (numpy kernels) and the series/quadrature engines
 channel     transdermal path gain and pointing-error geometry
 optics      collimation, fiber coupling (closed form, oracle, kernel), fiber losses
-photometry  end-to-end flux chain and the three averaging routes
+photometry  flux chain, its three averaging routes, and every number's ``Estimate``
 kpi         hearing / false-hearing / damage probabilities, exposure limits
 stochastics seeded splittable random variates
 config      unit-suffixed JSON ingestion into validated SI objects
@@ -26,7 +26,7 @@ cli         the ``aoci`` command-line tool
 from aoci.config import ConfigError, LinkConfig
 from aoci.kpi import KpiReport, kpi_report, p_damage, p_false_hearing, p_hearing
 from aoci.photometry import (
-    FluxEstimate,
+    Estimate,
     derive_state,
     link_budget,
     mean_flux,
@@ -51,7 +51,7 @@ __all__ = [
     "p_hearing",
     "p_false_hearing",
     "p_damage",
-    "FluxEstimate",
+    "Estimate",
     "derive_state",
     "mean_flux",
     "mean_flux_series",

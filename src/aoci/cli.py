@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 from aoci import kpi, photometry, svgplot
 from aoci.config import ConfigError, LinkConfig
-from aoci.figures import FIGURE_NUMBERS, curve, grid_values, run_figure, sweep_heatmap
+from aoci.figures import _LOG_SCALE, FIGURE_NUMBERS, curve, grid_values, run_figure, sweep_heatmap
 from aoci.specfun import NumericalError
 from aoci.sweep import METRIC_COLUMNS, SweepSpec, _evaluate_point, run_sweep, write_csv
 from aoci.validate import run_validation
@@ -90,6 +91,11 @@ def _mw_per_mm2(v: float) -> str:
     return f"{v * 1e-3:.6g} mW/mm^2"
 
 
+def _with_interval(est) -> str:
+    low, high = est.interval
+    return f"{est.value:.4f}  [95% CI {low:.4f}, {high:.4f}]"
+
+
 def _cmd_eval(args) -> int:
     cfg = LinkConfig.from_file(args.config)
     state = cfg.state
@@ -119,26 +125,22 @@ def _cmd_eval(args) -> int:
     print(f"  method    = {flux.method}")
     print(f"  value     = {flux.value:.6e} photons/s")
     print(f"  err bound = {flux.err_bound:.3e}")
-    if flux.method == "monte_carlo":
+    if flux.n_samples is not None:
         print(f"  samples   = {flux.n_samples}, seed = {flux.seed}")
 
     gain = photometry.response_window_gain(cfg.neural.tau)
-    budget = photometry.link_budget(cfg, flux)
     print("link budget over one response window:")
     print(f"  signal counts    = {flux.value * gain:.6e}")
     print(f"  background counts= {cfg.neural.mean_background:.6g}")
-    print(f"  total            = {budget:.6e}")
+    print(f"  total            = {photometry.link_budget(cfg, flux).value:.6e}")
 
     report = kpi.kpi_report(cfg, n=args.samples, seed=args.seed)
-    ph, pd_ = report.p_hearing, report.p_damage
-    fh = report.p_false_hearing
+    literal, cdf = report.p_false_hearing
     print(f"indicators (n={args.samples}, seed={args.seed}):")
-    print(f"  p_hearing        = {ph.value:.4f}  [95% CI {ph.ci_low:.4f}, {ph.ci_high:.4f}]")
-    print(
-        f"  p_false_hearing  = {fh.literal:.6g} (survival reading); "
-        f"{fh.cdf_closed_form:.6g} (CDF closed form)"
-    )
-    print(f"  p_damage         = {pd_.value:.4f}  [95% CI {pd_.ci_low:.4f}, {pd_.ci_high:.4f}]")
+    print(f"  p_hearing        = {_with_interval(report.p_hearing)}")
+    print(f"  p_false_hearing  = {literal.value:.6g} (survival reading); "
+          f"{cdf.value:.6g} (CDF closed form)")
+    print(f"  p_damage         = {_with_interval(report.p_damage)}")
     skin_state = "ok" if report.mpe_skin_ok else "EXCEEDED"
     neuron_state = "ok" if report.mpe_neuron_ok else "EXCEEDED"
     print(
@@ -158,7 +160,7 @@ def _cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        rows = _evaluate_point(cfg, tuple(EVAL_ROWS), flux, (ph, pd_))
+        rows = _evaluate_point(cfg, tuple(EVAL_ROWS), flux, (report.p_hearing, report.p_damage))
         with open(out / "eval.csv", "w", encoding="utf-8", newline="") as fh_out:
             writer = csv.writer(fh_out, lineterminator="\n")
             writer.writerow(["quantity", *METRIC_COLUMNS[:5], "config_hash"])
@@ -182,17 +184,21 @@ def _cmd_sweep(args) -> int:
         print(f"note: {failures} grid points recorded errors (see the error column)")
 
     if args.svg:
-        svg_path = out / "sweep.svg"
+        svg_path, values = out / "sweep.svg", grid_values(result)
+        log = spec.axis2 is not None and spec.metric in _LOG_SCALE  # as sweep_heatmap draws
+        if not any(math.isfinite(v) and (v > 0.0 or not log) for v in values.values()):
+            print(f"note: no grid point has a value to plot; {svg_path} not written")
+            return EXIT_OK
         provenance = f"config {cfg.config_hash()} seed {spec.mc_seed}"
         if spec.axis2 is None:
-            xs, ys = curve(grid_values(result))
+            xs, ys = curve(values)
             svgplot.line_plot(
                 svg_path, [(spec.metric, xs, ys)], spec.axis1.path, spec.metric,
                 title=f"{spec.metric} vs {spec.axis1.path}",
                 provenance=provenance,
             )
         else:
-            sweep_heatmap(result, grid_values(result), svg_path, spec.axis1.path,
+            sweep_heatmap(result, values, svg_path, spec.axis1.path,
                           spec.axis2.path, spec.metric, provenance)
         print(f"wrote {svg_path}")
     return EXIT_OK

@@ -7,7 +7,7 @@ mean ``B = f0 tau``. A stimulus is perceived when the total count reaches
 the excitation threshold ``y_th``; it is harmful when it reaches the damage
 threshold ``d_th``.
 
-The exceedance probabilities are Monte Carlo estimates with Wilson 95%
+The exceedance probabilities are ``monte_carlo`` ``Estimate``s with Wilson 95%
 intervals from one estimator, ``p_hearing_and_damage_batch``, which takes a
 sweep's configs; ``p_hearing`` and ``p_damage`` are its batch of one. Block b
 draws its displacements from stream (seed, 2b) and its background counts N from
@@ -47,6 +47,7 @@ import numpy as np
 
 from aoci import channel, optics
 from aoci.photometry import (  # derive_state stays importable for bench/tracing.py
+    Estimate,
     NeuralParams,
     _draw_block,
     _mc_blocks,
@@ -61,7 +62,6 @@ if TYPE_CHECKING:
     from aoci.config import LinkConfig
 
 __all__ = [
-    "ProbabilityEstimate",
     "FalseHearing",
     "KpiReport",
     "wilson_interval",
@@ -77,21 +77,11 @@ MIN_SAMPLES = 10_000
 DRAW_CACHE_ENTRIES = 64  # per cache; an entry holds one block of at most MC_BLOCK_SIZE
 
 
-class ProbabilityEstimate(NamedTuple):
-    """A Monte Carlo probability with its Wilson 95% interval."""
-
-    value: float
-    ci_low: float
-    ci_high: float
-    n_samples: int
-    seed: int
-
-
 class FalseHearing(NamedTuple):
     """Both readings of the false-hearing probability (see module docstring)."""
 
-    literal: float
-    cdf_closed_form: float
+    literal: Estimate
+    cdf_closed_form: Estimate
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -139,7 +129,7 @@ def p_hearing_and_damage_batch(
     n: int = 100_000,
     seed: int = 1234,
     signal_shot_noise: bool = False,
-) -> list[tuple[ProbabilityEstimate, ProbabilityEstimate]]:
+) -> list[tuple[Estimate, Estimate]]:
     """Each config's ``(p_hearing, p_damage)``: Pr(count over one window >= y_th, d_th).
 
     Configs are grouped by (sigma_s, coupling), whose blocks' (r, eta(r)) come from
@@ -150,7 +140,7 @@ def p_hearing_and_damage_batch(
     ``P g Phi_1 + N`` reaches the threshold; in floating point the two can disagree on
     a sample whose total lies within a few ulps of it, and the count is x's. With
     ``signal_shot_noise`` the Poisson mean holds the signal, drawn per config. An
-    infinite d_th (damage disabled) gives (0, 0, 0).
+    infinite d_th (damage disabled) gives value, err_bound and interval 0.
     """
     n, seed, counts = _mc_blocks(n, seed, MIN_SAMPLES)
     groups: dict = {}  # (sigma_s, coupling) -> (a0, w_eq) -> chain -> indices into cfgs
@@ -180,9 +170,9 @@ def p_hearing_and_damage_batch(
                         for i in members:  # heard unless x is above the member's power
                             hits[i][t] += count - int(np.count_nonzero(x > cfgs[i].source.power_tx))
 
-    return [tuple(ProbabilityEstimate(k / n, *wilson_interval(k, n), n, seed)
-                  if threshold < math.inf else ProbabilityEstimate(0.0, 0.0, 0.0, n, seed)
-                  for k, threshold in zip(counted, (cfg.neural.y_th, cfg.neural.d_th)))
+    return [tuple(Estimate(k / n, 0.5 * (high - low), "monte_carlo", n, seed, (low, high))
+                  for k, threshold in zip(counted, (cfg.neural.y_th, cfg.neural.d_th))
+                  for low, high in [wilson_interval(k, n) if threshold < math.inf else (0.0, 0.0)])
             for cfg, counted in zip(cfgs, hits)]
 
 
@@ -191,19 +181,19 @@ def p_hearing(
     n: int = 100_000,
     seed: int = 1234,
     signal_shot_noise: bool = False,
-) -> ProbabilityEstimate:
+) -> Estimate:
     """Probability that a transmitted stimulus excites the neurons."""
     return p_hearing_and_damage_batch([cfg], n, seed, signal_shot_noise)[0][0]
 
 
-def p_damage(cfg: "LinkConfig", n: int = 100_000, seed: int = 1234) -> ProbabilityEstimate:
+def p_damage(cfg: "LinkConfig", n: int = 100_000, seed: int = 1234) -> Estimate:
     """Probability that the delivered count reaches the damage threshold, by
-    ``p_hearing``'s estimator; (0, 0, 0) if d_th = inf (disabled)."""
+    ``p_hearing``'s estimator; value, err_bound and interval 0 if d_th = inf (disabled)."""
     return p_hearing_and_damage_batch([cfg], n, seed)[0][1]
 
 
 def p_false_hearing(neural: NeuralParams) -> FalseHearing:
-    """Probability of excitation by background alone, both readings.
+    """Probability of excitation by background alone: both readings, ``closed_form``.
 
     The count N is an integer, so any threshold y_th > 0 is exact: literal is
     ``Pr(N >= y_th) = P(ceil(y_th), B)``, the lower regularized gamma, free of the
@@ -211,17 +201,18 @@ def p_false_hearing(neural: NeuralParams) -> FalseHearing:
     Poisson CDF ``Pr(N <= y_th)``.
     """
     y_th, b = neural.y_th, neural.mean_background
-    return FalseHearing(literal=regularized_gamma_p(float(math.ceil(y_th)), b),
-                        cdf_closed_form=regularized_gamma_q(math.floor(y_th) + 1.0, b))
+    literal = regularized_gamma_p(float(math.ceil(y_th)), b)
+    cdf = regularized_gamma_q(math.floor(y_th) + 1.0, b)
+    return FalseHearing(Estimate(literal, 0.0, "closed_form"), Estimate(cdf, 0.0, "closed_form"))
 
 
 @dataclass(frozen=True)
 class KpiReport:
     """Full indicator set for one configuration."""
 
-    p_hearing: ProbabilityEstimate
+    p_hearing: Estimate
     p_false_hearing: FalseHearing
-    p_damage: ProbabilityEstimate
+    p_damage: Estimate
     skin_irradiance: float  # W/m^2 at the emission spot
     neuron_irradiance: float  # W/m^2 over the fiber mode-field disc
     mpe_skin_ok: bool
@@ -286,15 +277,6 @@ def safety_check(
 def kpi_report(cfg: "LinkConfig", n: int = 100_000, seed: int = 1234) -> KpiReport:
     """Every indicator for one configuration: p_hearing and p_damage from one pass, and
     the dynamic range, on the same (n, seed) draws."""
-    skin_irr, neuron_irr, skin_ok, neuron_ok, dyn = safety_check(cfg, n=n, seed=seed)
+    safety = safety_check(cfg, n=n, seed=seed)  # KpiReport's last five fields, in order
     hearing, damage = p_hearing_and_damage_batch([cfg], n, seed)[0]
-    return KpiReport(
-        p_hearing=hearing,
-        p_false_hearing=p_false_hearing(cfg.neural),
-        p_damage=damage,
-        skin_irradiance=skin_irr,
-        neuron_irradiance=neuron_irr,
-        mpe_skin_ok=skin_ok,
-        mpe_neuron_ok=neuron_ok,
-        dynamic_range_w=dyn,
-    )
+    return KpiReport(hearing, p_false_hearing(cfg.neural), damage, *safety)

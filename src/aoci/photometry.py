@@ -20,6 +20,9 @@ three mutually validating routes:
 ``mean_flux`` runs exactly the route it is asked for: a route that cannot
 deliver raises its ``NumericalError`` instead of handing over to another.
 
+Every route returns an ``Estimate`` (value, error bound, route tag), the one type
+of every number the package emits: ``link_budget`` and ``aoci.kpi``'s too.
+
 Counts vs rates: flux lives in photons/second; threshold logic elsewhere
 multiplies by the response-window integration factor ``tau (e-1)/e`` to get
 photon counts over one neural response window, the only domain where the
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,7 +57,7 @@ __all__ = [
     "SourceParams",
     "NeuralParams",
     "ChannelState",
-    "FluxEstimate",
+    "Estimate",
     "derive_state",
     "received_flux_batch",
     "mean_flux_series",
@@ -177,31 +180,38 @@ def derive_state(cfg: "LinkConfig") -> ChannelState:
     )
 
 
-@dataclass(frozen=True)
-class FluxEstimate:
-    """A flux value with its method tag and error bound.
-
-    err_bound is a truncation bound (series), an absolute quadrature error
-    estimate (quadrature), or one standard error (monte_carlo). n_samples
-    and seed are present exactly for monte_carlo results.
-    """
+@dataclass(frozen=True, slots=True)
+class Estimate:
+    """A number the package emits, tagged by the route that made it: ``series``,
+    ``quadrature``, ``monte_carlo`` (with its n_samples and seed) or ``closed_form``.
+    err_bound is a truncation bound (series), an absolute quadrature error estimate
+    (quadrature), one standard error (a Monte Carlo flux), half the width of the Wilson
+    95% ``interval`` (a Monte Carlo probability), or 0.0 (closed_form)."""
 
     value: float
-    method: str
     err_bound: float
+    method: str
     n_samples: int | None = None
     seed: int | None = None
+    interval: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("series", "quadrature", "monte_carlo"):
+        if self.method not in ("series", "quadrature", "monte_carlo", "closed_form"):
             raise ValueError(f"unknown method tag {self.method!r}")
         if self.value < 0.0:
-            raise ValueError(f"flux must be >= 0, got {self.value}")
+            raise ValueError(f"value must be >= 0, got {self.value}")
         if self.err_bound < 0.0:
             raise ValueError(f"err_bound must be >= 0, got {self.err_bound}")
         is_mc = self.method == "monte_carlo"
-        if is_mc != (self.n_samples is not None) or is_mc != (self.seed is not None):
-            raise ValueError("n_samples and seed are present exactly for monte_carlo")
+        if is_mc != (self.n_samples is not None) or is_mc != (self.seed is not None) or (
+                self.interval is not None and not is_mc):
+            raise ValueError("n_samples and seed are present exactly for monte_carlo, "
+                             "and an interval only there")
+
+    def __iter__(self):
+        """(value, err_bound, method, n_samples, seed), as the benchmark's ``kpi_safety``
+        workload unpacks its shot-noise ``p_hearing``; this goes when that part does."""
+        return iter((self.value, self.err_bound, self.method, self.n_samples, self.seed))
 
 
 def received_flux_batch(
@@ -236,7 +246,7 @@ def _exposure_rate(cfg: "LinkConfig", state: ChannelState) -> float:
     )
 
 
-def mean_flux_series(cfg: "LinkConfig") -> FluxEstimate:
+def mean_flux_series(cfg: "LinkConfig") -> Estimate:
     """Average flux by the closed-form quadruple hypergeometric series.
 
     The Rayleigh average of ``Phi(r)`` evaluates to
@@ -261,14 +271,14 @@ def mean_flux_series(cfg: "LinkConfig") -> FluxEstimate:
     sigma_sq = cfg.beam.sigma_s * cfg.beam.sigma_s
     prefactor = (state.flux_per_watt * cfg.source.power_tx * state.a0 * q * q
                  / (2.0 * sigma_sq * s_rate))
-    return FluxEstimate(
+    return Estimate(
         value=max(prefactor * f4, 0.0),
-        method="series",
         err_bound=abs(prefactor) * f4_err,
+        method="series",
     )
 
 
-def mean_flux_quadrature(cfg: "LinkConfig") -> FluxEstimate:
+def mean_flux_quadrature(cfg: "LinkConfig") -> Estimate:
     """Average flux by adaptive quadrature of ``Phi(r) f_r(r)`` over (0, inf).
 
     The default route: valid for every parameter regime. The integrand
@@ -285,7 +295,7 @@ def mean_flux_quadrature(cfg: "LinkConfig") -> FluxEstimate:
 
 def mean_flux_quadrature_batch(
     cfgs: Sequence["LinkConfig"],
-) -> list[FluxEstimate | QuadratureExhaustedError]:
+) -> list[Estimate | QuadratureExhaustedError]:
     """``mean_flux_quadrature`` of many configs in one adaptive quadrature.
 
     ``Phi(r)`` is the point's ``flux_per_watt`` times its power times an integrand fixed by
@@ -325,8 +335,8 @@ def mean_flux_quadrature_batch(
                    for cfg, s in zip(distinct, sigma.tolist())]
     integrals = integrate_semi_infinite_batch(integrand, sigma.tolist(), breakpoints)
     prefactors = [cfg.state.flux_per_watt * cfg.source.power_tx for cfg in cfgs]
-    return [result if isinstance(result, QuadratureExhaustedError) else FluxEstimate(
-        value=max(p * result[0], 0.0), method="quadrature", err_bound=abs(p) * result[1])
+    return [result if isinstance(result, QuadratureExhaustedError) else Estimate(
+        value=max(p * result[0], 0.0), err_bound=abs(p) * result[1], method="quadrature")
         for p, result in zip(prefactors, map(integrals.__getitem__, slot))]
 
 
@@ -354,7 +364,7 @@ def _draw_block(
     return r, eta
 
 
-def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
+def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> Estimate:
     """Average flux by seeded Monte Carlo over Rayleigh displacements.
 
     Samples come in fixed blocks of 2^16, the blocks the exceedance estimator
@@ -388,10 +398,10 @@ def mean_flux_mc(cfg: "LinkConfig", n: int, seed: int) -> FluxEstimate:
 
     mean = total / n
     stderr = math.sqrt(sum_sq_dev / n / n)
-    return FluxEstimate(
+    return Estimate(
         value=max(mean, 0.0),
-        method="monte_carlo",
         err_bound=stderr,
+        method="monte_carlo",
         n_samples=n,
         seed=seed,
     )
@@ -402,7 +412,7 @@ def mean_flux(
     method: str = "quadrature",
     n: int = 1_000_000,
     seed: int = 1234,
-) -> FluxEstimate:
+) -> Estimate:
     """Average flux by the requested route: quadrature, series or mc.
 
     The route either returns its estimate or raises its ``NumericalError``;
@@ -424,6 +434,9 @@ def response_window_gain(tau: float) -> float:
     return tau * (math.e - 1.0) / math.e
 
 
-def link_budget(cfg: "LinkConfig", flux: FluxEstimate) -> float:
-    """Mean photon count over one response window: ``Phi_bar tau (e-1)/e + B_bar``."""
-    return flux.value * response_window_gain(cfg.neural.tau) + cfg.neural.mean_background
+def link_budget(cfg: "LinkConfig", flux: Estimate) -> Estimate:
+    """Mean photon count over one response window, ``Phi_bar tau (e-1)/e + B_bar``, by
+    ``flux``'s route: its err_bound scaled by the window gain ``tau (e-1)/e``."""
+    gain = response_window_gain(cfg.neural.tau)
+    return replace(flux, value=flux.value * gain + cfg.neural.mean_background,
+                   err_bound=flux.err_bound * gain)

@@ -10,10 +10,11 @@ time: their flux (``mean_flux`` / ``link_budget``) by series or mc per point, or
 through one quadrature, one integral per distinct integrand (power only scales
 it), then the ``p_hearing`` and ``p_damage`` of those whose flux held through
 one exceedance pass, each bitwise as lone evaluations. A point's fixed cost is
-that config, its hash and one tuple per metric, laid out by column index. Rows
-are written metric by metric, each in grid order: axis2 outer, axis1 inner, so
-axis1 is the natural x-axis of a plotted curve family. Per-point numerical
-failures are recorded in the ``error`` column and the run continues.
+that config, its hash and one tuple per metric, each laid out one way from the
+``photometry.Estimate`` the metric reads. Rows are written metric by metric,
+each in grid order: axis2 outer, axis1 inner, so axis1 is the natural x-axis
+of a plotted curve family. Per-point numerical failures are recorded in the
+``error`` column and the run continues.
 
 CSV is RFC-4180 with LF line endings, '.' decimal separator, UTF-8; floats
 are written with shortest round-trip repr, so re-running an identical sweep
@@ -142,25 +143,20 @@ METRIC_COLUMNS = ("value", "err_bound", "method", "n_samples", "seed", "ci_low",
                   "cdf_closed_form")
 
 
-def _evaluate_point(cfg: LinkConfig, metrics: tuple[str, ...], est, pair) -> list[tuple]:
-    """One point's ``METRIC_COLUMNS`` per metric ("" where unset): the flux metrics from
-    its flux estimate ``est``, and the exceedances from its (p_hearing, p_damage)."""
+def _evaluate_point(cfg: LinkConfig, metrics: tuple[str, ...], flux, pair) -> list[tuple]:
+    """One point's ``METRIC_COLUMNS`` per metric ("" where unset), from the estimate it
+    reads: ``flux``, its link budget, one of ``pair`` or the false-hearing survival."""
+    false_hearing = kpi.p_false_hearing(cfg.neural) if "p_false_hearing" in metrics else None
     fields = []
     for metric in metrics:
-        if metric in FLUXES:
-            value, err = est.value, est.err_bound
-            if metric == "link_budget":
-                value = photometry.link_budget(cfg, est)
-                err *= photometry.response_window_gain(cfg.neural.tau)
-            drawn = (est.n_samples, est.seed) if est.method == "monte_carlo" else ("", "")
-            fields.append((value, err, est.method, *drawn, "", "", ""))
-        elif metric in EXCEEDANCES:
-            p = pair[EXCEEDANCES.index(metric)]
-            fields.append((p.value, 0.5 * (p.ci_high - p.ci_low), "monte_carlo", p.n_samples,
-                           p.seed, p.ci_low, p.ci_high, ""))
-        else:  # p_false_hearing
-            fh = kpi.p_false_hearing(cfg.neural)
-            fields.append((fh.literal, 0.0, "closed_form", "", "", "", "", fh.cdf_closed_form))
+        est = (flux if metric == "mean_flux" else
+               photometry.link_budget(cfg, flux) if metric == "link_budget" else
+               false_hearing.literal if metric == "p_false_hearing" else
+               pair[EXCEEDANCES.index(metric)])
+        cdf = false_hearing.cdf_closed_form.value if metric == "p_false_hearing" else ""
+        fields.append((est.value, est.err_bound, est.method,
+                       *(("", "") if est.n_samples is None else (est.n_samples, est.seed)),
+                       *(est.interval or ("", "")), cdf))
     return fields
 
 

@@ -221,7 +221,7 @@ def check_poisson_identities(quick: bool) -> CheckResult:
             worst = max(worst, abs(regularized_gamma_q(k + 1.0, b) - partial))
             if k >= 1:
                 neural = photometry.NeuralParams(f0=b, tau=1.0, y_th=float(k), d_th=math.inf)
-                survival = kpi.p_false_hearing(neural).literal
+                survival = kpi.p_false_hearing(neural).literal.value
                 worst = max(worst, abs(survival + regularized_gamma_q(float(k), b) - 1.0))
     return CheckResult(
         name="Poisson tail identities",

@@ -288,6 +288,36 @@ class TestSweep:
         assert code == 0
         assert "<rect" in (out_dir / "sweep.svg").read_text()
 
+    @pytest.mark.parametrize("axis2", [None, {"path": "skin.delta_mm", "values": [4, 5]}],
+                             ids=["one_axis", "two_axis"])
+    def test_sweep_svg_with_no_point_to_plot(self, tmp_path, capsys, axis2):
+        # the series refuses every point of this grid, so the plot has nothing to draw
+        doc = {"axis1": {"path": "beam.sigma_s_mm", "values": [0.5, 1.0]},
+               "metric": "mean_flux", "method": "series", **({"axis2": axis2} if axis2 else {})}
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(preset_path("fig5.json")), "--sweep",
+                     str(sweep_path), "--out", str(out_dir), "--svg"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = list(csv.DictReader(open(out_dir / "sweep.csv", encoding="utf-8")))
+        assert len(rows) == (4 if axis2 else 2)
+        assert all(row["error"].startswith("SeriesConvergenceError") for row in rows)
+        assert not (out_dir / "sweep.svg").exists()
+        notes = [line for line in out.splitlines() if line.startswith("note:")]
+        assert len(notes) == 2 and "no grid point has a value to plot" in notes[1]
+
+    def test_sweep_svg_of_zero_flux_on_a_log_heatmap(self, config_path, tmp_path, capsys):
+        # at 0 mW every flux is 0.0, which a two-axis flux heatmap's log scale cannot draw
+        sweep_path = self.make_sweep(tmp_path, axis1={"path": "source.power_mw", "values": [0]},
+                                     axis2={"path": "skin.delta_mm", "values": [4.0, 6.0]})
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", config_path, "--sweep", sweep_path,
+                     "--out", str(out_dir), "--svg"])
+        assert code == 0 and not (out_dir / "sweep.svg").exists()
+        assert "note: no grid point has a value to plot" in capsys.readouterr().out
+
     def test_sweep_csv_bytes_reproducible(self, config_path, tmp_path, capsys):
         sweep_path = self.make_sweep(
             tmp_path, metric="p_hearing", method="mc", mc={"n": 10000, "seed": 9}

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import _oracles as oracles
 from conftest import BASELINE_DOC
-from aoci import channel, kpi, photometry
+from aoci import channel, kpi, optics, photometry
 from aoci.config import LinkConfig
 from aoci.figures import (
     DELTA_CURVES_MM,
+    POWER_GRID_FIG7_MW,
     POWER_GRID_FIG8_MW,
     SIGMA_GRID_FIG7_MM,
     load_preset,
@@ -31,7 +32,13 @@ from aoci.kpi import (
     safety_check,
     wilson_interval,
 )
-from aoci.photometry import MC_BLOCK_SIZE, NeuralParams, received_flux_batch, response_window_gain
+from aoci.photometry import (
+    MC_BLOCK_SIZE,
+    Estimate,
+    NeuralParams,
+    received_flux_batch,
+    response_window_gain,
+)
 from aoci.stochastics import RngStream, sample_poisson
 from aoci.sweep import SweepAxis, SweepSpec, run_sweep
 
@@ -79,7 +86,7 @@ class TestHearingProbability:
 
         cfg = LinkConfig.from_dict(baseline_doc)
         est = p_hearing(cfg, n=200_000, seed=11)
-        assert est.ci_low <= 0.018576 <= est.ci_high
+        assert est.interval[0] <= 0.018576 <= est.interval[1]
         assert est.value == pytest.approx(0.018576, abs=2e-3)
 
     def test_nondecreasing_in_power_under_crn(self, baseline_cfg):
@@ -116,8 +123,10 @@ class TestHearingProbability:
 class TestFalseHearing:
     def test_spec_values(self):
         fh = p_false_hearing(NEURAL_SMALL)
-        assert fh.literal == pytest.approx(0.018576, abs=1e-5)
-        assert fh.cdf_closed_form == pytest.approx(0.995544, abs=1e-5)
+        assert fh.literal.value == pytest.approx(0.018576, abs=1e-5)
+        assert fh.cdf_closed_form.value == pytest.approx(0.995544, abs=1e-5)
+        for reading in fh:  # closed forms: no error bound, no draw, no interval
+            assert reading == Estimate(reading.value, 0.0, "closed_form")
 
     def test_survival_cdf_complement(self):
         from aoci.specfun import regularized_gamma_q
@@ -126,7 +135,7 @@ class TestFalseHearing:
             neural = NeuralParams(f0=10.0, tau=0.15, y_th=y_th, d_th=1e6)
             fh = p_false_hearing(neural)
             cdf_below = regularized_gamma_q(y_th, neural.mean_background)
-            assert fh.literal + cdf_below == pytest.approx(1.0, abs=1e-12)
+            assert fh.literal.value + cdf_below == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("y_th, approx_value", [(20.0, 3.2834e-16), (30.0, 1.6949e-28)])
     def test_far_tail_keeps_relative_precision(self, y_th, approx_value):
@@ -134,28 +143,28 @@ class TestFalseHearing:
         neural = NeuralParams(f0=10.0, tau=0.15, y_th=y_th, d_th=1e6)
         expected = float(oracles.gamma_p_reference(y_th, neural.mean_background))
         assert expected == pytest.approx(approx_value, rel=1e-4)
-        assert p_false_hearing(neural).literal == pytest.approx(expected, rel=1e-10, abs=0.0)
+        assert p_false_hearing(neural).literal.value == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_no_background(self):
         neural = NeuralParams(f0=0.0, tau=0.15, y_th=2.0, d_th=10.0)
         fh = p_false_hearing(neural)
-        assert fh.literal == 0.0
-        assert fh.cdf_closed_form == 1.0
+        assert fh.literal.value == 0.0
+        assert fh.cdf_closed_form.value == 1.0
 
     def test_fractional_threshold_reads_the_integer_count(self):
         # N is an integer: Pr(N >= 2.5) = Pr(N >= 3) = P(3, B), Pr(N <= 2.5) = Pr(N <= 2).
         from aoci.specfun import regularized_gamma_p, regularized_gamma_q
 
         fh = p_false_hearing(NeuralParams(f0=10.0, tau=0.15, y_th=2.5, d_th=10.0))
-        assert fh.literal == regularized_gamma_p(3.0, 1.5)
-        assert fh.cdf_closed_form == regularized_gamma_q(3.0, 1.5)
+        assert fh.literal.value == regularized_gamma_p(3.0, 1.5)
+        assert fh.cdf_closed_form.value == regularized_gamma_q(3.0, 1.5)
         assert fh.literal == p_false_hearing(NeuralParams(10.0, 0.15, 3.0, 10.0)).literal
         assert fh.cdf_closed_form == p_false_hearing(
             NeuralParams(10.0, 0.15, 2.0, 10.0)).cdf_closed_form
         b = 1.5  # 1 - e^-B (1 + B + B^2 / 2) and its complement
         expected = 1.0 - math.exp(-b) * (1.0 + b + 0.5 * b * b)
-        assert fh.literal == pytest.approx(expected, rel=1e-14)
-        assert fh.cdf_closed_form == pytest.approx(1.0 - expected, rel=1e-14)
+        assert fh.literal.value == pytest.approx(expected, rel=1e-14)
+        assert fh.cdf_closed_form.value == pytest.approx(1.0 - expected, rel=1e-14)
 
 
 class TestDamageProbability:
@@ -352,9 +361,11 @@ class TestKpiReport:
         assert safety_check(cfg, n=10_000, seed=2) == (
             *irradiances, (0.03405542673791258, 0.06677995127071797))
         report = kpi_report(cfg, n=10_000, seed=4)
-        assert report.p_hearing == (0.9838, 0.9811333929583878, 0.9860950502181455, 10_000, 4)
-        assert report.p_damage == (0.0, 0.0, 0.00038399837067659573, 10_000, 4)
-        assert report.p_false_hearing == (0.0, 1.0)
+        assert [(est.value, *est.interval, est.n_samples, est.seed)
+                for est in (report.p_hearing, report.p_damage)] == [
+            (0.9838, 0.9811333929583878, 0.9860950502181455, 10_000, 4),
+            (0.0, 0.0, 0.00038399837067659573, 10_000, 4)]
+        assert [est.value for est in report.p_false_hearing] == [0.0, 1.0]
         assert (report.skin_irradiance, report.neuron_irradiance, report.mpe_skin_ok,
                 report.mpe_neuron_ok, report.dynamic_range_w) == (
             *irradiances, (0.03406464275174843, 0.06677995127071797))
@@ -439,7 +450,8 @@ class TestDrawCache:
             (pair,) = p_hearing_and_damage_batch([cfg], n=n, seed=7, signal_shot_noise=shot)
             for est, value, name in zip(pair, expected, ("hearing", "damage")):
                 assert est.value == value, (state, name)
-                assert (est.ci_low, est.ci_high) == kpi.wilson_interval(round(value * n), n)
+                low, high = kpi.wilson_interval(round(value * n), n)
+                assert est == Estimate(value, 0.5 * (high - low), "monte_carlo", n, 7, (low, high))
         blocks = -(-n // MC_BLOCK_SIZE)
         assert kpi._block_displacements.cache_info().misses == blocks
         assert kpi._block_background.cache_info().misses == (0 if shot else blocks)
@@ -637,7 +649,8 @@ class TestSharedPass:
         baseline_doc["neural"]["d_th_photons"] = None
         cfg = LinkConfig.from_dict(baseline_doc)
         ((hearing, damage),) = p_hearing_and_damage_batch([cfg], n=10_000, seed=1)
-        assert damage == (0.0, 0.0, 0.0, 10_000, 1) == p_damage(cfg, n=10_000, seed=1)
+        disabled = Estimate(0.0, 0.0, "monte_carlo", 10_000, 1, (0.0, 0.0))
+        assert damage == disabled == p_damage(cfg, n=10_000, seed=1)
         assert hearing == p_hearing(cfg, n=10_000, seed=1)
         # refused like p_hearing: a disabled threshold takes the same request check
         for n, seed in ((500, 1), (5, -3)):
@@ -739,6 +752,52 @@ class TestThresholdPowers:
         by_power = [pair for _, pair in sorted(zip(decades, got))]
         for low, high in zip(by_power, by_power[1:]):
             assert low[0] <= high[0] and low[1] <= high[1]
+
+
+def side_lobe_onset(cfg: LinkConfig) -> float:
+    """The lowest transmit power [W] at which a sample can be heard outside the main lobe:
+    y_th / (g max Phi_1), the maximum of the flux per watt Phi_1 (from the coupling kernel,
+    at the config's a) taken beyond its first null, on a grid of w0 / 256 out to 40 w0."""
+    r = np.linspace(0.0, 40.0 * cfg.coupling.omega0, 40 * 256 + 1)
+    phi_1 = cfg.state.flux_per_watt * optics.coupling_eta_batch(cfg.coupling, r) * (
+        channel.pointing_gain(cfg.state.a0, cfg.state.w_eq, r))
+    null = int(np.argmax(np.diff(phi_1) > 0.0))  # where Phi_1 first stops falling
+    assert null > 0 and np.all(np.diff(phi_1[:null + 1]) <= 0.0)  # the main lobe falls
+    return cfg.neural.y_th / (response_window_gain(cfg.neural.tau) * phi_1[null:].max())
+
+
+class TestJitterMonotonicity:
+    """Below the side-lobe onset each sample's heard set is one interval [0, r1): its level
+    (y_th - N) / (g P) lies above every Phi_1 beyond the main lobe, and Phi_1 falls on the
+    main lobe. A block draws the same uniforms at every sigma_s (r = sigma_s c), so a
+    sample heard at some sigma_s is heard at every smaller one, and p_hearing is
+    nonincreasing in sigma_s exactly, per seed. Above the onset the heard set is a union of
+    intervals, and that is no theorem."""
+
+    def test_onset_of_the_default_link(self, baseline_cfg):
+        # the first side lobe peaks at 0.30% of the on-axis Phi_1, so the onset (9.47 W)
+        # lies far above the on-axis hearing power and figure 7's powers (at most 120 mW)
+        phi_0 = received_flux_batch(np.zeros(1), baseline_cfg)[0] / baseline_cfg.source.power_tx
+        on_axis = baseline_cfg.neural.y_th / (response_window_gain(baseline_cfg.neural.tau)
+                                              * phi_0)
+        assert 0.0029 < on_axis / side_lobe_onset(baseline_cfg) < 0.0031
+        assert side_lobe_onset(load_preset("fig7")) > 50 * 1e-3 * max(POWER_GRID_FIG7_MW)
+
+    @seed(20_201_021)
+    @settings(max_examples=10, database=None, deadline=None)
+    @given(below=st.floats(-3.0, math.log10(0.9)), draw_seed=st.integers(0, 2**32),
+           log_sigmas=st.lists(st.floats(math.log10(0.005), math.log10(2.0)), min_size=2,
+                               max_size=4, unique=True))
+    def test_p_hearing_nonincreasing_in_jitter_below_the_onset(self, below, draw_seed,
+                                                               log_sigmas):
+        # a power 10**below of the onset (0.9 of it at most: the grid's lobe peak is a
+        # lower bound), and sigma_s values log-uniform over 0.005-2 mm
+        cfg = load_preset("default")
+        power = side_lobe_onset(cfg) * 10.0**below
+        cfgs = [cfg.with_value({"source.power_mw": power * 1e3, "beam.sigma_s_mm": 10.0**s})
+                for s in sorted(log_sigmas)]
+        hearing = [h.value for h, _ in p_hearing_and_damage_batch(cfgs, 10_000, draw_seed)]
+        assert all(b <= a for a, b in zip(hearing, hearing[1:])), (power, hearing)
 
 
 # Every Monte Carlo estimate, as (cfg, n, seed) -> its result, with its sample floor.

@@ -16,7 +16,7 @@ from aoci.optics import coupling_eta_batch, coupling_eta_closed
 from aoci.photometry import (
     MC_BLOCK_SIZE,
     MC_CHUNK,
-    FluxEstimate,
+    Estimate,
     NeuralParams,
     SourceParams,
     derive_state,
@@ -330,16 +330,37 @@ class TestMeanFluxRoutes:
         assert quad.err_bound <= specfun.QUAD_REL_TOL * quad.value
 
 
-class TestFluxEstimate:
+class TestEstimate:
     def test_method_field_discipline(self):
         with pytest.raises(ValueError):
-            FluxEstimate(value=1.0, method="series", err_bound=0.0, n_samples=10, seed=1)
+            Estimate(value=1.0, err_bound=0.0, method="series", n_samples=10, seed=1)
         with pytest.raises(ValueError):
-            FluxEstimate(value=1.0, method="monte_carlo", err_bound=0.0)
+            Estimate(value=1.0, err_bound=0.0, method="monte_carlo")
         with pytest.raises(ValueError):
-            FluxEstimate(value=-1.0, method="series", err_bound=0.0)
+            Estimate(value=-1.0, err_bound=0.0, method="series")
         with pytest.raises(ValueError):
-            FluxEstimate(value=1.0, method="magic", err_bound=0.0)
+            Estimate(value=1.0, err_bound=0.0, method="magic")
+        with pytest.raises(ValueError):
+            Estimate(value=1.0, err_bound=-1.0, method="closed_form")
+
+    @pytest.mark.parametrize("method", ["series", "quadrature", "closed_form"])
+    def test_interval_only_on_monte_carlo(self, method):
+        with pytest.raises(ValueError, match="interval"):
+            Estimate(value=0.5, err_bound=0.0, method=method, interval=(0.4, 0.6))
+        est = Estimate(0.5, 0.1, "monte_carlo", 10_000, 3, (0.4, 0.6))
+        assert est.interval == (0.4, 0.6)
+
+    def test_what_the_benchmark_reads(self, baseline_cfg):
+        # bench/workloads.py: kpi_safety unpacks its shot-noise p_hearing as a 5-tuple, and
+        # mc_flux reads five fields of mean_flux_mc's estimate
+        shot = kpi.p_hearing(baseline_cfg, n=10_000, seed=8, signal_shot_noise=True)
+        value, _, _, n, seed = tuple(shot)  # the five core fields, the interval left out
+        assert tuple(shot) == (shot.value, shot.err_bound, "monte_carlo", 10_000, 8)
+        assert (value, n, seed) == (shot.value, 10_000, 8) and 0.0 <= value <= 1.0
+        est = mean_flux_mc(baseline_cfg, n=2000, seed=8)
+        value, err, method, n, seed = (est.value, est.err_bound, est.method, est.n_samples,
+                                       est.seed)
+        assert (method, n, seed) == ("monte_carlo", 2000, 8) and value > 0.0 and err > 0.0
 
 
 class TestLinkBudget:
@@ -350,18 +371,27 @@ class TestLinkBudget:
     def test_budget_composition_exact(self, baseline_cfg):
         flux = mean_flux_quadrature(baseline_cfg)
         budget = link_budget(baseline_cfg, flux)
-        expected = flux.value * response_window_gain(baseline_cfg.neural.tau) + 1.5
-        assert budget == expected  # algebraic identity, bit-exact
+        gain = response_window_gain(baseline_cfg.neural.tau)
+        assert budget.value == flux.value * gain + 1.5  # algebraic identity, bit-exact
+        assert budget.err_bound == flux.err_bound * gain
+        assert (budget.method, budget.n_samples, budget.seed) == ("quadrature", None, None)
+
+    def test_monte_carlo_budget_keeps_its_draw(self, baseline_cfg):
+        flux = mean_flux_mc(baseline_cfg, n=2000, seed=5)
+        budget = link_budget(baseline_cfg, flux)
+        gain = response_window_gain(baseline_cfg.neural.tau)
+        assert budget == Estimate(flux.value * gain + 1.5, flux.err_bound * gain,
+                                  "monte_carlo", 2000, 5)
 
     def test_no_signal_leaves_background(self, baseline_cfg):
         cfg = baseline_cfg.with_value("source.power_mw", 0.0)
         flux = mean_flux_quadrature(cfg)
-        assert link_budget(cfg, flux) == cfg.neural.mean_background
+        assert link_budget(cfg, flux).value == cfg.neural.mean_background
 
     def test_spec_numeric_point(self, baseline_cfg):
-        est = FluxEstimate(value=1e15, method="series", err_bound=0.0)
+        est = Estimate(value=1e15, err_bound=0.0, method="series")
         budget = link_budget(baseline_cfg, est)
-        assert budget == pytest.approx(9.4818e13 + 1.5, rel=1e-4)
+        assert budget.value == pytest.approx(9.4818e13 + 1.5, rel=1e-4)
         neural = NeuralParams(f0=10.0, tau=0.15, y_th=5.0, d_th=10.0)
         assert neural.mean_background == pytest.approx(1.5)
 

@@ -176,6 +176,16 @@ class TestRunSweep:
         assert records[0]["value"] <= records[1]["value"]
         assert all(r["seed"] == 3 for r in records)
 
+    def test_disabled_damage_rows_read_float_zeros(self, baseline_doc, tmp_path):
+        # d_th = null: value, err_bound and the interval are 0.0, written as such
+        baseline_doc["neural"]["d_th_photons"] = None
+        spec = SweepSpec.from_dict(spec_doc(metric="p_damage", method="mc",
+                                            mc={"n": 10_000, "seed": 3}))
+        write_csv(run_sweep(LinkConfig.from_dict(baseline_doc), spec), tmp_path / "out.csv")
+        rows = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 3
+        assert all(",p_damage,0.0,0.0,monte_carlo,10000,3,0.0,0.0," in row for row in rows)
+
     def test_false_hearing_metric_has_both_readings(self, baseline_doc):
         baseline_doc["neural"]["y_th_photons"] = 5.0
         baseline_doc["neural"]["d_th_photons"] = 50.0
@@ -327,7 +337,7 @@ class TestBatchedQuadrature:
             assert record["error"] == flux_row["error"]
             if not record["error"]:
                 lone = kpi.p_hearing(_point(cfg, record), n=10_000, seed=3)
-                assert (record["value"], record["ci_low"]) == (lone.value, lone.ci_low)
+                assert (record["value"], record["ci_low"]) == (lone.value, lone.interval[0])
         assert len({record["value"] for record in hearing if not record["error"]}) > 2
 
     def test_batch_of_invalid_points_records_each_config_error(self, baseline_cfg, monkeypatch):
