@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
-from aoci import kpi, photometry, svgplot
+from aoci import kpi, photometry
 from aoci.config import ConfigError, LinkConfig
-from aoci.figures import _LOG_SCALE, FIGURE_NUMBERS, curve, grid_values, run_figure, sweep_heatmap
+from aoci.figures import FIGURE_NUMBERS, _draw, _run_figure, curve, grid_values
 from aoci.specfun import NumericalError
 from aoci.sweep import METRIC_COLUMNS, SweepSpec, _evaluate_point, run_sweep, write_csv
 from aoci.validate import run_validation
@@ -184,30 +183,23 @@ def _cmd_sweep(args) -> int:
         print(f"note: {failures} grid points recorded errors (see the error column)")
 
     if args.svg:
-        svg_path, values = out / "sweep.svg", grid_values(result)
-        log = spec.axis2 is not None and spec.metric in _LOG_SCALE  # as sweep_heatmap draws
-        if not any(math.isfinite(v) and (v > 0.0 or not log) for v in values.values()):
-            print(f"note: no grid point has a value to plot; {svg_path} not written")
-            return EXIT_OK
+        values, path = grid_values(result), out / "sweep.svg"
+        x, metric = spec.axis1.path, spec.metric
         provenance = f"config {cfg.config_hash()} seed {spec.mc_seed}"
-        if spec.axis2 is None:
-            xs, ys = curve(values)
-            svgplot.line_plot(
-                svg_path, [(spec.metric, xs, ys)], spec.axis1.path, spec.metric,
-                title=f"{spec.metric} vs {spec.axis1.path}",
-                provenance=provenance,
-            )
+        if spec.axis2 is None:  # a line plot on linear axes
+            note = _draw(result, [values], path, (x, metric, f"{metric} vs {x}"), provenance,
+                         [(metric, *curve(values))])
         else:
-            sweep_heatmap(result, values, svg_path, spec.axis1.path,
-                          spec.axis2.path, spec.metric, provenance)
-        print(f"wrote {svg_path}")
+            note = _draw(result, [values], path, (x, spec.axis2.path, metric), provenance)
+        print(note or f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_figure(args) -> int:
     cfg = LinkConfig.from_file(args.config) if args.config else None
-    checks = run_figure(args.number, args.out, cfg=cfg, mc_n=args.samples, seed=args.seed)
-    print(f"wrote fig{args.number}.csv and fig{args.number}.svg in {args.out}")
+    checks, note = _run_figure(args.number, args.out, cfg, args.samples, args.seed)
+    print(f"wrote fig{args.number}.csv in {args.out}\n{note}" if note else
+          f"wrote fig{args.number}.csv and fig{args.number}.svg in {args.out}")
     all_ok = True
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -4,10 +4,11 @@ Each entry of ``FIGURES`` is a two-axis sweep over a shipped preset config
 (see ``aoci/presets/*.json`` and the calibration notes beside them), its
 metrics, plot labels, curve-label template, config-derived marker lines and
 trend-check function. ``run_figure`` sweeps all the metrics over one grid,
-writes the CSV (one metric's rows after another), draws the SVG and returns
-the checks; scales and provenance follow from the metric. The checks are
-ratio-based, so they are insensitive to the multiplicative calibration
-constants.
+writes the CSV (one metric's rows after another), draws the SVG through
+``_draw`` (as ``aoci sweep --svg`` does, and not when no point has a value to
+plot) and returns the checks; scales and provenance follow from the metric.
+The checks are ratio-based, so they are insensitive to the multiplicative
+calibration constants.
 """
 
 from __future__ import annotations
@@ -101,6 +102,23 @@ def sweep_heatmap(result: SweepResult, values: dict[tuple, float], path: str | P
     grid = [[values.get((x, y), math.nan) for x in xs] for y in ys]
     svgplot.heatmap(path, xs, ys, grid, xlabel, ylabel, title,
                     log_values=result.spec.metrics[0] in _LOG_SCALE, provenance=provenance)
+
+
+def _draw(result: SweepResult, grids: list[dict[tuple, float]], path: Path,
+          labels: tuple[str, str, str], provenance: str, series: list | None = None,
+          **line_options) -> str | None:
+    """Draw ``result`` at ``path`` with its (x, y, title) ``labels``: ``series`` as a line
+    plot with ``line_options``, else ``grids[0]`` as a ``sweep_heatmap``. Where no value of
+    ``grids`` can be drawn (each NaN, or at most 0 on a log scale), write nothing and
+    return the note that says so."""
+    log = result.spec.metrics[0] in _LOG_SCALE if series is None else line_options.get("ylog")
+    if not any(math.isfinite(v) and (v > 0.0 or not log) for grid in grids for v in grid.values()):
+        return f"note: no grid point has a value to plot; {path} not written"
+    if series is None:
+        sweep_heatmap(result, grids[0], path, *labels, provenance)
+    else:
+        svgplot.line_plot(path, series, *labels, provenance=provenance, **line_options)
+    return None
 
 
 def _judge(name: str, verdict: Callable[[], tuple[bool, str]]) -> TrendCheck:
@@ -232,7 +250,15 @@ FIGURE_NUMBERS = tuple(FIGURES)
 
 def run_figure(number: int, out_dir: str | Path, cfg: LinkConfig | None = None,
                mc_n: int = 20_000, seed: int = 1234) -> list[TrendCheck]:
-    """Produce figure ``number`` (CSV + SVG) and return its trend checks."""
+    """Produce figure ``number`` (CSV, and SVG when a grid point has a value to plot)
+    and return its trend checks."""
+    return _run_figure(number, out_dir, cfg, mc_n, seed)[0]
+
+
+def _run_figure(number: int, out_dir: str | Path, cfg: LinkConfig | None, mc_n: int,
+                seed: int) -> tuple[list[TrendCheck], str | None]:
+    """``run_figure``'s checks, and ``_draw``'s note in place of the SVG when no grid point
+    has a value to plot (None when the SVG is written)."""
     if number not in FIGURES:
         raise ValueError(f"no figure {number}; choose one of {FIGURE_NUMBERS}")
     fig = FIGURES[number]
@@ -247,13 +273,11 @@ def run_figure(number: int, out_dir: str | Path, cfg: LinkConfig | None = None,
     grids = [grid_values(result, metric) for metric in fig.metrics]
     mc = f" seed {seed} n {mc_n}" if fig.metrics[0] in EXCEEDANCES else ""
     provenance = f"config {cfg.config_hash()}{mc}"
-    svg_path = out / f"fig{number}.svg"
-    if fig.curve is None:
-        sweep_heatmap(result, grids[0], svg_path, fig.xlabel, fig.ylabel, fig.title, provenance)
-    else:
-        series = [(fig.curve.format(m=metric.removeprefix("p_"), v=v), *curve(grid, v))
-                  for metric, grid in zip(fig.metrics, grids) for v in fig.axis2.values]
-        svgplot.line_plot(svg_path, series, fig.xlabel, fig.ylabel, fig.title, xlog=True,
-                          ylog=fig.metrics[0] in _LOG_SCALE, provenance=provenance,
-                          **fig.markers(cfg))
-    return fig.check(cfg, *grids)
+    series = None if fig.curve is None else [
+        (fig.curve.format(m=metric.removeprefix("p_"), v=v), *curve(grid, v))
+        for metric, grid in zip(fig.metrics, grids) for v in fig.axis2.values]
+    options = {} if series is None else dict(xlog=True, ylog=fig.metrics[0] in _LOG_SCALE,
+                                             **fig.markers(cfg))
+    note = _draw(result, grids, out / f"fig{number}.svg", (fig.xlabel, fig.ylabel, fig.title),
+                 provenance, series, **options)
+    return fig.check(cfg, *grids), note

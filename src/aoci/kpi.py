@@ -8,16 +8,17 @@ the excitation threshold ``y_th``; it is harmful when it reaches the damage
 threshold ``d_th``.
 
 The exceedance probabilities are ``monte_carlo`` ``Estimate``s with Wilson 95%
-intervals from one estimator, ``p_hearing_and_damage_batch``, which takes a
-sweep's configs; ``p_hearing`` and ``p_damage`` are its batch of one. Block b
-draws its displacements from stream (seed, 2b) and its background counts N from
-stream (seed, 2b + 1), so every comparison runs under common random numbers. At
-power P sample i counts P g Phi_1(r_i) + N_i (Phi_1 the flux at 1 W): it reaches a
-threshold from its threshold power x_i = (threshold - N_i) / (g Phi_1(r_i)) up, and
-an estimate at P counts the x_i <= P. One helper, ``_threshold_powers``, computes x
-for the estimator and for ``safety_check``'s dynamic range, and the monotonicity
-relations are exact per seed: ``p_damage <= p_hearing`` whenever ``d_th >= y_th``,
-and ``p_hearing`` is nondecreasing in transmit power.
+intervals, and every request for them walks the draws in one block loop,
+``_exceedance_pass``: ``p_hearing_and_damage_batch`` counts a sweep's configs from
+it (``p_hearing`` and ``p_damage`` are its batch of one), ``safety_check`` takes its
+threshold powers at y_th, and ``kpi_report`` both from one pass. Block b draws its
+displacements from stream (seed, 2b) and its background counts N from stream
+(seed, 2b + 1), so every comparison runs under common random numbers. At power P
+sample i counts P g Phi_1(r_i) + N_i (Phi_1 the flux at 1 W): it reaches a threshold
+from its threshold power x_i = (threshold - N_i) / (g Phi_1(r_i)) up. An estimate at
+P counts the x_i <= P, and the dynamic range's lower edge is a quantile of the x_i
+at y_th. The monotonicity relations are exact per seed: ``p_damage <= p_hearing``
+whenever ``d_th >= y_th``, and ``p_hearing`` is nondecreasing in transmit power.
 
 The draws are reusable across calls: a block's displacements r and their
 coupling efficiencies eta(r) depend only on (seed, block, block size, sigma_s,
@@ -84,18 +85,19 @@ class FalseHearing(NamedTuple):
     cdf_closed_form: Estimate
 
 
-def wilson_interval(successes: int, n: int) -> tuple[float, float]:
-    """Wilson score 95% interval for a binomial proportion."""
+def wilson_interval(successes: int | np.ndarray, n: int) -> tuple:
+    """Wilson score 95% interval ``(low, high)`` for a binomial proportion of ``successes``
+    out of n: floats for one count, nested lists shaped like an array of counts."""
     if n <= 0:
         raise ValueError("need at least one sample")
     z = 1.959963984540054  # two-sided 95% normal quantile
-    p_hat = successes / n
+    k = np.asarray(successes)
+    p_hat = k / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
-    lo = 0.0 if successes == 0 else max(center - half, 0.0)
-    hi = 1.0 if successes == n else min(center + half, 1.0)
-    return lo, hi
+    half = (z / denom) * np.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
+    return (np.where(k == 0, 0.0, np.maximum(center - half, 0.0)).tolist(),
+            np.where(k == n, 1.0, np.minimum(center + half, 1.0)).tolist())
 
 
 _block_displacements = functools.lru_cache(maxsize=DRAW_CACHE_ENTRIES)(_draw_block)
@@ -124,23 +126,21 @@ def _threshold_powers(seed: int, block: int, eta, h_p, flux_per_watt: float, neu
             yield x  # outside the errstate, which would else hold while the caller runs
 
 
-def p_hearing_and_damage_batch(
-    cfgs: list["LinkConfig"],
-    n: int = 100_000,
-    seed: int = 1234,
-    signal_shot_noise: bool = False,
-) -> list[tuple[Estimate, Estimate]]:
-    """Each config's ``(p_hearing, p_damage)``: Pr(count over one window >= y_th, d_th).
+def _exceedance_pass(cfgs: list["LinkConfig"], n: int, seed: int, signal_shot_noise: bool = False,
+                     count: bool = True, keep: bool = False) -> tuple[list | None, list]:
+    """The one block loop of every exceedance request: ``(pairs, heard)``.
 
-    Configs are grouped by (sigma_s, coupling), whose blocks' (r, eta(r)) come from
-    the draw cache, then by (A0, w_eq), whose h_p(r) is computed once per block, then
-    into power chains by all else, (flux_per_watt, neural). Each member of a chain
-    counts the samples whose ``_threshold_powers`` are not above its power: its pair is
-    bitwise that of a batch of it alone. In exact arithmetic x <= P exactly when the total
-    ``P g Phi_1 + N`` reaches the threshold; in floating point the two can disagree on
-    a sample whose total lies within a few ulps of it, and the count is x's. With
-    ``signal_shot_noise`` the Poisson mean holds the signal, drawn per config. An
-    infinite d_th (damage disabled) gives value, err_bound and interval 0.
+    Configs are grouped by (sigma_s, coupling), whose blocks' (r, eta(r)) come from the
+    draw cache, then by (A0, w_eq), whose h_p(r) is computed once per block, then into
+    power chains by all else, (flux_per_watt, neural), whose ``_threshold_powers`` are
+    computed once per block. With ``count``, pairs holds each config's ``(p_hearing,
+    p_damage)``: a member counts the samples whose x is not above its power, and one
+    ``wilson_interval`` over every count gives the intervals. In exact arithmetic x <= P
+    exactly when the total ``P g Phi_1 + N`` reaches the threshold; in floating point the
+    two can disagree on a sample whose total lies within a few ulps of it, and the count
+    is x's. With ``signal_shot_noise`` the Poisson mean holds the signal, drawn and
+    counted per config. With ``keep``, heard holds each block's x at y_th, for a request
+    of one config. Without ``count``, pairs is None and no x at d_th is computed.
     """
     n, seed, counts = _mc_blocks(n, seed, MIN_SAMPLES)
     groups: dict = {}  # (sigma_s, coupling) -> (a0, w_eq) -> chain -> indices into cfgs
@@ -149,10 +149,10 @@ def p_hearing_and_damage_batch(
         chain = (cfg.state.flux_per_watt, cfg.neural)
         groups.setdefault(drawn, {}).setdefault(pointing, {}).setdefault(chain, []).append(i)
 
-    hits = [[0, 0] for _ in cfgs]
+    hits, heard = np.zeros((len(cfgs), 2), np.int64), []
     for drawn, pointings in groups.items():
-        for block, count in enumerate(counts):
-            r, eta = _block_displacements(seed, block, count, *drawn)
+        for block, size in enumerate(counts):
+            r, eta = _block_displacements(seed, block, size, *drawn)
             for (a0, w_eq), chains in pointings.items():
                 h_p = channel.pointing_gain(a0, w_eq, r)
                 for (flux_per_watt, neural), members in chains.items():
@@ -161,19 +161,37 @@ def p_hearing_and_damage_batch(
                             totals = received_flux_batch(r, cfgs[i], eta=eta, h_p=h_p)
                             totals *= response_window_gain(neural.tau)
                             totals += neural.mean_background
-                            totals = sample_poisson(RngStream(seed, 2 * block + 1), totals, count)
-                            hits[i][0] += int(np.count_nonzero(totals >= neural.y_th))
-                            hits[i][1] += int(np.count_nonzero(totals >= neural.d_th))
+                            totals = sample_poisson(RngStream(seed, 2 * block + 1), totals, size)
+                            hits[i] += [np.count_nonzero(totals >= neural.y_th),
+                                        np.count_nonzero(totals >= neural.d_th)]
                         continue
                     powers = _threshold_powers(seed, block, eta, h_p, flux_per_watt, neural)
-                    for t, x in enumerate(powers):
+                    for t, x in enumerate(powers):  # y_th's, then d_th's when finite
+                        if keep and t == 0:
+                            heard.append(x)
+                        if not count:
+                            break  # so d_th's threshold powers are never computed
                         for i in members:  # heard unless x is above the member's power
-                            hits[i][t] += count - int(np.count_nonzero(x > cfgs[i].source.power_tx))
+                            hits[i, t] += size - int(np.count_nonzero(x > cfgs[i].source.power_tx))
+    if not count:
+        return None, heard
+    lows, highs = wilson_interval(hits, n)
+    for cfg, high in zip(cfgs, highs):  # damage disabled: no hit, so low is 0 already
+        high[1] = high[1] if cfg.neural.d_th < math.inf else 0.0
+    return [tuple(Estimate(k / n, 0.5 * (hi - lo), "monte_carlo", n, seed, (lo, hi))
+                  for k, lo, hi in zip(*row)) for row in zip(hits.tolist(), lows, highs)], heard
 
-    return [tuple(Estimate(k / n, 0.5 * (high - low), "monte_carlo", n, seed, (low, high))
-                  for k, threshold in zip(counted, (cfg.neural.y_th, cfg.neural.d_th))
-                  for low, high in [wilson_interval(k, n) if threshold < math.inf else (0.0, 0.0)])
-            for cfg, counted in zip(cfgs, hits)]
+
+def p_hearing_and_damage_batch(
+    cfgs: list["LinkConfig"],
+    n: int = 100_000,
+    seed: int = 1234,
+    signal_shot_noise: bool = False,
+) -> list[tuple[Estimate, Estimate]]:
+    """Each config's ``(p_hearing, p_damage)``: Pr(count over one window >= y_th, d_th),
+    counted by ``_exceedance_pass``, each pair bitwise that of a batch of it alone. An
+    infinite d_th (damage disabled) gives value, err_bound and interval 0."""
+    return _exceedance_pass(cfgs, n, seed, signal_shot_noise)[0]
 
 
 def p_hearing(
@@ -234,6 +252,27 @@ def _irradiances(cfg: "LinkConfig", power: float) -> tuple[float, float]:
             fiber_out / (math.pi * cfg.coupling.omega0**2))
 
 
+def _safety(cfg: "LinkConfig", heard: list, hearing_target: float
+            ) -> tuple[float, float, bool, bool, tuple[float, float] | None]:
+    """``safety_check``'s 5-tuple from ``heard``, the threshold powers at y_th of its n
+    samples that ``_exceedance_pass`` keeps."""
+    skin_irr, neuron_irr = _irradiances(cfg, cfg.source.power_tx)
+    skin_1w, neuron_1w = _irradiances(cfg, 1.0)
+    # A limit whose irradiance is 0 at 1 W (the skin absorbs every photon) never binds.
+    x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w if neuron_1w else math.inf)
+
+    x = np.fmax(np.concatenate(heard), 0.0)  # NaN and x <= 0 are heard at 0 W
+    n, k = x.size, math.ceil(hearing_target * x.size)
+    x.partition(k - 1)
+    edge = float(x[k - 1])
+    # p_hearing at a config set to edge * 1e3 mW, which holds (edge * 1e3) * 1e-3 W
+    while edge <= x_max and (n - np.count_nonzero(x > edge * 1e3 * 1e-3)) / n < hearing_target:
+        edge = math.nextafter(edge, math.inf)
+    dynamic_range = (edge, x_max) if edge <= x_max else None
+    return (skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron,
+            dynamic_range)
+
+
 def safety_check(
     cfg: "LinkConfig",
     hearing_target: float = 0.9,
@@ -251,32 +290,13 @@ def safety_check(
     """
     if not 0.0 < hearing_target <= 1.0:
         raise ValueError(f"hearing_target must be in (0, 1], got {hearing_target}")
-    n, seed, counts = _mc_blocks(n, seed, MIN_SAMPLES)
-    skin_irr, neuron_irr = _irradiances(cfg, cfg.source.power_tx)
-    skin_1w, neuron_1w = _irradiances(cfg, 1.0)
-    # A limit whose irradiance is 0 at 1 W (the skin absorbs every photon) never binds.
-    x_max = min(cfg.mpe_skin / skin_1w, cfg.mpe_neuron / neuron_1w if neuron_1w else math.inf)
-
-    state, neural, powers = cfg.state, cfg.neural, []
-    for block, count in enumerate(counts):
-        r, eta = _block_displacements(seed, block, count, cfg.beam.sigma_s, cfg.coupling)
-        h_p = channel.pointing_gain(state.a0, state.w_eq, r)
-        powers.append(next(_threshold_powers(seed, block, eta, h_p, state.flux_per_watt, neural)))
-    x = np.fmax(np.concatenate(powers), 0.0)  # NaN and x <= 0 are heard at 0 W
-    k = math.ceil(hearing_target * n)
-    x.partition(k - 1)
-    edge = float(x[k - 1])
-    # p_hearing at a config set to edge * 1e3 mW, which holds (edge * 1e3) * 1e-3 W
-    while edge <= x_max and (n - np.count_nonzero(x > edge * 1e3 * 1e-3)) / n < hearing_target:
-        edge = math.nextafter(edge, math.inf)
-    dynamic_range = (edge, x_max) if edge <= x_max else None
-    return (skin_irr, neuron_irr, skin_irr <= cfg.mpe_skin, neuron_irr <= cfg.mpe_neuron,
-            dynamic_range)
+    return _safety(cfg, _exceedance_pass([cfg], n, seed, count=False, keep=True)[1],
+                   hearing_target)
 
 
 def kpi_report(cfg: "LinkConfig", n: int = 100_000, seed: int = 1234) -> KpiReport:
-    """Every indicator for one configuration: p_hearing and p_damage from one pass, and
-    the dynamic range, on the same (n, seed) draws."""
-    safety = safety_check(cfg, n=n, seed=seed)  # KpiReport's last five fields, in order
-    hearing, damage = p_hearing_and_damage_batch([cfg], n, seed)[0]
-    return KpiReport(hearing, p_false_hearing(cfg.neural), damage, *safety)
+    """Every indicator for one configuration from one ``_exceedance_pass``: p_hearing and
+    p_damage, and the dynamic range at ``safety_check``'s default target of 0.9, on the
+    same (n, seed) draws."""
+    ((hearing, damage),), heard = _exceedance_pass([cfg], n, seed, keep=True)
+    return KpiReport(hearing, p_false_hearing(cfg.neural), damage, *_safety(cfg, heard, 0.9))

@@ -1,13 +1,16 @@
 """Independent oracles used to pin the library.
 
-Every oracle here but ``sample_rayleigh`` is a brute-force series /
-continued-fraction evaluation in mpmath working precision, deliberately sharing
-no code path with the package under test. Term counts are capped at 200 per
-index (the quadruple sum at 30 per index), which is ample for the argument
-ranges exercised by the tests. ``sample_rayleigh`` draws the package's
-Rayleigh stream from numpy's generators directly, as a reference for how
-streams are keyed.
+Every oracle here but ``sample_rayleigh`` and ``wilson_interval_reference`` is a
+brute-force series / continued-fraction evaluation in mpmath working precision,
+deliberately sharing no code path with the package under test. Term counts are
+capped at 200 per index (the quadruple sum at 30 per index), which is ample for
+the argument ranges exercised by the tests. ``sample_rayleigh`` draws the
+package's Rayleigh stream from numpy's generators directly, as a reference for
+how streams are keyed, and ``wilson_interval_reference`` is the Wilson interval
+in scalar arithmetic, the reference for the package's array form.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
@@ -134,3 +137,16 @@ def sample_rayleigh(seed: int, stream_id: int, sigma_s: float, n: int) -> np.nda
     keyed = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
     u = 1.0 - np.random.Generator(np.random.Philox(keyed)).random(n)
     return sigma_s * np.sqrt(-2.0 * np.log(u))
+
+
+def wilson_interval_reference(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95% interval of ``successes`` out of n, in scalar float arithmetic:
+    the formula the package computes over arrays, term for term."""
+    z = 1.959963984540054  # two-sided 95% normal quantile
+    p_hat = successes / n
+    denom = 1.0 + z * z / n
+    center = (p_hat + z * z / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))
+    lo = 0.0 if successes == 0 else max(center - half, 0.0)
+    hi = 1.0 if successes == n else min(center + half, 1.0)
+    return lo, hi

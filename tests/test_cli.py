@@ -389,6 +389,20 @@ class TestFigure:
                 "(no grid power at or below the cap of 63 mW)\n") in captured.out
         assert (tmp_path / "fig8.csv").is_file() and (tmp_path / "fig8.svg").is_file()
 
+    def test_figure_with_no_point_to_plot_writes_the_csv_and_a_note(self, tmp_path, capsys):
+        # at 0 mW every flux is 0.0, which figure 3's log heatmap cannot draw
+        path, out_dir = tmp_path / "dark.json", tmp_path / "out"
+        path.write_text(json.dumps(load_preset("fig3").with_value("source.power_mw", 0.0)
+                                   .to_dict()))
+        code = main(["figure", "3", "--config", str(path), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 0 and captured.err == ""
+        assert lines[:2] == [f"wrote fig3.csv in {out_dir}", "note: no grid point has a value "
+                             f"to plot; {out_dir / 'fig3.svg'} not written"]
+        assert len(lines) > 2 and all(line.startswith("  PASS - ") for line in lines[2:])
+        assert (out_dir / "fig3.csv").is_file() and not (out_dir / "fig3.svg").exists()
+
     def test_out_through_a_plain_file_exits_2_with_one_line(self, tmp_path, capsys):
         plain = tmp_path / "plain"
         plain.write_text("")

@@ -61,6 +61,17 @@ class TestWilsonInterval:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
+    def test_bitwise_the_scalar_formula(self):
+        # every count at n = 10,000, by the batch of one and over one array, and n = 1
+        def bits(pairs):
+            return [(low.hex(), high.hex()) for low, high in pairs]
+
+        expected = bits(oracles.wilson_interval_reference(k, 10_000) for k in range(10_001))
+        assert bits(wilson_interval(k, 10_000) for k in range(10_001)) == expected
+        assert bits(zip(*wilson_interval(np.arange(10_001), 10_000))) == expected
+        assert bits(wilson_interval(k, 1) for k in (0, 1)) == bits(
+            oracles.wilson_interval_reference(k, 1) for k in (0, 1))
+
 
 class TestHearingProbability:
     def test_zero_threshold_always_heard(self, baseline_cfg):
@@ -331,21 +342,55 @@ class TestKpiReport:
         assert report.dynamic_range_w == safety_check(cfg, n=20_000, seed=4)[4]  # same draws
 
     @pytest.mark.parametrize("d_th", [3.2e17, None])
-    def test_both_probabilities_from_one_pass(self, baseline_doc, monkeypatch, d_th):
+    def test_both_probabilities_from_one_pass(self, baseline_doc, monkeypatch, pointing_calls,
+                                              d_th):
+        # n = 150,000: three blocks, each drawn once and given one h_p for the estimates
+        # and the dynamic range together
         baseline_doc["beam"]["sigma_s_mm"] = 0.02
         baseline_doc["neural"]["d_th_photons"] = d_th
         cfg = LinkConfig.from_dict(baseline_doc)
-        hearing = p_hearing(cfg, n=10_000, seed=4)
-        damage = p_damage(cfg, n=10_000, seed=4)
-        assert 0.0 < hearing.value < 1.0
+        hearing = p_hearing(cfg, n=150_000, seed=4)
+        damage = p_damage(cfg, n=150_000, seed=4)
+        *_, dynamic_range = safety_check(cfg, n=150_000, seed=4)
+        assert 0.0 < hearing.value < 1.0 and dynamic_range is not None
 
         def refuse(*args, **kwargs):
             raise AssertionError("kpi_report ran a lone exceedance")
 
         monkeypatch.setattr(kpi, "p_hearing", refuse)
         monkeypatch.setattr(kpi, "p_damage", refuse)
-        report = kpi_report(cfg, n=10_000, seed=4)
+        clear_draw_caches()
+        pointing_calls.clear()
+        report = kpi_report(cfg, n=150_000, seed=4)
         assert (report.p_hearing, report.p_damage) == (hearing, damage)
+        assert report.dynamic_range_w == dynamic_range
+        assert len(pointing_calls) == 3
+        assert kpi._block_displacements.cache_info().misses == 3
+        assert kpi._block_background.cache_info().misses == 3
+
+    # A fixed hypothesis seed: the examples stay the same from run to run.
+    @seed(20_071_001)
+    @settings(max_examples=12, database=None, deadline=None)
+    @given(log_sigma=st.floats(math.log10(0.005), math.log10(2.0)),
+           log_power=st.floats(-3.0, 4.0), log_y_th=st.floats(0.0, 17.0),
+           log_d_over_y=st.none() | st.floats(0.01, 3.0),
+           n=st.sampled_from([10_000, 65_536, 150_000]), draw_seed=st.integers(0, 2**32))
+    def test_fields_are_the_batch_and_safety_check(self, log_sigma, log_power, log_y_th,
+                                                   log_d_over_y, n, draw_seed):
+        # one pass builds what the batch of one and safety_check each build from their own
+        doc = load_preset("default").to_dict()
+        doc["beam"]["sigma_s_mm"] = 10.0**log_sigma
+        doc["source"]["power_mw"] = 10.0**log_power
+        doc["neural"]["y_th_photons"] = 10.0**log_y_th
+        doc["neural"]["d_th_photons"] = (None if log_d_over_y is None
+                                         else 10.0 ** (log_y_th + log_d_over_y))
+        cfg = LinkConfig.from_dict(doc)
+        report = kpi_report(cfg, n=n, seed=draw_seed)
+        assert repr((report.p_hearing, report.p_damage)) == repr(
+            p_hearing_and_damage_batch([cfg], n, draw_seed)[0])
+        assert repr((report.skin_irradiance, report.neuron_irradiance, report.mpe_skin_ok,
+                     report.mpe_neuron_ok, report.dynamic_range_w)) == repr(
+            safety_check(cfg, n=n, seed=draw_seed))
 
     def test_reads_the_config_state(self, baseline_doc, monkeypatch):
         # The built config holds its checked state; kpi derives none of its own.
